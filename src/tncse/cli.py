@@ -20,7 +20,6 @@ from . import pipeline as pl
 from .data import save_corpus, save_sts_tsv, synth_corpus
 from .errors import ConfigError, TncseError
 from .gradsuite import run_gradient_suite
-from .training import write_metadata
 
 EXIT_CODES = {"success": 0, "config-error": 2, "data-error": 3,
               "checkpoint-error": 4, "numeric-error": 5, "error": 1}
@@ -82,7 +81,7 @@ def _finish(cfg, out_dir, extra):
     meta = {"command": extra.pop("command"), "seed": cfg["seed"],
             "precision": "float32", "version": __version__}
     meta.update(extra)
-    write_metadata(os.path.join(out_dir, "run-metadata.txt"), meta)
+    pl.write_metadata(os.path.join(out_dir, "run-metadata.txt"), meta)
 
 
 def _cmd_gen_data(args, cfg, out_dir):
@@ -157,7 +156,7 @@ def _cmd_eval(args, cfg, out_dir):
     report = pl.run_eval(cfg, ws, model)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
         f.write(report.to_text())
-    write_metadata(os.path.join(out_dir, "report.kv"), report.to_kv())
+    pl.write_metadata(os.path.join(out_dir, "report.kv"), report.to_kv())
     _finish(cfg, out_dir, {"command": "eval"})
     print(report.to_text(), end="")
     return 0

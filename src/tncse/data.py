@@ -106,35 +106,24 @@ def make_batch(vocab, sentences, max_seq_len):
                       attention_mask=np.stack([r[1] for r in rows]))
 
 
-def batch_iter(corpus, batch_size, seed, epoch, vocab=None, max_seq_len=None):
-    """Deterministically shuffled batches; the short final batch is kept.
-
-    Yields lists of sentences, or TokenBatch objects when ``vocab`` and
-    ``max_seq_len`` are given.
-    """
+def batch_iter(corpus, batch_size, seed, epoch):
+    """Deterministically shuffled lists of sentences; the short final batch
+    is kept."""
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
     order = rng.permutation(len(corpus))
     for start in range(0, len(corpus), batch_size):
-        chunk = [corpus[i] for i in order[start:start + batch_size]]
-        if vocab is not None:
-            yield make_batch(vocab, chunk, max_seq_len)
-        else:
-            yield chunk
+        yield [corpus[i] for i in order[start:start + batch_size]]
 
 
 # -- synonym table and augmentation ---------------------------------------
 
-def load_synonyms(path=None):
-    if path is None:
-        text = (importlib.resources.files("tncse") / "resources/synonyms.tsv").read_text("utf-8")
-        lines = text.splitlines()
-    else:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+def load_synonyms():
+    """The shipped word -> synonym table."""
+    text = (importlib.resources.files("tncse") / "resources/synonyms.tsv").read_text("utf-8")
     table = {}
-    for line in lines:
+    for line in text.splitlines():
         if not line.strip():
             continue
         word, syn = line.split("\t")

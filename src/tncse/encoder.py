@@ -186,11 +186,16 @@ class Encoder:
         return EncoderOutput(last_hidden=hL, pooler=hP)
 
 
+def _check_same_vocab(encoders, what):
+    """Encoders without a recorded vocabulary hash pass unchecked."""
+    hashes = {enc.vocab_hash for enc in encoders if enc.vocab_hash is not None}
+    if len(hashes) > 1:
+        raise DataError(f"{what} were built over different vocabularies")
+
+
 def dual_view(enc_i: Encoder, enc_ii: Encoder, batch: TokenBatch) -> ViewBundle:
     """Four dropout passes (two per encoder) over the same batch."""
-    if (enc_i.vocab_hash is not None and enc_ii.vocab_hash is not None
-            and enc_i.vocab_hash != enc_ii.vocab_hash):
-        raise DataError("encoders were built over different vocabularies")
+    _check_same_vocab((enc_i, enc_ii), "encoders")
     o_i = enc_i.encode(batch, train_mode=True, pass_index=0)
     o_i_plus = enc_i.encode(batch, train_mode=True, pass_index=1)
     o_ii = enc_ii.encode(batch, train_mode=True, pass_index=0)

@@ -9,16 +9,16 @@ MSE); a direct embedding-regression variant is available behind
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .data import batch_iter, make_batch
-from .encoder import Encoder
-from .errors import ConfigError, DataError, NumericError
-from .evaluation import sts_eval
-from .training import Adam, TrainLog, ensemble_embed_fn
+from .encoder import Encoder, _check_same_vocab
+from .errors import ConfigError
+from .losses import _unit_rows
+from .training import TrainLog, _member_sums, _train
 
 
 class EnsembleModel:
@@ -30,9 +30,7 @@ class EnsembleModel:
         dims = {enc.config.hidden_dim for enc in encoders}
         if len(dims) > 1:
             raise ValueError(f"member hidden dims differ: {sorted(dims)}")
-        hashes = {enc.vocab_hash for enc in encoders if enc.vocab_hash is not None}
-        if len(hashes) > 1:
-            raise DataError("ensemble members were built over different vocabularies")
+        _check_same_vocab(encoders, "ensemble members")
         self.encoders = list(encoders)
 
     @property
@@ -43,11 +41,7 @@ class EnsembleModel:
 def ensemble_embed(model: EnsembleModel, batch):
     """Elementwise sum of member last-hidden states; pooler bypassed,
     dropout off."""
-    total = None
-    for enc in model.encoders:
-        h = enc.encode(batch, train_mode=False).last_hidden.data
-        total = h.copy() if total is None else total + h
-    return total
+    return _member_sums(model.encoders, [batch])[0]
 
 
 @dataclass(frozen=True)
@@ -63,27 +57,24 @@ class DistillConfig:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.eval_interval < 1:
+            raise ValueError("eval_interval must be >= 1")
         if self.objective not in ("similarity", "regression"):
             raise ConfigError(f"unknown distillation objective {self.objective!r}")
 
 
 @dataclass
 class DistillLog:
-    train_log: TrainLog = field(default_factory=TrainLog)
-    probe_loss_step0: float = float("nan")
-    probe_loss_best: float = float("nan")
-    spearman_untrained: float = float("nan")
-    spearman_best: float = float("nan")
-
-
-def _norm_rows_graph(H):
-    b = H.shape[0]
-    return ad.div(H, ad.reshape(ad.l2_norm(H, axis=-1), (b, 1)))
+    train_log: TrainLog
+    probe_loss_step0: float
+    probe_loss_best: float
+    spearman_untrained: float
+    spearman_best: float
 
 
 def _similarity_loss(student_h, teacher_emb, temperature):
     b = student_h.shape[0]
-    Sn = _norm_rows_graph(student_h)
+    Sn = _unit_rows(student_h)
     S = ad.scale(ad.matmul(Sn, ad.transpose(Sn, (1, 0))), 1.0 / temperature)
     Tn = teacher_emb / np.linalg.norm(teacher_emb, axis=1, keepdims=True)
     T = np.clip(Tn @ Tn.T, -1.0, 1.0) / temperature
@@ -100,19 +91,17 @@ def _regression_loss(student_h, teacher_emb):
 
 def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
             cfg: DistillConfig):
-    """Train ``student`` to match the frozen ``teacher`` ensemble; returns a
-    DistillLog.  The best checkpoint (by student validation Spearman) is
-    restored into ``student``."""
+    """Train ``student`` to match the frozen ``teacher`` ensemble in the
+    shared training loop; returns a DistillLog.  The best-validated student
+    weights (by validation Spearman, step 0 included) are restored into
+    ``student``, and ``probe_loss_best`` is the probe loss of those weights."""
     if cfg.objective == "regression" and student.config.hidden_dim != teacher.hidden_dim:
         raise ConfigError("embedding-regression distillation requires matching "
                           "hidden dimensions")
     max_len = student.config.max_seq_len
 
-    def teacher_embed(batch):
-        return ensemble_embed(teacher, batch)
-
     def batch_loss(batch, train_mode):
-        t_emb = teacher_embed(batch).astype(np.float64)
+        t_emb = ensemble_embed(teacher, batch).astype(np.float64)
         h = student.encode(batch, train_mode=train_mode, pass_index=0).last_hidden
         if cfg.objective == "similarity":
             return _similarity_loss(h, t_emb, cfg.temperature)
@@ -125,48 +114,16 @@ def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
     def probe_loss():
         return float(batch_loss(probe_batch, train_mode=False).item())
 
-    opt = Adam(student.parameters(), lr=cfg.learning_rate)
-    embed = ensemble_embed_fn([student], vocab)
-    log = DistillLog()
-    log.probe_loss_step0 = probe_loss()
-    log.spearman_untrained = sts_eval(embed, sts_dev)
+    def step_fn(sentences):
+        loss = batch_loss(make_batch(vocab, sentences, max_len), train_mode=True)
+        loss.backward()
+        return {"total": float(loss.item())}
 
-    tl = log.train_log
-    best_snap = None
-    best_probe = log.probe_loss_step0
-    tl.best_spearman = log.spearman_untrained
-    tl.best_step = 0
-    tl.evals.append((0, log.spearman_untrained))
-
-    step, epoch, done = 0, 0, False
-    while not done:
-        for sentences in batch_iter(corpus, cfg.batch_size, cfg.seed, epoch):
-            step += 1
-            batch = make_batch(vocab, sentences, max_len)
-            loss = batch_loss(batch, train_mode=True)
-            val = float(loss.item())
-            if not np.isfinite(val):
-                raise NumericError(f"non-finite distillation loss at step {step}")
-            loss.backward()
-            opt.step()
-            tl.step_records.append({"step": step, "total": val})
-            if step % cfg.eval_interval == 0 or step == cfg.steps:
-                rho = sts_eval(embed, sts_dev)
-                tl.evals.append((step, rho))
-                if rho > tl.best_spearman:
-                    tl.best_spearman = rho
-                    tl.best_step = step
-                    best_snap = {k: v.data.copy() for k, v in student.params.items()}
-                    best_probe = probe_loss()
-            if step >= cfg.steps:
-                done = True
-                break
-        epoch += 1
-
-    if best_snap is not None:
-        for k, v in best_snap.items():
-            student.params[k].data = v.copy()
-            student.params[k].grad = None
-    log.probe_loss_best = best_probe
-    log.spearman_best = tl.best_spearman
-    return log
+    probe_loss_step0 = probe_loss()
+    tl = _train([student], corpus, sts_dev, vocab, cfg, step_fn)
+    # eval mode draws no randomness, so the restored weights give the probe
+    # loss of the best step bit for bit
+    return DistillLog(train_log=tl, probe_loss_step0=probe_loss_step0,
+                      probe_loss_best=probe_loss(),
+                      spearman_untrained=tl.evals[0][1],
+                      spearman_best=tl.best_spearman)

@@ -133,7 +133,6 @@ class EvalReport:
     per_dataset: dict = field(default_factory=dict)   # name -> Spearman rho
     alignment: float | None = None
     uniformity: float | None = None
-    probe_rows: list = field(default_factory=list)
 
     @property
     def average_rho(self):
@@ -144,17 +143,8 @@ class EvalReport:
     def to_text(self):
         lines = ["TNCSE evaluation report",
                  f"alignment/uniformity constants: alpha={ALIGNMENT_ALPHA} t={UNIFORMITY_T}"]
-        for name, rho in self.per_dataset.items():
-            lines.append(f"spearman {name} {rho:.6f}")
-        if self.per_dataset:
-            lines.append(f"spearman avg {self.average_rho:.6f}")
-        if self.alignment is not None:
-            lines.append(f"alignment {self.alignment:.6f}")
-        if self.uniformity is not None:
-            lines.append(f"uniformity {self.uniformity:.6f}")
-        for r in self.probe_rows:
-            lines.append(f"probe stripped={r.stripped} mean_hl={r.mean_hl:.6f} "
-                         f"cv_hl={r.cv_hl:.6f} mean_hp={r.mean_hp:.6f} cv_hp={r.cv_hp:.6f}")
+        # the to_kv entries, with "spearman.<name>" shown as "spearman <name>"
+        lines += [f"{k.replace('.', ' ', 1)} {v:.6f}" for k, v in self.to_kv().items()]
         return "\n".join(lines) + "\n"
 
     def to_kv(self):

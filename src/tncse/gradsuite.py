@@ -132,34 +132,26 @@ def _attention_composite_case(trial):
     return f, [enc.params[name].data.copy()]
 
 
+def _check_trials(name, trials, rtol):
+    """One CheckResult over ``trials``, an iterable of (f, inputs); stops at
+    the first failing trial."""
+    worst = 0.0
+    for f, inputs in trials:
+        try:
+            worst = max(worst, check_gradients(f, inputs, rtol=rtol))
+        except AssertionError as exc:
+            return CheckResult(name, False, worst, str(exc))
+    return CheckResult(name, True, worst)
+
+
 def run_gradient_suite(n_trials=20, rtol=1e-6):
     """Run every named check; returns a list of CheckResult."""
     results = []
     cases = {**_primitive_cases(), **_loss_cases()}
     for name, (f, make) in sorted(cases.items()):
-        worst = 0.0
-        passed = True
-        detail = ""
-        for trial in range(n_trials):
-            rng = np.random.default_rng(10_000 + 37 * trial)
-            try:
-                worst = max(worst, check_gradients(f, make(rng), rtol=rtol))
-            except AssertionError as exc:
-                passed = False
-                detail = str(exc)
-                break
-        results.append(CheckResult(name, passed, worst, detail))
-
-    worst = 0.0
-    passed = True
-    detail = ""
-    for trial in range(n_trials):
-        f, inputs = _attention_composite_case(trial)
-        try:
-            worst = max(worst, check_gradients(f, inputs, rtol=rtol))
-        except AssertionError as exc:
-            passed = False
-            detail = str(exc)
-            break
-    results.append(CheckResult("encoder_attention_composite", passed, worst, detail))
+        trials = ((f, make(np.random.default_rng(10_000 + 37 * trial)))
+                  for trial in range(n_trials))
+        results.append(_check_trials(name, trials, rtol))
+    trials = (_attention_composite_case(trial) for trial in range(n_trials))
+    results.append(_check_trials("encoder_attention_composite", trials, rtol))
     return results

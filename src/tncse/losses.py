@@ -27,10 +27,6 @@ class LossConfig:
     sim_clamp_eps: float = 1e-4
     norm_eps: float = 1e-12
     enabled_terms: frozenset = frozenset(TERMS)
-    # modulation source for the norm loss: "first_view" uses
-    # sim(hL_I, hL_II) for both cross terms, as written; "per_pair" pairs
-    # each term with its own views
-    modulation_source: str = "first_view"
 
     def __post_init__(self):
         if self.tau <= 0:
@@ -40,8 +36,6 @@ class LossConfig:
         bad = set(self.enabled_terms) - set(TERMS)
         if bad:
             raise ValueError(f"unknown loss terms {sorted(bad)}")
-        if self.modulation_source not in ("first_view", "per_pair"):
-            raise ValueError(f"unknown modulation_source {self.modulation_source!r}")
 
 
 @dataclass
@@ -86,6 +80,11 @@ def l_tn_kt(k, t):
     return math.sqrt(max(1.0 + k * k - 2.0 * k * t, 0.0)) / (1.0 + k)
 
 
+def _unit_rows(H):
+    """Rows of a (batch, d) graph tensor scaled to unit L2 norm."""
+    return ad.div(H, ad.reshape(ad.l2_norm(H, axis=-1), (H.shape[0], 1)))
+
+
 def info_nce(H, H_plus, tau=0.05):
     """Softmax contrastive loss: anchors H, positives diag(H_plus), in-batch
     negatives the off-diagonal rows of H_plus.  Batch-averaged."""
@@ -96,8 +95,7 @@ def info_nce(H, H_plus, tau=0.05):
     _check_nonzero_rows(H, "anchor matrix")
     _check_nonzero_rows(H_plus, "positive matrix")
     b = H.shape[0]
-    Hn = ad.div(H, ad.reshape(ad.l2_norm(H, axis=-1), (b, 1)))
-    Hpn = ad.div(H_plus, ad.reshape(ad.l2_norm(H_plus, axis=-1), (b, 1)))
+    Hn, Hpn = _unit_rows(H), _unit_rows(H_plus)
     S = ad.scale(ad.matmul(Hn, ad.transpose(Hpn, (1, 0))), 1.0 / tau)
     lse = ad.log(ad.sum_(ad.exp(S), axis=1))
     pos = ad.getitem(S, (np.arange(b), np.arange(b)))
@@ -109,15 +107,6 @@ def icnce(HL_I, HL_II, tau=0.05):
     return info_nce(HL_I, HL_II, tau)
 
 
-def _row_norm(t, eps=0.0):
-    return ad.l2_norm(t, axis=-1, eps=eps)
-
-
-def _modulation(hL_a, hL_b, cfg):
-    sim = ad.rowwise_cosine(hL_a, hL_b)
-    return -ad.log(ad.clip(sim, cfg.sim_clamp_eps, 1.0))
-
-
 def l_tn_modulated(hP_i, hP_j_plus, hL_I, hL_II, cfg: LossConfig):
     """Per-sample -log(sim(hL_I, hL_II)) * ||hP_i - hP_j+||/(||hP_i|| + ||hP_j+||),
     batch-averaged.  The modulating cosine comes from the last hidden states;
@@ -125,21 +114,19 @@ def l_tn_modulated(hP_i, hP_j_plus, hL_I, hL_II, cfg: LossConfig):
     hP_i, hP_j_plus = as_tensor(hP_i), as_tensor(hP_j_plus)
     _check_nonzero_rows(hP_i, "pooler output")
     _check_nonzero_rows(hP_j_plus, "positive pooler output")
-    mod = _modulation(as_tensor(hL_I), as_tensor(hL_II), cfg)
-    num = _row_norm(hP_i - hP_j_plus, eps=cfg.norm_eps)
-    den = _row_norm(hP_i) + _row_norm(hP_j_plus)
+    sim = ad.rowwise_cosine(as_tensor(hL_I), as_tensor(hL_II))
+    mod = -ad.log(ad.clip(sim, cfg.sim_clamp_eps, 1.0))
+    num = ad.l2_norm(hP_i - hP_j_plus, axis=-1, eps=cfg.norm_eps)
+    den = ad.l2_norm(hP_i, axis=-1) + ad.l2_norm(hP_j_plus, axis=-1)
     return ad.mean(ad.mul(mod, ad.div(num, den)))
 
 
 def ictn(bundle: ViewBundle, cfg: LossConfig):
     """Symmetric cross-encoder norm constraint:
-    L_TN(h_I, h_II+) + L_TN(h_II, h_I+)."""
-    if cfg.modulation_source == "first_view":
-        mods = ((bundle.hL_I, bundle.hL_II), (bundle.hL_I, bundle.hL_II))
-    else:
-        mods = ((bundle.hL_I, bundle.hL_II_plus), (bundle.hL_II, bundle.hL_I_plus))
-    term1 = l_tn_modulated(bundle.hP_I, bundle.hP_II_plus, *mods[0], cfg)
-    term2 = l_tn_modulated(bundle.hP_II, bundle.hP_I_plus, *mods[1], cfg)
+    L_TN(h_I, h_II+) + L_TN(h_II, h_I+).  Both terms are modulated by
+    sim(hL_I, hL_II) of the first views, as the paper's formula writes it."""
+    term1 = l_tn_modulated(bundle.hP_I, bundle.hP_II_plus, bundle.hL_I, bundle.hL_II, cfg)
+    term2 = l_tn_modulated(bundle.hP_II, bundle.hP_I_plus, bundle.hL_I, bundle.hL_II, cfg)
     return term1 + term2
 
 

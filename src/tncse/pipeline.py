@@ -18,8 +18,7 @@ from .errors import CheckpointError, ConfigError, DataError
 from .evaluation import EvalReport, alignment, norm_probe, probe_csv, sts_eval, uniformity
 from .losses import LossConfig, ablation_grid
 from .training import (TrainConfig, ensemble_embed_fn, pretrain_single,
-                       significance_suite, train_single_tn, train_tncse,
-                       write_metadata)
+                       significance_suite, train_single_tn, train_tncse)
 
 DEFAULTS = {
     "seed": 1,
@@ -92,9 +91,7 @@ def resolve_config(file_kv=None, overrides=None, seed=None):
                 raise ConfigError(f"unknown config key {key!r}")
             default = DEFAULTS[key]
             try:
-                if isinstance(default, bool):
-                    cfg[key] = raw in ("1", "true", "yes")
-                elif isinstance(default, int):
+                if isinstance(default, int):
                     cfg[key] = int(raw)
                 elif isinstance(default, float):
                     cfg[key] = float(raw)
@@ -105,6 +102,13 @@ def resolve_config(file_kv=None, overrides=None, seed=None):
     if seed is not None:
         cfg["seed"] = int(seed)
     return cfg
+
+
+def write_metadata(path, kv):
+    """Flat key-value run metadata file."""
+    with open(path, "w", encoding="utf-8") as f:
+        for k, v in kv.items():
+            f.write(f"{k} {v}\n")
 
 
 def write_resolved_config(cfg, out_dir):
@@ -230,20 +234,20 @@ def load_encoder_checked(prefix, ws):
 
 
 def load_model(path_or_prefix, ws):
-    """Load either an encoder checkpoint prefix or an ensemble manifest."""
-    if path_or_prefix.endswith(".manifest") and os.path.exists(path_or_prefix):
-        head = open(path_or_prefix, encoding="utf-8").read(64)
-        if "kind ensemble" in head:
-            members = ckpt.load_ensemble_manifest(path_or_prefix)
-            return EnsembleModel([load_encoder_checked(m, ws) for m in members])
-        return EnsembleModel([load_encoder_checked(path_or_prefix[:-len(".manifest")], ws)])
-    if os.path.exists(path_or_prefix + ".manifest"):
-        head = open(path_or_prefix + ".manifest", encoding="utf-8").read(64)
-        if "kind ensemble" in head:
-            members = ckpt.load_ensemble_manifest(path_or_prefix + ".manifest")
-            return EnsembleModel([load_encoder_checked(m, ws) for m in members])
-        return EnsembleModel([load_encoder_checked(path_or_prefix, ws)])
-    raise CheckpointError(f"no checkpoint at {path_or_prefix}")
+    """Load an encoder checkpoint or an ensemble manifest, named by its
+    prefix or by its ``.manifest`` path."""
+    manifest = path_or_prefix
+    if not (manifest.endswith(".manifest") and os.path.exists(manifest)):
+        manifest = path_or_prefix + ".manifest"
+    if not os.path.exists(manifest):
+        raise CheckpointError(f"no checkpoint at {path_or_prefix}")
+    with open(manifest, encoding="utf-8") as f:
+        head = f.read(64)
+    if "kind ensemble" in head:
+        members = ckpt.load_ensemble_manifest(manifest)
+    else:
+        members = [manifest[:-len(".manifest")]]
+    return EnsembleModel([load_encoder_checked(m, ws) for m in members])
 
 
 def run_eval(cfg, ws, model: EnsembleModel):
@@ -310,14 +314,14 @@ def run_significance(cfg, ws, out_dir, seeds=(1, 2, 3, 4, 5)):
 def run_distill(cfg, ws, out_dir):
     if not cfg["distill.teacher"]:
         raise ConfigError("distill.teacher (ensemble manifest path) is required")
-    teacher = load_model(cfg["distill.teacher"], ws)
-    student = new_encoder(cfg, ws, cfg["seed"], 3, "D")
     dcfg = DistillConfig(seed=cfg["seed"], steps=cfg["distill.steps"],
                          batch_size=cfg["distill.batch_size"],
                          learning_rate=cfg["distill.lr"],
                          eval_interval=cfg["distill.eval_interval"],
                          temperature=cfg["distill.temperature"],
                          objective=cfg["distill.objective"])
+    teacher = load_model(cfg["distill.teacher"], ws)
+    student = new_encoder(cfg, ws, cfg["seed"], 3, "D")
     log = distill(teacher, student, ws.corpus, ws.sts_dev, ws.vocab, dcfg)
     prefix = os.path.join(out_dir, "student")
     ckpt.save_encoder(student, prefix)

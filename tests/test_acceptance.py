@@ -44,18 +44,21 @@ CRITERION_LINES = []
 
 
 @contextmanager
-def criterion(num, name, budget_s):
-    """Record exactly one PASS/FAIL line per contract."""
+def criterion(num, name, budget_s, fixture_s=None):
+    """Record exactly one PASS/FAIL line per contract.  ``fixture_s`` is the
+    time a module fixture spent on the contract's behalf; it is shown beside
+    the body's time and is not part of the body's budget."""
     t0 = time.time()
+    fixture = "" if fixture_s is None else f" + fixture {fixture_s:.1f}s"
     try:
         yield
     except BaseException:
-        line = f"[criterion {num:2d}] {name}: FAIL ({time.time() - t0:.1f}s)"
+        line = f"[criterion {num:2d}] {name}: FAIL ({time.time() - t0:.1f}s{fixture})"
         CRITERION_LINES.append(line)
         print(line, file=sys.__stdout__, flush=True)
         raise
     dt = time.time() - t0
-    line = f"[criterion {num:2d}] {name}: PASS ({dt:.1f}s)"
+    line = f"[criterion {num:2d}] {name}: PASS ({dt:.1f}s{fixture})"
     CRITERION_LINES.append(line)
     print(line, file=sys.__stdout__, flush=True)
     assert dt < budget_s, f"runtime {dt:.1f}s exceeded budget {budget_s}s"
@@ -150,7 +153,7 @@ def test_gradient_oracle_over_primitives_and_losses():
 
 def test_ablation_grid_beats_untrained_baseline(ablation):
     rows, _, elapsed = ablation
-    with criterion(4, "loss-term ablation", budget_s=1200):
+    with criterion(4, "loss-term ablation", budget_s=1200, fixture_s=elapsed):
         assert elapsed < 1190, f"ablation run took {elapsed:.0f}s"
         table = dict(rows)
         assert len(rows) == 8 and "none" in table

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from tncse import checkpoint as ckpt
 from tncse import pipeline as pl
 from tncse.cli import main
 from tncse.errors import CheckpointError, ConfigError
@@ -83,6 +84,28 @@ def test_load_model_missing_checkpoint(data_dir):
     ws = pl.load_workspace(cfg)
     with pytest.raises(CheckpointError):
         pl.load_model(str(data_dir / "missing"), ws)
+
+
+def test_load_model_resolves_prefix_and_manifest_spellings(data_dir, tmp_path):
+    cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",
+                             "data.sts_dev": f"{data_dir}/sts_dev.tsv"})
+    ws = pl.load_workspace(cfg)
+    encs = [pl.new_encoder(cfg, ws, 1, which, name)
+            for which, name in ((1, "I"), (2, "II"))]
+    for enc in encs:
+        ckpt.save_encoder(enc, str(tmp_path / f"encoder_{enc.name}"))
+    ckpt.save_ensemble_manifest(["encoder_I", "encoder_II"],
+                                str(tmp_path / "ensemble.manifest"))
+    encoder, ensemble = str(tmp_path / "encoder_I"), str(tmp_path / "ensemble")
+    for spelling, expected in ((encoder, encs[:1]), (encoder + ".manifest", encs[:1]),
+                               (ensemble, encs), (ensemble + ".manifest", encs)):
+        model = pl.load_model(spelling, ws)
+        assert [e.name for e in model.encoders] == [e.name for e in expected], spelling
+        for got, want in zip(model.encoders, expected):
+            for k in want.params:
+                np.testing.assert_array_equal(got.params[k].data, want.params[k].data)
+    with pytest.raises(CheckpointError):
+        pl.load_model(str(tmp_path / "missing.manifest"), ws)
 
 
 # -- CLI behavior ----------------------------------------------------------

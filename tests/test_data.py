@@ -126,13 +126,6 @@ def test_batch_iter_rejects_bad_batch_size():
         next(batch_iter(["a"], 0, seed=1, epoch=0))
 
 
-def test_batch_iter_tokenized_mode(small_vocab):
-    batches = list(batch_iter(["the cat", "the dog", "a bird"], 2, seed=1,
-                              epoch=0, vocab=small_vocab, max_seq_len=8))
-    assert batches[0].ids.shape == (2, 8)
-    assert batches[1].ids.shape == (1, 8)
-
-
 # -- synonyms --------------------------------------------------------------
 
 def test_shipped_synonym_table_is_bidirectional_and_lowercase():

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from tncse.autodiff import Tensor
-from tncse.data import make_batch
+from tncse.data import batch_iter, make_batch
 from tncse.encoder import Encoder
 from tncse.ensemble import (DistillConfig, EnsembleModel, _regression_loss,
                             _similarity_loss, distill, ensemble_embed)
 from tncse.errors import ConfigError, DataError
+from tncse.evaluation import sts_eval
+from tncse.training import ensemble_embed_fn
 
 
 def members(config, vocab, k=2):
@@ -66,6 +68,8 @@ def test_ensemble_embed_bypasses_pooler(small_config, small_vocab):
 def test_distill_config_validation():
     with pytest.raises(ValueError):
         DistillConfig(steps=0)
+    with pytest.raises(ValueError):
+        DistillConfig(eval_interval=0)
     with pytest.raises(ConfigError):
         DistillConfig(objective="contrastive")
 
@@ -158,3 +162,29 @@ def test_distill_is_deterministic(small_config, small_vocab, small_corpus,
         np.testing.assert_array_equal(s1.params[k].data, s2.params[k].data)
     assert [r["total"] for r in l1.train_log.step_records] == \
            [r["total"] for r in l2.train_log.step_records]
+
+
+def test_distill_keeps_the_step0_student_when_no_eval_improves(
+        small_config, small_vocab, small_corpus, small_dev):
+    """At this learning rate every step degrades the student, so step 0
+    stays the best eval: the student must come back with its step-0
+    weights, and the reported best Spearman and probe loss must be theirs."""
+    teacher = EnsembleModel(members(small_config, small_vocab))
+    student = Encoder(small_config, seed=99, name="D",
+                      vocab_hash=small_vocab.content_hash())
+    before = {k: v.data.copy() for k, v in student.params.items()}
+    cfg = DistillConfig(steps=4, eval_interval=2, batch_size=16, learning_rate=2.0)
+    log = distill(teacher, student, small_corpus, small_dev, small_vocab, cfg)
+
+    assert [s for s, _ in log.train_log.evals] == [0, 2, 4]
+    assert log.train_log.best_step == 0
+    assert sts_eval(ensemble_embed_fn([student], small_vocab), small_dev) == \
+        log.spearman_best
+    # the fixed probe batch distill draws (epoch 999_983 of the batch order)
+    sentences = next(batch_iter(small_corpus, cfg.batch_size, cfg.seed, 999_983))
+    probe = make_batch(small_vocab, sentences, small_config.max_seq_len)
+    t_emb = ensemble_embed(teacher, probe).astype(np.float64)
+    h = student.encode(probe, train_mode=False).last_hidden
+    assert _similarity_loss(h, t_emb, cfg.temperature).item() == log.probe_loss_best
+    for k in before:
+        np.testing.assert_array_equal(student.params[k].data, before[k])
