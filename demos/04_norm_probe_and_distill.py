@@ -14,7 +14,7 @@
 from tncse import pipeline as pl
 from tncse.data import build_vocab, load_synonyms, synth_corpus
 from tncse.encoder import Encoder
-from tncse.ensemble import DistillConfig, EnsembleModel, distill
+from tncse.ensemble import EnsembleModel, distill
 from tncse.evaluation import norm_probe
 from tncse.training import TrainConfig, pretrain_single, train_tncse
 
@@ -49,7 +49,7 @@ teacher = EnsembleModel(encoders)
 student = Encoder(ec, seed=seed * 7919 + 3, name="D",
                   vocab_hash=vocab.content_hash())
 log = distill(teacher, student, corpus, dev, vocab,
-              DistillConfig(seed=seed, steps=300, eval_interval=50))
+              TrainConfig(seed=seed, steps=300, eval_interval=50))
 print("distillation:")
 print(f"  similarity-matrix loss {log.probe_loss_step0:.4f} -> "
       f"{log.probe_loss_best:.4f}")

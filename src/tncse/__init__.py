@@ -6,7 +6,7 @@ from .data import (StsPair, TokenBatch, Vocab, batch_iter, build_vocab,
                    synonym_substitute, synth_corpus, tokenize)
 from .encoder import (Encoder, EncoderConfig, EncoderOutput, ViewBundle,
                       dual_view, strip_layernorms)
-from .ensemble import DistillConfig, EnsembleModel, distill, ensemble_embed
+from .ensemble import EnsembleModel, distill, ensemble_embed
 from .errors import (CheckpointError, ConfigError, DataError, NumericError,
                      TncseError)
 from .evaluation import (EvalReport, alignment, norm_probe, spearman,

@@ -61,6 +61,8 @@ def _resolve(args):
 def _out_dir(args):
     if args.out:
         path = args.out
+        if os.path.exists(path) and not os.path.isdir(path):
+            raise ConfigError(f"output path {path} is not a directory")
         if os.path.isdir(path) and os.listdir(path) and not args.force:
             raise ConfigError(f"output directory {path} is not empty "
                               f"(use --force to overwrite)")
@@ -123,7 +125,7 @@ def _cmd_train_single_tn(args, cfg, out_dir):
     from .training import train_single_tn
     ws = pl.load_workspace(cfg)
     enc = pl.new_encoder(cfg, ws, cfg["seed"], 1, "S")
-    tcfg = pl.pretrain_train_config(cfg, cfg["seed"])
+    tcfg = pl.train_config(cfg, "pretrain", cfg["seed"])
     log = train_single_tn(enc, ws.corpus, ws.sts_dev, ws.vocab, tcfg,
                           augment_table=ws.synonyms)
     prefix = os.path.join(out_dir, "encoder_S")

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import RngStreams, Tensor
 from .data import TokenBatch
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 _MASK_NEG = 1e9
 
@@ -36,12 +36,12 @@ class EncoderConfig:
 
     def __post_init__(self):
         if self.hidden_dim % self.num_heads != 0:
-            raise ValueError(f"hidden_dim {self.hidden_dim} not divisible by "
-                             f"num_heads {self.num_heads}")
+            raise ConfigError(f"hidden_dim {self.hidden_dim} not divisible by "
+                              f"num_heads {self.num_heads}")
         if not 0 <= self.layernorms_stripped <= 2 * self.num_layers:
-            raise ValueError(f"layernorms_stripped must be in [0, {2 * self.num_layers}]")
+            raise ConfigError(f"layernorms_stripped must be in [0, {2 * self.num_layers}]")
         if self.pooling_mode not in ("cls", "mean"):
-            raise ValueError(f"unknown pooling_mode {self.pooling_mode!r}")
+            raise ConfigError(f"unknown pooling_mode {self.pooling_mode!r}")
 
 
 @dataclass
@@ -211,8 +211,5 @@ def dual_view(enc_i: Encoder, enc_ii: Encoder, batch: TokenBatch) -> ViewBundle:
 def strip_layernorms(enc: Encoder, n: int) -> Encoder:
     """Encoder sharing ``enc``'s parameters with the last ``n`` LayerNorms
     replaced by identity."""
-    if not 0 <= n <= 2 * enc.config.num_layers:
-        raise ValueError(f"strip count {n} out of range "
-                         f"[0, {2 * enc.config.num_layers}]")
     config = dataclasses.replace(enc.config, layernorms_stripped=n)
     return Encoder(config, enc.seed, enc.name, enc.vocab_hash, enc.params)

@@ -5,6 +5,7 @@ The default distillation objective regresses the student's per-batch
 pairwise cosine-similarity matrix onto the frozen teacher's (off-diagonal
 MSE); a direct embedding-regression variant is available behind
 ``objective="regression"`` and requires matching hidden dimensions.
+Distillation runs the shared training loop under a TrainConfig.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .data import batch_iter, make_batch
 from .encoder import Encoder, _check_same_vocab
 from .errors import ConfigError
 from .losses import _unit_rows
-from .training import TrainLog, _member_sums, _train
+from .training import TrainConfig, TrainLog, _member_sums, _train
 
 
 class EnsembleModel:
@@ -44,25 +45,6 @@ def ensemble_embed(model: EnsembleModel, batch):
     return _member_sums(model.encoders, [batch])[0]
 
 
-@dataclass(frozen=True)
-class DistillConfig:
-    seed: int = 1
-    steps: int = 200
-    batch_size: int = 32
-    learning_rate: float = 1e-3
-    eval_interval: int = 50
-    temperature: float = 1.0
-    objective: str = "similarity"   # or "regression"
-
-    def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.eval_interval < 1:
-            raise ValueError("eval_interval must be >= 1")
-        if self.objective not in ("similarity", "regression"):
-            raise ConfigError(f"unknown distillation objective {self.objective!r}")
-
-
 @dataclass
 class DistillLog:
     train_log: TrainLog
@@ -72,12 +54,12 @@ class DistillLog:
     spearman_best: float
 
 
-def _similarity_loss(student_h, teacher_emb, temperature):
+def _similarity_loss(student_h, teacher_emb):
     b = student_h.shape[0]
     Sn = _unit_rows(student_h)
-    S = ad.scale(ad.matmul(Sn, ad.transpose(Sn, (1, 0))), 1.0 / temperature)
+    S = ad.matmul(Sn, ad.transpose(Sn, (1, 0)))
     Tn = teacher_emb / np.linalg.norm(teacher_emb, axis=1, keepdims=True)
-    T = np.clip(Tn @ Tn.T, -1.0, 1.0) / temperature
+    T = np.clip(Tn @ Tn.T, -1.0, 1.0)
     off = (1.0 - np.eye(b)).astype(student_h.dtype)
     diff = S - ad.Tensor(T.astype(student_h.dtype))
     denom = max(b * (b - 1), 1)
@@ -90,12 +72,15 @@ def _regression_loss(student_h, teacher_emb):
 
 
 def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
-            cfg: DistillConfig):
-    """Train ``student`` to match the frozen ``teacher`` ensemble in the
-    shared training loop; returns a DistillLog.  The best-validated student
-    weights (by validation Spearman, step 0 included) are restored into
-    ``student``, and ``probe_loss_best`` is the probe loss of those weights."""
-    if cfg.objective == "regression" and student.config.hidden_dim != teacher.hidden_dim:
+            cfg: TrainConfig, objective="similarity"):
+    """Train ``student`` on ``objective`` (``"similarity"`` or
+    ``"regression"``) to match the frozen ``teacher`` ensemble in the shared
+    training loop; returns a DistillLog.  The best-validated student weights
+    (by validation Spearman, step 0 included) are restored into ``student``,
+    and ``probe_loss_best`` is the probe loss of those weights."""
+    if objective not in ("similarity", "regression"):
+        raise ConfigError(f"unknown distillation objective {objective!r}")
+    if objective == "regression" and student.config.hidden_dim != teacher.hidden_dim:
         raise ConfigError("embedding-regression distillation requires matching "
                           "hidden dimensions")
     max_len = student.config.max_seq_len
@@ -103,8 +88,8 @@ def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
     def batch_loss(batch, train_mode):
         t_emb = ensemble_embed(teacher, batch).astype(np.float64)
         h = student.encode(batch, train_mode=train_mode, pass_index=0).last_hidden
-        if cfg.objective == "similarity":
-            return _similarity_loss(h, t_emb, cfg.temperature)
+        if objective == "similarity":
+            return _similarity_loss(h, t_emb)
         return _regression_loss(h, t_emb)
 
     # fixed probe batch for noise-free before/after loss comparison

@@ -7,7 +7,7 @@ class TncseError(Exception):
     status = "error"
 
 
-class ConfigError(TncseError):
+class ConfigError(TncseError, ValueError):
     status = "config-error"
 
 

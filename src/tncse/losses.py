@@ -17,6 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, as_tensor
 from .encoder import ViewBundle
+from .errors import ConfigError
 
 TERMS = ("NCE", "ICNCE", "ICTN")
 
@@ -30,12 +31,14 @@ class LossConfig:
 
     def __post_init__(self):
         if self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+            raise ConfigError(f"tau must be positive, got {self.tau}")
         if not 0 < self.sim_clamp_eps < 1:
-            raise ValueError(f"sim_clamp_eps must be in (0, 1), got {self.sim_clamp_eps}")
+            raise ConfigError(f"sim_clamp_eps must be in (0, 1), got {self.sim_clamp_eps}")
+        if not self.enabled_terms:
+            raise ConfigError("enabled_terms must be non-empty")
         bad = set(self.enabled_terms) - set(TERMS)
         if bad:
-            raise ValueError(f"unknown loss terms {sorted(bad)}")
+            raise ConfigError(f"unknown loss terms {sorted(bad)}")
 
 
 @dataclass
@@ -133,8 +136,6 @@ def ictn(bundle: ViewBundle, cfg: LossConfig):
 def total_loss(bundle: ViewBundle, cfg: LossConfig) -> LossBundle:
     """Sum of the enabled terms: per-encoder InfoNCE, cross-encoder InfoNCE,
     and the cross-encoder norm constraint."""
-    if not cfg.enabled_terms:
-        raise ValueError("enabled_terms must be non-empty")
     l_nce_i = l_nce_ii = l_icnce = l_ictn = None
     parts = []
     if "NCE" in cfg.enabled_terms:

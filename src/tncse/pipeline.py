@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from . import checkpoint as ckpt
 from .data import build_vocab, load_corpus, load_sts_tsv, load_synonyms
 from .encoder import Encoder, EncoderConfig
-from .ensemble import DistillConfig, EnsembleModel, distill
+from .ensemble import EnsembleModel, distill
 from .errors import CheckpointError, ConfigError, DataError
 from .evaluation import EvalReport, alignment, norm_probe, probe_csv, sts_eval, uniformity
 from .losses import LossConfig, ablation_grid
@@ -55,7 +55,6 @@ DEFAULTS = {
     "distill.batch_size": 32,
     "distill.eval_interval": 50,
     "distill.objective": "similarity",
-    "distill.temperature": 1.0,
     "eval.checkpoint": "",
     "probe.checkpoint": "",
     "probe.sentences": 100,
@@ -131,8 +130,9 @@ def load_workspace(cfg) -> Workspace:
         raise ConfigError("data.corpus is required")
     if not cfg["data.sts_dev"]:
         raise ConfigError("data.sts_dev is required")
-    if not os.path.exists(cfg["data.corpus"]):
-        raise ConfigError(f"corpus path {cfg['data.corpus']} does not exist")
+    for key in ("data.corpus", "data.sts_dev", "data.sts_test"):
+        if cfg[key] and not os.path.exists(cfg[key]):
+            raise ConfigError(f"{key} path {cfg[key]} does not exist")
     corpus = load_corpus(cfg["data.corpus"])
     sts_dev = load_sts_tsv(cfg["data.sts_dev"])
     sts_test = load_sts_tsv(cfg["data.sts_test"]) if cfg["data.sts_test"] else None
@@ -161,22 +161,17 @@ def loss_config(cfg):
                       norm_eps=cfg["loss.norm_eps"], enabled_terms=terms)
 
 
-def pretrain_train_config(cfg, seed):
-    return TrainConfig(seed=seed, batch_size=cfg["pretrain.batch_size"],
-                       steps=cfg["pretrain.steps"],
-                       learning_rate=cfg["pretrain.lr"],
-                       eval_interval=cfg["pretrain.eval_interval"],
-                       loss=loss_config(cfg), augment_p=cfg["pretrain.augment_p"],
-                       single_tn_weight=cfg["train.single_tn_weight"])
-
-
-def dual_train_config(cfg, seed, terms=None):
+def train_config(cfg, section, seed, terms=None):
+    """The TrainConfig of the ``pretrain``, ``train`` or ``distill`` section;
+    ``terms`` replaces the enabled loss terms."""
     lc = loss_config(cfg)
     if terms is not None:
         lc = replace(lc, enabled_terms=terms)
-    return TrainConfig(seed=seed, batch_size=cfg["train.batch_size"],
-                       steps=cfg["train.steps"], learning_rate=cfg["train.lr"],
-                       eval_interval=cfg["train.eval_interval"], loss=lc,
+    return TrainConfig(seed=seed, batch_size=cfg[f"{section}.batch_size"],
+                       steps=cfg[f"{section}.steps"],
+                       learning_rate=cfg[f"{section}.lr"],
+                       eval_interval=cfg[f"{section}.eval_interval"], loss=lc,
+                       augment_p=cfg["pretrain.augment_p"],
                        single_tn_weight=cfg["train.single_tn_weight"])
 
 
@@ -198,7 +193,7 @@ def run_pretrain_pair(cfg, ws, out_dir, root_seed=None):
     for which, name in ((1, "I"), (2, "II")):
         enc = new_encoder(cfg, ws, seed, which, name)
         log = pretrain_single(enc, ws.corpus, ws.sts_dev, ws.vocab,
-                              pretrain_train_config(cfg, seed + which - 1),
+                              train_config(cfg, "pretrain", seed + which - 1),
                               augment_table=ws.synonyms)
         prefix = os.path.join(out_dir, f"encoder_{name}")
         ckpt.save_encoder(enc, prefix)
@@ -214,7 +209,7 @@ def run_tncse(cfg, ws, prefix_i, prefix_ii, out_dir, terms=None, root_seed=None)
     enc_i = load_encoder_checked(prefix_i, ws)
     enc_ii = load_encoder_checked(prefix_ii, ws)
     log = train_tncse(enc_i, enc_ii, ws.corpus, ws.sts_dev, ws.vocab,
-                      dual_train_config(cfg, seed, terms))
+                      train_config(cfg, "train", seed, terms))
     out_i = os.path.join(out_dir, "encoder_I")
     out_ii = os.path.join(out_dir, "encoder_II")
     ckpt.save_encoder(enc_i, out_i)
@@ -314,15 +309,11 @@ def run_significance(cfg, ws, out_dir, seeds=(1, 2, 3, 4, 5)):
 def run_distill(cfg, ws, out_dir):
     if not cfg["distill.teacher"]:
         raise ConfigError("distill.teacher (ensemble manifest path) is required")
-    dcfg = DistillConfig(seed=cfg["seed"], steps=cfg["distill.steps"],
-                         batch_size=cfg["distill.batch_size"],
-                         learning_rate=cfg["distill.lr"],
-                         eval_interval=cfg["distill.eval_interval"],
-                         temperature=cfg["distill.temperature"],
-                         objective=cfg["distill.objective"])
+    dcfg = train_config(cfg, "distill", cfg["seed"])
     teacher = load_model(cfg["distill.teacher"], ws)
     student = new_encoder(cfg, ws, cfg["seed"], 3, "D")
-    log = distill(teacher, student, ws.corpus, ws.sts_dev, ws.vocab, dcfg)
+    log = distill(teacher, student, ws.corpus, ws.sts_dev, ws.vocab, dcfg,
+                  objective=cfg["distill.objective"])
     prefix = os.path.join(out_dir, "student")
     ckpt.save_encoder(student, prefix)
     with open(os.path.join(out_dir, "trainlog.csv"), "w", encoding="utf-8") as f:
@@ -336,10 +327,12 @@ def run_norm_probe(cfg, ws, out_dir):
     enc = load_encoder_checked(cfg["probe.checkpoint"], ws)
     n_sent = cfg["probe.sentences"]
     sents = list(dict.fromkeys(ws.corpus))[:n_sent]
-    if cfg["probe.strip_counts"]:
-        strip_counts = [int(s) for s in cfg["probe.strip_counts"].split(",")]
-    else:
-        strip_counts = list(range(0, 2 * enc.config.num_layers + 1))
+    raw = cfg["probe.strip_counts"]
+    try:
+        strip_counts = ([int(s) for s in raw.split(",")] if raw
+                        else list(range(0, 2 * enc.config.num_layers + 1)))
+    except ValueError:
+        raise ConfigError(f"probe.strip_counts: cannot parse {raw!r}") from None
     rows = norm_probe(enc, sents, strip_counts, ws.vocab)
     with open(os.path.join(out_dir, "norm_probe.csv"), "w", encoding="utf-8") as f:
         f.write(probe_csv(rows))

@@ -2,9 +2,9 @@
 dual-encoder training on the combined objective, the single-encoder
 norm-constraint variant, and the seeds-1-to-5 significance harness.
 
-All of them, and distillation, run one step loop.  Checkpoint selection
-follows validation Spearman; during dual training the validation embedding
-is the member sum, matching the inference rule.
+All of them, and distillation, run one step loop under one TrainConfig.
+Checkpoint selection follows validation Spearman; during dual training the
+validation embedding is the member sum, matching the inference rule.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from . import autodiff as ad
 from . import losses as L
 from .data import batch_iter, make_batch, synonym_substitute
 from .encoder import Encoder, dual_view
-from .errors import NumericError, TncseError
+from .errors import ConfigError, NumericError, TncseError
 from .evaluation import sts_eval
 
 
@@ -69,8 +69,10 @@ class TrainConfig:
 
     def __post_init__(self):
         if not self.steps >= self.eval_interval >= 1:
-            raise ValueError(f"need steps >= eval_interval >= 1, got "
-                             f"{self.steps} / {self.eval_interval}")
+            raise ConfigError(f"need steps >= eval_interval >= 1, got "
+                              f"{self.steps} / {self.eval_interval}")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 
 
 @dataclass
@@ -127,10 +129,10 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
     best-checkpoint tracking.
 
     ``step_fn(sentences)`` builds the batch loss, runs its backward pass and
-    returns the step's scalar terms.  ``cfg`` is a TrainConfig or a
-    DistillConfig.  Validation runs at step 0, every ``cfg.eval_interval``
-    steps and at the last step; the best-validated weights, step 0 included,
-    are restored on return unless ``cfg.restore_best`` is false.
+    returns the step's scalar terms.  Validation runs at step 0, every
+    ``cfg.eval_interval`` steps and at the last step; the best-validated
+    weights, step 0 included, are restored on return unless
+    ``cfg.restore_best`` is false.
     """
     params = [p for enc in encoders for p in enc.parameters()]
     opt = Adam(params, lr=cfg.learning_rate)
@@ -166,8 +168,7 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
                 break
         epoch += 1
 
-    # DistillConfig has no restore_best: distillation always restores
-    if getattr(cfg, "restore_best", True) and best_snap is not None:
+    if cfg.restore_best and best_snap is not None:
         for enc, snap in zip(encoders, best_snap):
             for k, v in snap.items():
                 enc.params[k].data = v.copy()
@@ -261,7 +262,9 @@ def significance_suite(run_fn, seeds=(1, 2, 3, 4, 5)):
         try:
             rho = float(run_fn(seed))
         except Exception as exc:
-            raise TncseError(f"significance run for seed {seed} failed: {exc}") from exc
+            # keep a TncseError's class so the CLI exit status survives
+            cls = type(exc) if isinstance(exc, TncseError) else TncseError
+            raise cls(f"significance run for seed {seed} failed: {exc}") from exc
         rows.append(SignificanceRow(seed=seed, spearman=rho))
     values = np.array([r.spearman for r in rows])
     summary = {"mean": float(values.mean()), "std": float(values.std()),

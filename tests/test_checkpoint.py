@@ -1,6 +1,8 @@
 """Checkpoint format: roundtrip fidelity, corruption detection, hashing,
 and ensemble manifests."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,7 @@ def test_roundtrip_preserves_everything(small_encoder, tmp_path):
 def test_manifest_is_text_with_magic_header(small_encoder, tmp_path):
     prefix = str(tmp_path / "enc")
     save_encoder(small_encoder, prefix)
-    lines = open(prefix + ".manifest", encoding="utf-8").read().splitlines()
+    lines = Path(prefix + ".manifest").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "TNCSE1"
     assert any(line.startswith("format-version ") for line in lines)
     assert any(line.startswith("tensor ") for line in lines)
@@ -49,8 +51,9 @@ def test_load_rejects_missing_manifest(tmp_path):
 def test_load_rejects_bad_magic(small_encoder, tmp_path):
     prefix = str(tmp_path / "enc")
     save_encoder(small_encoder, prefix)
-    text = open(prefix + ".manifest", encoding="utf-8").read()
-    open(prefix + ".manifest", "w", encoding="utf-8").write("NOTME" + text[6:])
+    manifest = Path(prefix + ".manifest")
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text("NOTME" + text[6:], encoding="utf-8")
     with pytest.raises(CheckpointError, match="magic"):
         load_encoder(prefix)
 
@@ -58,9 +61,10 @@ def test_load_rejects_bad_magic(small_encoder, tmp_path):
 def test_load_rejects_unsupported_version(small_encoder, tmp_path):
     prefix = str(tmp_path / "enc")
     save_encoder(small_encoder, prefix)
-    text = open(prefix + ".manifest", encoding="utf-8").read()
-    open(prefix + ".manifest", "w", encoding="utf-8").write(
-        text.replace("format-version 1", "format-version 99"))
+    manifest = Path(prefix + ".manifest")
+    text = manifest.read_text(encoding="utf-8")
+    manifest.write_text(text.replace("format-version 1", "format-version 99"),
+                        encoding="utf-8")
     with pytest.raises(CheckpointError, match="format-version"):
         load_encoder(prefix)
 
@@ -68,8 +72,8 @@ def test_load_rejects_unsupported_version(small_encoder, tmp_path):
 def test_load_rejects_truncated_blob(small_encoder, tmp_path):
     prefix = str(tmp_path / "enc")
     save_encoder(small_encoder, prefix)
-    blob = open(prefix + ".bin", "rb").read()
-    open(prefix + ".bin", "wb").write(blob[: len(blob) // 2])
+    blob = Path(prefix + ".bin")
+    blob.write_bytes(blob.read_bytes()[: blob.stat().st_size // 2])
     with pytest.raises(CheckpointError, match="overruns"):
         load_encoder(prefix)
 
@@ -87,9 +91,9 @@ def test_checkpoint_hash_is_stable_and_tamper_sensitive(small_encoder, tmp_path)
     save_encoder(small_encoder, prefix)
     h1 = checkpoint_hash(prefix)
     assert h1 == checkpoint_hash(prefix)
-    blob = bytearray(open(prefix + ".bin", "rb").read())
+    blob = bytearray(Path(prefix + ".bin").read_bytes())
     blob[0] ^= 0xFF
-    open(prefix + ".bin", "wb").write(bytes(blob))
+    Path(prefix + ".bin").write_bytes(bytes(blob))
     assert checkpoint_hash(prefix) != h1
 
 
@@ -97,8 +101,8 @@ def test_save_is_deterministic(small_encoder, tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     save_encoder(small_encoder, a)
     save_encoder(small_encoder, b)
-    assert open(a + ".bin", "rb").read() == open(b + ".bin", "rb").read()
-    assert open(a + ".manifest").read() == open(b + ".manifest").read()
+    assert Path(a + ".bin").read_bytes() == Path(b + ".bin").read_bytes()
+    assert Path(a + ".manifest").read_text() == Path(b + ".manifest").read_text()
 
 
 def test_ensemble_manifest_roundtrip_resolves_relative_members(tmp_path):

@@ -73,6 +73,23 @@ def data_args(data_dir):
             "--set", f"data.sts_test={data_dir}/sts_test.tsv"]
 
 
+@pytest.fixture
+def pair_dir(data_dir, tmp_path):
+    """Untrained encoders I and II over ``data_dir``'s vocabulary and their
+    ensemble manifest."""
+    cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",
+                             "data.sts_dev": f"{data_dir}/sts_dev.tsv"})
+    ws = pl.load_workspace(cfg)
+    pair = tmp_path / "pair"
+    pair.mkdir()
+    for which, name in ((1, "I"), (2, "II")):
+        ckpt.save_encoder(pl.new_encoder(cfg, ws, 1, which, name),
+                          str(pair / f"encoder_{name}"))
+    ckpt.save_ensemble_manifest(["encoder_I", "encoder_II"],
+                                str(pair / "ensemble.manifest"))
+    return pair
+
+
 def test_load_workspace_requires_paths():
     with pytest.raises(ConfigError, match="data.corpus"):
         pl.load_workspace(pl.resolve_config())
@@ -86,17 +103,13 @@ def test_load_model_missing_checkpoint(data_dir):
         pl.load_model(str(data_dir / "missing"), ws)
 
 
-def test_load_model_resolves_prefix_and_manifest_spellings(data_dir, tmp_path):
+def test_load_model_resolves_prefix_and_manifest_spellings(data_dir, pair_dir):
     cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",
                              "data.sts_dev": f"{data_dir}/sts_dev.tsv"})
     ws = pl.load_workspace(cfg)
     encs = [pl.new_encoder(cfg, ws, 1, which, name)
             for which, name in ((1, "I"), (2, "II"))]
-    for enc in encs:
-        ckpt.save_encoder(enc, str(tmp_path / f"encoder_{enc.name}"))
-    ckpt.save_ensemble_manifest(["encoder_I", "encoder_II"],
-                                str(tmp_path / "ensemble.manifest"))
-    encoder, ensemble = str(tmp_path / "encoder_I"), str(tmp_path / "ensemble")
+    encoder, ensemble = str(pair_dir / "encoder_I"), str(pair_dir / "ensemble")
     for spelling, expected in ((encoder, encs[:1]), (encoder + ".manifest", encs[:1]),
                                (ensemble, encs), (ensemble + ".manifest", encs)):
         model = pl.load_model(spelling, ws)
@@ -105,7 +118,7 @@ def test_load_model_resolves_prefix_and_manifest_spellings(data_dir, tmp_path):
             for k in want.params:
                 np.testing.assert_array_equal(got.params[k].data, want.params[k].data)
     with pytest.raises(CheckpointError):
-        pl.load_model(str(tmp_path / "missing.manifest"), ws)
+        pl.load_model(str(pair_dir / "missing.manifest"), ws)
 
 
 # -- CLI behavior ----------------------------------------------------------
@@ -143,6 +156,36 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     (out / "file.txt").write_text("x")
     assert main(["gen-data", "--out", str(out)]) == 2
     assert main(["gen-data", "--out", str(out), "--force"]) == 0
+
+
+@pytest.mark.parametrize("command, settings", [
+    ("pretrain", ["encoder.num_heads=3"]),
+    ("pretrain", ["pretrain.steps=0"]),
+    ("pretrain", ["pretrain.batch_size=0"]),
+    ("pretrain", ["loss.tau=0"]),
+    ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II",
+               "loss.terms="]),
+    ("distill", ["distill.teacher={pair}/ensemble.manifest", "distill.steps=10"]),
+    ("distill", ["distill.teacher={pair}/ensemble.manifest", "distill.eval_interval=0"]),
+    ("norm-probe", ["probe.checkpoint={pair}/encoder_I", "probe.strip_counts=9"]),
+    ("norm-probe", ["probe.checkpoint={pair}/encoder_I", "probe.strip_counts=a"]),
+    ("eval", ["eval.checkpoint={pair}/encoder_I", "data.sts_dev={pair}/missing.tsv"]),
+    ("eval", ["eval.checkpoint={pair}/encoder_I", "data.sts_test={pair}/missing.tsv"]),
+    ("gen-data", "out is a file"),
+], ids=lambda v: v if isinstance(v, str) else v[-1].replace("{pair}/", ""))
+def test_cli_config_mistakes_exit_2_with_one_line(data_dir, pair_dir, tmp_path,
+                                                  capsys, command, settings):
+    out = tmp_path / "out"
+    if settings == "out is a file":
+        out.write_text("x")
+        settings = []
+    argv = [command, "--out", str(out)] + data_args(data_dir)
+    for s in settings:
+        argv += ["--set", s.format(pair=pair_dir)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: "), err
 
 
 def test_cli_missing_checkpoint_exits_4(data_dir, tmp_path, capsys):

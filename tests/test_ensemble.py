@@ -6,11 +6,11 @@ import pytest
 from tncse.autodiff import Tensor
 from tncse.data import batch_iter, make_batch
 from tncse.encoder import Encoder
-from tncse.ensemble import (DistillConfig, EnsembleModel, _regression_loss,
-                            _similarity_loss, distill, ensemble_embed)
+from tncse.ensemble import (EnsembleModel, _regression_loss, _similarity_loss,
+                            distill, ensemble_embed)
 from tncse.errors import ConfigError, DataError
 from tncse.evaluation import sts_eval
-from tncse.training import ensemble_embed_fn
+from tncse.training import TrainConfig, ensemble_embed_fn
 
 
 def members(config, vocab, k=2):
@@ -65,26 +65,27 @@ def test_ensemble_embed_bypasses_pooler(small_config, small_vocab):
 
 # -- distillation objectives -----------------------------------------------
 
-def test_distill_config_validation():
-    with pytest.raises(ValueError):
-        DistillConfig(steps=0)
-    with pytest.raises(ValueError):
-        DistillConfig(eval_interval=0)
-    with pytest.raises(ConfigError):
-        DistillConfig(objective="contrastive")
+def test_distill_rejects_unknown_objective(small_config, small_vocab,
+                                           small_corpus, small_dev):
+    teacher = EnsembleModel(members(small_config, small_vocab))
+    student = Encoder(small_config, seed=99, name="D",
+                      vocab_hash=small_vocab.content_hash())
+    with pytest.raises(ConfigError, match="contrastive"):
+        distill(teacher, student, small_corpus, small_dev, small_vocab,
+                TrainConfig(steps=1, eval_interval=1), objective="contrastive")
 
 
 def test_similarity_loss_zero_when_student_matches_teacher(rng):
     H = rng.standard_normal((5, 8))
-    loss = _similarity_loss(Tensor(H, requires_grad=True), H.copy(), 1.0)
+    loss = _similarity_loss(Tensor(H, requires_grad=True), H.copy())
     assert loss.item() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_similarity_loss_positive_and_scale_invariant_in_student_norms(rng):
     H = rng.standard_normal((4, 8))
     T = rng.standard_normal((4, 8))
-    base = _similarity_loss(Tensor(H, requires_grad=True), T, 1.0).item()
-    scaled = _similarity_loss(Tensor(3.0 * H, requires_grad=True), T, 1.0).item()
+    base = _similarity_loss(Tensor(H, requires_grad=True), T).item()
+    scaled = _similarity_loss(Tensor(3.0 * H, requires_grad=True), T).item()
     assert base > 0
     assert scaled == pytest.approx(base, rel=1e-9)
 
@@ -94,7 +95,7 @@ def test_similarity_loss_hand_value_two_rows():
     # two off-diagonal cells each (0-1)^2 -> mean 1
     S = Tensor(np.array([[1.0, 0.0], [0.0, 1.0]]), requires_grad=True)
     T = np.array([[1.0, 0.0], [1.0, 0.0]])
-    assert _similarity_loss(S, T, 1.0).item() == pytest.approx(1.0, abs=1e-12)
+    assert _similarity_loss(S, T).item() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_regression_loss_is_mean_squared_error(rng):
@@ -113,7 +114,7 @@ def test_distill_regression_requires_matching_dims(small_config, small_vocab,
                       vocab_hash=small_vocab.content_hash())
     with pytest.raises(ConfigError, match="matching"):
         distill(teacher, student, small_corpus, small_dev, small_vocab,
-                DistillConfig(objective="regression", steps=1, eval_interval=1))
+                TrainConfig(steps=1, eval_interval=1), objective="regression")
 
 
 # -- distillation loop -----------------------------------------------------
@@ -131,7 +132,7 @@ def test_distill_short_run_populates_log_and_freezes_teacher(
                       vocab_hash=small_vocab.content_hash())
     before = {k: v.data.copy() for k, v in student.params.items()}
     log = distill(teacher, student, small_corpus, small_dev, small_vocab,
-                  DistillConfig(steps=4, eval_interval=2, batch_size=16))
+                  TrainConfig(steps=4, eval_interval=2, batch_size=16))
 
     assert np.isfinite(log.probe_loss_step0)
     assert np.isfinite(log.probe_loss_best)
@@ -153,7 +154,7 @@ def test_distill_is_deterministic(small_config, small_vocab, small_corpus,
         student = Encoder(small_config, seed=99, name="D",
                           vocab_hash=small_vocab.content_hash())
         log = distill(teacher, student, small_corpus, small_dev, small_vocab,
-                      DistillConfig(steps=3, eval_interval=3, batch_size=16))
+                      TrainConfig(steps=3, eval_interval=3, batch_size=16))
         return student, log
 
     s1, l1 = run()
@@ -173,7 +174,7 @@ def test_distill_keeps_the_step0_student_when_no_eval_improves(
     student = Encoder(small_config, seed=99, name="D",
                       vocab_hash=small_vocab.content_hash())
     before = {k: v.data.copy() for k, v in student.params.items()}
-    cfg = DistillConfig(steps=4, eval_interval=2, batch_size=16, learning_rate=2.0)
+    cfg = TrainConfig(steps=4, eval_interval=2, batch_size=16, learning_rate=2.0)
     log = distill(teacher, student, small_corpus, small_dev, small_vocab, cfg)
 
     assert [s for s, _ in log.train_log.evals] == [0, 2, 4]
@@ -185,6 +186,6 @@ def test_distill_keeps_the_step0_student_when_no_eval_improves(
     probe = make_batch(small_vocab, sentences, small_config.max_seq_len)
     t_emb = ensemble_embed(teacher, probe).astype(np.float64)
     h = student.encode(probe, train_mode=False).last_hidden
-    assert _similarity_loss(h, t_emb, cfg.temperature).item() == log.probe_loss_best
+    assert _similarity_loss(h, t_emb).item() == log.probe_loss_best
     for k in before:
         np.testing.assert_array_equal(student.params[k].data, before[k])

@@ -6,7 +6,7 @@ import pytest
 
 from tncse.autodiff import Tensor
 from tncse.encoder import Encoder
-from tncse.errors import NumericError, TncseError
+from tncse.errors import DataError, NumericError, TncseError
 from tncse.losses import LossConfig
 from tncse.training import (Adam, SignificanceRow, TrainConfig, TrainLog,
                             ensemble_embed_fn, pretrain_single,
@@ -72,6 +72,8 @@ def test_train_config_rejects_bad_step_schedule():
         TrainConfig(steps=5, eval_interval=10)
     with pytest.raises(ValueError):
         TrainConfig(steps=5, eval_interval=0)
+    with pytest.raises(ValueError):
+        TrainConfig(steps=0)
 
 
 def test_train_log_csv_header_and_rows():
@@ -219,7 +221,11 @@ def test_significance_suite_summary_statistics():
 
 
 def test_significance_suite_wraps_failures_with_seed():
-    def boom(seed):
-        raise ValueError("exploded")
-    with pytest.raises(TncseError, match="seed 2"):
-        significance_suite(boom, seeds=(2,))
+    """The seed joins the message; a TncseError keeps its class, and so
+    its CLI exit status."""
+    for raised, expected in ((ValueError, TncseError), (DataError, DataError)):
+        def boom(seed):
+            raise raised("exploded")
+        with pytest.raises(expected, match="seed 2.*exploded") as info:
+            significance_suite(boom, seeds=(2,))
+        assert type(info.value) is expected
