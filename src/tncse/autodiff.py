@@ -290,10 +290,10 @@ def embedding(table, ids):
 
 # -- neural-net primitives -------------------------------------------------
 
-def softmax(a, axis=-1, temperature=1.0, additive_mask=None):
-    """Temperature-scaled softmax; ``additive_mask`` is added to the logits."""
+def softmax(a, axis=-1, additive_mask=None):
+    """Softmax; ``additive_mask`` is added to the logits."""
     a = as_tensor(a)
-    z = a.data / temperature
+    z = a.data
     if additive_mask is not None:
         z = z + additive_mask
     z = z - z.max(axis=axis, keepdims=True)
@@ -302,7 +302,7 @@ def softmax(a, axis=-1, temperature=1.0, additive_mask=None):
 
     def bw(g):
         gs = g * out
-        return ((gs - out * gs.sum(axis=axis, keepdims=True)) / temperature,)
+        return (gs - out * gs.sum(axis=axis, keepdims=True),)
 
     return _node(out, (a,), bw)
 
@@ -356,16 +356,6 @@ def l2_norm(a, axis=None, eps=0.0):
     return sqrt(sum_(mul(a, a), axis=axis) + np.asarray(eps, dtype=a.dtype))
 
 
-def cosine_sim(a, b):
-    """Cosine of two vectors, clamped to [-1, 1] against rounding."""
-    a, b = as_tensor(a), as_tensor(b)
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine_sim is undefined for a zero-norm input")
-    return clip(div(sum_(mul(a, b)), mul(l2_norm(a), l2_norm(b))), -1.0, 1.0)
-
-
 def rowwise_cosine(a, b):
     """Per-row cosine of two equally-shaped matrices, clamped to [-1, 1]."""
     a, b = as_tensor(a), as_tensor(b)
@@ -398,6 +388,3 @@ class RngStreams:
             gen = np.random.default_rng(np.random.SeedSequence([self.root_seed, key]))
             self._gens[name] = gen
         return gen
-
-    def reset(self):
-        self._gens.clear()

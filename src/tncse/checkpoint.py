@@ -4,27 +4,30 @@ An encoder checkpoint is a text manifest (``<prefix>.manifest``) leading
 with the magic string "TNCSE1", followed by format-version, config fields,
 and a tensor directory (name, shape, byte offset), plus a binary blob
 (``<prefix>.bin``) of little-endian float32 values, row-major, in manifest
-order.  Ensemble manifests list member checkpoint prefixes.
+order.  Ensemble manifests list member checkpoint prefixes.  Loading checks
+every line, the tensor set and shapes against the config, and the exact
+blob length; any mismatch is a CheckpointError.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
+import typing
 
 import numpy as np
 
-from .encoder import Encoder, EncoderConfig
+from .autodiff import Tensor
+from .encoder import Encoder, EncoderConfig, _param_shapes
 from .errors import CheckpointError
 
 MAGIC = "TNCSE1"
 FORMAT_VERSION = 1
 
-_CONFIG_FIELDS = [
-    ("vocab_size", int), ("max_seq_len", int), ("hidden_dim", int),
-    ("num_layers", int), ("num_heads", int), ("ffn_dim", int),
-    ("dropout_p", float), ("layernorms_stripped", int), ("pooling_mode", str),
-]
+# field -> type in EncoderConfig's declaration order, which the manifest keeps
+_CONFIG_FIELDS = typing.get_type_hints(EncoderConfig)
+_HEADER_FIELDS = {"format-version": str, "seed": int, "name": str, "vocab-hash": str}
 
 
 def save_encoder(enc: Encoder, prefix: str):
@@ -33,7 +36,7 @@ def save_encoder(enc: Encoder, prefix: str):
     names = sorted(enc.params)
     lines = [MAGIC, f"format-version {FORMAT_VERSION}", f"seed {enc.seed}",
              f"name {enc.name}", f"vocab-hash {enc.vocab_hash or '-'}"]
-    for field, _ in _CONFIG_FIELDS:
+    for field in _CONFIG_FIELDS:
         lines.append(f"config {field} {getattr(enc.config, field)}")
     offset = 0
     blobs = []
@@ -50,61 +53,90 @@ def save_encoder(enc: Encoder, prefix: str):
             f.write(b)
 
 
+def _read_manifest(path, what):
+    """The lines of a manifest whose first line is the magic string."""
+    if not os.path.exists(path):
+        raise CheckpointError(f"no {what} at {path}")
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: not UTF-8 text") from None
+    if not lines or lines[0] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic "
+                              f"(expected {MAGIC!r}, got {lines[0] if lines else ''!r})")
+    return lines
+
+
+def _parse_manifest_line(line, header, config_kv, tensors):
+    """File one manifest line; ValueError if it does not parse."""
+    parts = line.split()
+    if not parts:
+        return
+    kind = parts[0]
+    if kind == "config" and len(parts) == 3 and parts[1] in _CONFIG_FIELDS:
+        config_kv[parts[1]] = _CONFIG_FIELDS[parts[1]](parts[2])
+    elif kind == "tensor" and len(parts) >= 4 and len(parts) == 4 + int(parts[2]):
+        tensors[parts[1]] = (tuple(int(s) for s in parts[3:-1]), int(parts[-1]))
+    elif kind in _HEADER_FIELDS and len(parts) == 2:
+        header[kind] = _HEADER_FIELDS[kind](parts[1])
+    else:
+        raise ValueError("unknown line")
+
+
 def load_encoder(prefix: str) -> Encoder:
     manifest_path = prefix + ".manifest"
-    if not os.path.exists(manifest_path):
-        raise CheckpointError(f"no manifest at {manifest_path}")
-    with open(manifest_path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != MAGIC:
-        raise CheckpointError(f"{manifest_path}: bad magic "
-                              f"(expected {MAGIC!r}, got {lines[0] if lines else ''!r})")
-
-    fields, config_kv, tensors = {}, {}, []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        parts = line.split()
-        if parts[0] == "config":
-            config_kv[parts[1]] = parts[2]
-        elif parts[0] == "tensor":
-            name, ndim = parts[1], int(parts[2])
-            shape = tuple(int(s) for s in parts[3:3 + ndim])
-            offset = int(parts[3 + ndim])
-            tensors.append((name, shape, offset))
-        else:
-            fields[parts[0]] = parts[1] if len(parts) > 1 else ""
-    if fields.get("format-version") != str(FORMAT_VERSION):
+    lines = _read_manifest(manifest_path, "manifest")
+    header, config_kv, tensors = {}, {}, {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            _parse_manifest_line(line, header, config_kv, tensors)
+        except ValueError as exc:
+            raise CheckpointError(f"{manifest_path}:{lineno}: cannot parse "
+                                  f"{line!r} ({exc})") from None
+    missing = [k for k in _HEADER_FIELDS if k not in header]
+    missing += [f"config {k}" for k in _CONFIG_FIELDS if k not in config_kv]
+    if missing:
+        raise CheckpointError(f"{manifest_path}: no {missing[0]} line")
+    if header["format-version"] != str(FORMAT_VERSION):
         raise CheckpointError(f"{manifest_path}: unsupported format-version "
-                              f"{fields.get('format-version')!r}")
-
+                              f"{header['format-version']!r}")
     try:
-        kwargs = {name: typ(config_kv[name]) for name, typ in _CONFIG_FIELDS}
-        config = EncoderConfig(**kwargs)
-    except (KeyError, ValueError) as exc:
+        config = EncoderConfig(**config_kv)
+    except ValueError as exc:
         raise CheckpointError(f"{manifest_path}: bad config: {exc}") from None
+    expected = _param_shapes(config)
+    bad = sorted(name for name in expected.keys() | tensors.keys()
+                 if name not in tensors or tensors[name][0] != expected.get(name))
+    if bad:
+        raise CheckpointError(f"{manifest_path}: tensor {bad[0]} does not match the config")
 
     blob_path = prefix + ".bin"
     if not os.path.exists(blob_path):
         raise CheckpointError(f"missing weight blob {blob_path}")
     blob = np.fromfile(blob_path, dtype="<f4")
-
-    from .autodiff import Tensor
-    params = {}
-    for name, shape, offset in tensors:
-        n = int(np.prod(shape)) if shape else 1
-        start = offset // 4
+    params, start = {}, 0
+    for name, (shape, offset) in tensors.items():
+        n = math.prod(shape)
+        if offset != 4 * start:
+            raise CheckpointError(f"{manifest_path}: tensor {name} at byte {offset}, "
+                                  f"expected {4 * start}")
         if start + n > blob.size:
             raise CheckpointError(f"{blob_path}: tensor {name} overruns blob")
         params[name] = Tensor(blob[start:start + n].reshape(shape).astype(np.float32),
                               requires_grad=True)
-    vocab_hash = fields.get("vocab-hash", "-")
-    return Encoder(config, int(fields.get("seed", 0)), fields.get("name", "enc"),
+        start += n
+    trailing = os.path.getsize(blob_path) - 4 * start
+    if trailing:
+        raise CheckpointError(f"{blob_path}: {trailing} bytes after the last tensor")
+    vocab_hash = header["vocab-hash"]
+    return Encoder(config, header["seed"], header["name"],
                    None if vocab_hash == "-" else vocab_hash, params)
 
 
 def checkpoint_hash(prefix: str) -> str:
-    """SHA-256 over manifest + blob bytes, for tamper checks."""
+    """SHA-256 over manifest + blob bytes: a fingerprint for comparing runs.
+    Loading does not check it."""
     h = hashlib.sha256()
     for suffix in (".manifest", ".bin"):
         with open(prefix + suffix, "rb") as f:
@@ -121,14 +153,15 @@ def save_ensemble_manifest(member_prefixes, path):
 
 
 def load_ensemble_manifest(path):
-    if not os.path.exists(path):
-        raise CheckpointError(f"no ensemble manifest at {path}")
-    with open(path, encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    if not lines or lines[0] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic")
-    members = [line.split(None, 1)[1] for line in lines[1:]
-               if line.startswith("member ")]
+    lines = _read_manifest(path, "ensemble manifest")
+    members = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split(None, 1)
+        if not parts or parts == ["kind", "ensemble"]:
+            continue
+        if parts[0] != "member" or len(parts) != 2:
+            raise CheckpointError(f"{path}:{lineno}: cannot parse {line!r}")
+        members.append(parts[1])
     if not members:
         raise CheckpointError(f"{path}: ensemble manifest lists no members")
     base = os.path.dirname(os.path.abspath(path))

@@ -61,8 +61,11 @@ def _resolve(args):
 def _out_dir(args):
     if args.out:
         path = args.out
-        if os.path.exists(path) and not os.path.isdir(path):
-            raise ConfigError(f"output path {path} is not a directory")
+        existing = path
+        while existing and not os.path.exists(existing):
+            existing = os.path.dirname(existing)
+        if existing and not os.path.isdir(existing):
+            raise ConfigError(f"output path {path}: {existing} is not a directory")
         if os.path.isdir(path) and os.listdir(path) and not args.force:
             raise ConfigError(f"output directory {path} is not empty "
                               f"(use --force to overwrite)")

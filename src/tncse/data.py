@@ -69,7 +69,7 @@ class Vocab:
         return cls(toks[4:])
 
 
-def build_vocab(corpus, max_size=None):
+def build_vocab(corpus):
     """Frequency-ranked vocabulary, ties broken lexicographically."""
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
@@ -77,10 +77,7 @@ def build_vocab(corpus, max_size=None):
     for line in corpus:
         for tok in line.lower().split():
             counts[tok] = counts.get(tok, 0) + 1
-    ordered = sorted(counts, key=lambda t: (-counts[t], t))
-    if max_size is not None:
-        ordered = ordered[: max(0, max_size - len(_RESERVED))]
-    return Vocab(ordered)
+    return Vocab(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
 @dataclass
@@ -194,22 +191,20 @@ def _fill(template, rng):
     return " ".join(toks), slots
 
 
-def synth_corpus(seed, n_templates=8, n_sentences=2048, n_pairs=128):
+def synth_corpus(seed, n_sentences=2048, n_pairs=128):
     """Deterministic template corpus plus graded STS dev/test pair sets.
 
     Pair grades by construction: identical 5, synonym paraphrase 4,
     same-template different-slot 2..3 (by slot overlap), unrelated-template
     0..1.
     """
-    if n_templates < 1 or n_sentences < 1 or n_pairs < 1:
+    if n_sentences < 1 or n_pairs < 1:
         raise DataError("corpus sizes must be >= 1")
-    n_templates = min(n_templates, len(_TEMPLATES))
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5e]))
-    templates = _TEMPLATES[:n_templates]
 
     corpus = []
     for _ in range(n_sentences):
-        t = templates[rng.integers(len(templates))]
+        t = _TEMPLATES[rng.integers(len(_TEMPLATES))]
         corpus.append(_fill(t, rng)[0])
 
     table = load_synonyms()
@@ -223,8 +218,8 @@ def synth_corpus(seed, n_templates=8, n_sentences=2048, n_pairs=128):
         pairs = []
         for i in range(count):
             kind = kinds[i % len(kinds)]
-            ti = int(pair_rng.integers(len(templates)))
-            t = templates[ti]
+            ti = int(pair_rng.integers(len(_TEMPLATES)))
+            t = _TEMPLATES[ti]
             a, slots_a = _fill(t, pair_rng)
             if kind == "ident":
                 pairs.append(StsPair(a, a, 5.0))
@@ -237,10 +232,10 @@ def synth_corpus(seed, n_templates=8, n_sentences=2048, n_pairs=128):
                 score = 2.0 + shared / max(1, len(slots_a))
                 pairs.append(StsPair(a, b, min(score, 3.0)))
             else:
-                tj = int(pair_rng.integers(len(templates)))
-                if len(templates) > 1 and tj == ti:
-                    tj = (tj + 1) % len(templates)
-                b, _ = _fill(templates[tj], pair_rng)
+                tj = int(pair_rng.integers(len(_TEMPLATES)))
+                if tj == ti:
+                    tj = (tj + 1) % len(_TEMPLATES)
+                b, _ = _fill(_TEMPLATES[tj], pair_rng)
                 pairs.append(StsPair(a, b, round(float(pair_rng.uniform(0.0, 1.0)), 1)))
         return pairs
 

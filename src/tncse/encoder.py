@@ -35,6 +35,16 @@ class EncoderConfig:
     pooling_mode: str = "cls"
 
     def __post_init__(self):
+        if self.num_heads < 1:
+            raise ConfigError(f"num_heads must be >= 1, got {self.num_heads}")
+        if self.hidden_dim < 1 or self.ffn_dim < 1:
+            raise ConfigError(f"hidden_dim and ffn_dim must be >= 1, got "
+                              f"{self.hidden_dim} and {self.ffn_dim}")
+        if self.max_seq_len < 2:
+            raise ConfigError(f"max_seq_len must be >= 2 to hold [CLS] and [SEP], "
+                              f"got {self.max_seq_len}")
+        if not 0.0 <= self.dropout_p < 1.0:
+            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(f"hidden_dim {self.hidden_dim} not divisible by "
                               f"num_heads {self.num_heads}")
@@ -63,6 +73,25 @@ class ViewBundle:
     hP_II_plus: Tensor
 
 
+def _param_shapes(c: EncoderConfig):
+    """Parameter name -> shape, in initialization order: weights and
+    embeddings are drawn from the init stream in this order, LayerNorm gains
+    (``_g``) start at one and biases (``_b``) at zero."""
+    d, f = c.hidden_dim, c.ffn_dim
+    shapes = {"tok_emb": (c.vocab_size, d), "pos_emb": (c.max_seq_len, d)}
+    for i in range(c.num_layers):
+        for proj in ("q", "k", "v", "o"):
+            shapes[f"layer{i}.{proj}_w"] = (d, d)
+            shapes[f"layer{i}.{proj}_b"] = (d,)
+        shapes.update({f"layer{i}.ln1_g": (d,), f"layer{i}.ln1_b": (d,),
+                       f"layer{i}.ffn1_w": (d, f), f"layer{i}.ffn1_b": (f,),
+                       f"layer{i}.ffn2_w": (f, d), f"layer{i}.ffn2_b": (d,),
+                       f"layer{i}.ln2_g": (d,), f"layer{i}.ln2_b": (d,)})
+    shapes["pooler_w"] = (d, d)
+    shapes["pooler_b"] = (d,)
+    return shapes
+
+
 class Encoder:
     def __init__(self, config: EncoderConfig, seed: int, name: str = "enc",
                  vocab_hash: str | None = None, params=None):
@@ -74,42 +103,17 @@ class Encoder:
         self.params = params if params is not None else self._init_params()
 
     def _init_params(self):
-        c = self.config
         rng = self.streams.get("init")
         p = {}
-
-        def w(name, shape):
-            p[name] = Tensor(rng.normal(0.0, 0.02, shape).astype(np.float32),
-                             requires_grad=True)
-
-        def zeros(name, shape):
-            p[name] = Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
-
-        def ones(name, shape):
-            p[name] = Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
-
-        w("tok_emb", (c.vocab_size, c.hidden_dim))
-        w("pos_emb", (c.max_seq_len, c.hidden_dim))
-        for i in range(c.num_layers):
-            for proj in ("q", "k", "v", "o"):
-                w(f"layer{i}.{proj}_w", (c.hidden_dim, c.hidden_dim))
-                zeros(f"layer{i}.{proj}_b", (c.hidden_dim,))
-            ones(f"layer{i}.ln1_g", (c.hidden_dim,))
-            zeros(f"layer{i}.ln1_b", (c.hidden_dim,))
-            w(f"layer{i}.ffn1_w", (c.hidden_dim, c.ffn_dim))
-            zeros(f"layer{i}.ffn1_b", (c.ffn_dim,))
-            w(f"layer{i}.ffn2_w", (c.ffn_dim, c.hidden_dim))
-            zeros(f"layer{i}.ffn2_b", (c.hidden_dim,))
-            ones(f"layer{i}.ln2_g", (c.hidden_dim,))
-            zeros(f"layer{i}.ln2_b", (c.hidden_dim,))
-        w("pooler_w", (c.hidden_dim, c.hidden_dim))
-        zeros("pooler_b", (c.hidden_dim,))
+        for name, shape in _param_shapes(self.config).items():
+            if name.endswith("_g"):
+                data = np.ones(shape, dtype=np.float32)
+            elif name.endswith("_b"):
+                data = np.zeros(shape, dtype=np.float32)
+            else:
+                data = rng.normal(0.0, 0.02, shape).astype(np.float32)
+            p[name] = Tensor(data, requires_grad=True)
         return p
-
-    def reset_rng(self):
-        """Rewind all named dropout streams to their seeded start."""
-        self.streams.reset()
-        return self
 
     def astype(self, dtype):
         """Copy of this encoder with parameters cast to ``dtype``."""
@@ -186,16 +190,15 @@ class Encoder:
         return EncoderOutput(last_hidden=hL, pooler=hP)
 
 
-def _check_same_vocab(encoders, what):
-    """Encoders without a recorded vocabulary hash pass unchecked."""
-    hashes = {enc.vocab_hash for enc in encoders if enc.vocab_hash is not None}
-    if len(hashes) > 1:
-        raise DataError(f"{what} were built over different vocabularies")
+def _check_same_vocab(hashes, what):
+    """Vocabulary hashes that are None (not recorded) pass unchecked."""
+    if len({h for h in hashes if h is not None}) > 1:
+        raise DataError(f"{what} were built over different vocabulary hashes")
 
 
 def dual_view(enc_i: Encoder, enc_ii: Encoder, batch: TokenBatch) -> ViewBundle:
     """Four dropout passes (two per encoder) over the same batch."""
-    _check_same_vocab((enc_i, enc_ii), "encoders")
+    _check_same_vocab((enc_i.vocab_hash, enc_ii.vocab_hash), "encoders")
     o_i = enc_i.encode(batch, train_mode=True, pass_index=0)
     o_i_plus = enc_i.encode(batch, train_mode=True, pass_index=1)
     o_ii = enc_ii.encode(batch, train_mode=True, pass_index=0)

@@ -1,11 +1,10 @@
 """Sum-ensemble inference over K encoders and teacher-to-student
 distillation.
 
-The default distillation objective regresses the student's per-batch
-pairwise cosine-similarity matrix onto the frozen teacher's (off-diagonal
-MSE); a direct embedding-regression variant is available behind
-``objective="regression"`` and requires matching hidden dimensions.
-Distillation runs the shared training loop under a TrainConfig.
+Distillation regresses the student's per-batch pairwise cosine-similarity
+matrix onto the frozen teacher's (off-diagonal MSE), so student and teacher
+may differ in hidden dimension.  It runs the shared training loop under a
+TrainConfig.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import batch_iter, make_batch
 from .encoder import Encoder, _check_same_vocab
-from .errors import ConfigError
+from .evaluation import _normalize_rows
 from .losses import _unit_rows
 from .training import TrainConfig, TrainLog, _member_sums, _train
 
@@ -31,12 +30,8 @@ class EnsembleModel:
         dims = {enc.config.hidden_dim for enc in encoders}
         if len(dims) > 1:
             raise ValueError(f"member hidden dims differ: {sorted(dims)}")
-        _check_same_vocab(encoders, "ensemble members")
+        _check_same_vocab([enc.vocab_hash for enc in encoders], "ensemble members")
         self.encoders = list(encoders)
-
-    @property
-    def hidden_dim(self):
-        return self.encoders[0].config.hidden_dim
 
 
 def ensemble_embed(model: EnsembleModel, batch):
@@ -58,7 +53,7 @@ def _similarity_loss(student_h, teacher_emb):
     b = student_h.shape[0]
     Sn = _unit_rows(student_h)
     S = ad.matmul(Sn, ad.transpose(Sn, (1, 0)))
-    Tn = teacher_emb / np.linalg.norm(teacher_emb, axis=1, keepdims=True)
+    Tn = _normalize_rows(teacher_emb)
     T = np.clip(Tn @ Tn.T, -1.0, 1.0)
     off = (1.0 - np.eye(b)).astype(student_h.dtype)
     diff = S - ad.Tensor(T.astype(student_h.dtype))
@@ -66,31 +61,19 @@ def _similarity_loss(student_h, teacher_emb):
     return ad.scale(ad.sum_(ad.mul(ad.mul(diff, diff), off)), 1.0 / denom)
 
 
-def _regression_loss(student_h, teacher_emb):
-    diff = student_h - ad.Tensor(teacher_emb.astype(student_h.dtype))
-    return ad.mean(ad.mul(diff, diff))
-
-
 def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
-            cfg: TrainConfig, objective="similarity"):
-    """Train ``student`` on ``objective`` (``"similarity"`` or
-    ``"regression"``) to match the frozen ``teacher`` ensemble in the shared
-    training loop; returns a DistillLog.  The best-validated student weights
-    (by validation Spearman, step 0 included) are restored into ``student``,
-    and ``probe_loss_best`` is the probe loss of those weights."""
-    if objective not in ("similarity", "regression"):
-        raise ConfigError(f"unknown distillation objective {objective!r}")
-    if objective == "regression" and student.config.hidden_dim != teacher.hidden_dim:
-        raise ConfigError("embedding-regression distillation requires matching "
-                          "hidden dimensions")
+            cfg: TrainConfig):
+    """Train ``student`` on the similarity-matrix loss to match the frozen
+    ``teacher`` ensemble in the shared training loop; returns a DistillLog.
+    The best-validated student weights (by validation Spearman, step 0
+    included) are restored into ``student``, and ``probe_loss_best`` is the
+    probe loss of those weights."""
     max_len = student.config.max_seq_len
 
     def batch_loss(batch, train_mode):
         t_emb = ensemble_embed(teacher, batch).astype(np.float64)
         h = student.encode(batch, train_mode=train_mode, pass_index=0).last_hidden
-        if objective == "similarity":
-            return _similarity_loss(h, t_emb)
-        return _regression_loss(h, t_emb)
+        return _similarity_loss(h, t_emb)
 
     # fixed probe batch for noise-free before/after loss comparison
     probe_sentences = next(batch_iter(corpus, cfg.batch_size, cfg.seed, 999_983))

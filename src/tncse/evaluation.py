@@ -19,6 +19,8 @@ from .errors import DataError
 
 ALIGNMENT_ALPHA = 2
 UNIFORMITY_T = 2
+# distinct sentences the norm probe measures
+PROBE_SENTENCES = 100
 
 
 def spearman(pred, gold):
@@ -104,8 +106,8 @@ def norm_probe(encoder, sentences, strip_counts, vocab, batch_size=50):
     identity and mean/std/CV of the embedding norms over the sentences are
     reported.
     """
-    if len(set(sentences)) < 100:
-        raise DataError("norm probe needs at least 100 distinct sentences")
+    if len(set(sentences)) < PROBE_SENTENCES:
+        raise DataError(f"norm probe needs at least {PROBE_SENTENCES} distinct sentences")
     rows = []
     for n in strip_counts:
         enc = strip_layernorms(encoder, n)

@@ -32,6 +32,15 @@ def _primitive_cases():
     def rnd(r, *s):
         return r.standard_normal(s)
 
+    def weighted(t, shape):
+        return ad.sum_(ad.mul(t, Tensor(np.arange(float(np.prod(shape))).reshape(shape))))
+
+    def clip_inputs(r):
+        # half inside (-0.5, 0.5), half outside, none within 0.1 of a bound
+        inside = 0.8 * r.random(6) - 0.4
+        outside = (0.6 + r.random(6)) * r.choice([-1.0, 1.0], 6)
+        return [np.concatenate([inside, outside]).reshape(3, 4)]
+
     return {
         "add": (lambda a, b: ad.sum_(ad.add(a, b)),
                 lambda r: [rnd(r, 3, 4), rnd(r, 4)]),
@@ -48,32 +57,32 @@ def _primitive_cases():
         "exp": (lambda a: ad.sum_(ad.exp(a)), lambda r: [rnd(r, 3, 4)]),
         "log": (lambda a: ad.sum_(ad.log(a)), lambda r: [0.5 + r.random((3, 4))]),
         "sqrt": (lambda a: ad.sum_(ad.sqrt(a)), lambda r: [0.5 + r.random((3, 4))]),
-        "softmax": (lambda a: ad.sum_(ad.mul(
-                        ad.softmax(a, temperature=0.7),
-                        Tensor(np.arange(12.0).reshape(3, 4)))),
+        "clip": (lambda a: weighted(ad.clip(a, -0.5, 0.5), (3, 4)), clip_inputs),
+        "reshape": (lambda a: weighted(ad.reshape(a, (4, 3)), (4, 3)),
                     lambda r: [rnd(r, 3, 4)]),
-        "layer_norm": (lambda x, g, b: ad.sum_(ad.mul(
-                           ad.layer_norm(x, g, b),
-                           Tensor(np.linspace(-1, 1, 18).reshape(3, 6)))),
+        "transpose": (lambda a: weighted(ad.transpose(a, (1, 2, 0)), (3, 4, 2)),
+                      lambda r: [rnd(r, 2, 3, 4)]),
+        "getitem": (lambda a: weighted(ad.getitem(a, (np.array([0, 2, 2]), slice(1, 3))),
+                                       (3, 2)),
+                    lambda r: [rnd(r, 3, 4)]),
+        "softmax": (lambda a: weighted(ad.softmax(a), (3, 4)), lambda r: [rnd(r, 3, 4)]),
+        "layer_norm": (lambda x, g, b: weighted(ad.layer_norm(x, g, b), (3, 6)),
                        lambda r: [rnd(r, 3, 6), 1.0 + 0.1 * rnd(r, 6), 0.1 * rnd(r, 6)]),
-        "embedding": (lambda t: ad.sum_(ad.mul(
-                          ad.embedding(t, np.array([0, 2, 1, 2])),
-                          Tensor(np.arange(12.0).reshape(4, 3)))),
+        "embedding": (lambda t: weighted(ad.embedding(t, np.array([0, 2, 1, 2])), (4, 3)),
                       lambda r: [rnd(r, 3, 3)]),
-        "sum_mean": (lambda a: ad.mean(ad.mul(ad.sum_(a, axis=0), ad.sum_(a, axis=0))),
-                     lambda r: [rnd(r, 4, 3)]),
+        "sum_": (lambda a: weighted(ad.sum_(a, axis=0), (3,)), lambda r: [rnd(r, 4, 3)]),
+        "mean": (lambda a: weighted(ad.mean(ad.mul(a, a), axis=1), (4,)),
+                 lambda r: [rnd(r, 4, 3)]),
         "l2_norm": (lambda a: ad.sum_(ad.l2_norm(a, axis=-1)),
                     lambda r: [1.0 + r.random((3, 4))]),
-        "cosine_sim": (lambda a, b: ad.cosine_sim(a, b),
-                       lambda r: [1.0 + r.random(5), -1.0 - r.random(5)]),
+        "rowwise_cosine": (lambda a, b: weighted(ad.rowwise_cosine(a, b), (3,)),
+                           lambda r: [rnd(r, 3, 4), rnd(r, 3, 4)]),
         "dropout": (lambda a: ad.sum_(ad.dropout(a, 0.3, RngStreams(7).get("d"))),
                     lambda r: [rnd(r, 4, 5)]),
     }
 
 
 def _loss_cases():
-    cfg = L.LossConfig()
-
     def bundle_mats(r):
         return [0.5 + r.random((3, 4)) for _ in range(8)]
 
@@ -83,14 +92,11 @@ def _loss_cases():
         "loss_info_nce": (lambda H, Hp: L.info_nce(H, Hp, tau=0.5),
                           lambda r: [r.standard_normal((4, 5)) + 0.2,
                                      r.standard_normal((4, 5)) + 0.2]),
-        "loss_icnce": (lambda A, B: L.icnce(A, B, tau=0.5),
-                       lambda r: [r.standard_normal((4, 5)) + 0.2,
-                                  r.standard_normal((4, 5)) + 0.2]),
         "loss_l_tn_modulated": (
-            lambda hp, hpp, hl1, hl2: L.l_tn_modulated(hp, hpp, hl1, hl2, cfg),
+            L.l_tn_modulated,
             lambda r: [0.5 + r.random((3, 4)) for _ in range(4)]),
-        "loss_ictn": (lambda *ts: L.ictn(ViewBundle(*ts), cfg), bundle_mats),
-        "loss_total": (lambda *ts: L.total_loss(ViewBundle(*ts), cfg).total,
+        "loss_ictn": (lambda *ts: L.ictn(ViewBundle(*ts)), bundle_mats),
+        "loss_total": (lambda *ts: L.total_loss(ViewBundle(*ts), L.LossConfig()).total,
                        bundle_mats),
     }
 

@@ -20,20 +20,20 @@ from .encoder import ViewBundle
 from .errors import ConfigError
 
 TERMS = ("NCE", "ICNCE", "ICTN")
+# lower clamp of the modulating cosine, so -log(sim) stays finite
+SIM_CLAMP_EPS = 1e-4
+# smooths ||hP_i - hP_j+|| at the origin, where its gradient is undefined
+NORM_EPS = 1e-12
 
 
 @dataclass(frozen=True)
 class LossConfig:
     tau: float = 0.05
-    sim_clamp_eps: float = 1e-4
-    norm_eps: float = 1e-12
     enabled_terms: frozenset = frozenset(TERMS)
 
     def __post_init__(self):
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if not 0 < self.sim_clamp_eps < 1:
-            raise ConfigError(f"sim_clamp_eps must be in (0, 1), got {self.sim_clamp_eps}")
         if not self.enabled_terms:
             raise ConfigError("enabled_terms must be non-empty")
         bad = set(self.enabled_terms) - set(TERMS)
@@ -105,12 +105,7 @@ def info_nce(H, H_plus, tau=0.05):
     return ad.mean(lse - pos)
 
 
-def icnce(HL_I, HL_II, tau=0.05):
-    """InfoNCE across the two encoders' last hidden states of the same batch."""
-    return info_nce(HL_I, HL_II, tau)
-
-
-def l_tn_modulated(hP_i, hP_j_plus, hL_I, hL_II, cfg: LossConfig):
+def l_tn_modulated(hP_i, hP_j_plus, hL_I, hL_II):
     """Per-sample -log(sim(hL_I, hL_II)) * ||hP_i - hP_j+||/(||hP_i|| + ||hP_j+||),
     batch-averaged.  The modulating cosine comes from the last hidden states;
     the norm ratio from the pooler outputs."""
@@ -118,23 +113,24 @@ def l_tn_modulated(hP_i, hP_j_plus, hL_I, hL_II, cfg: LossConfig):
     _check_nonzero_rows(hP_i, "pooler output")
     _check_nonzero_rows(hP_j_plus, "positive pooler output")
     sim = ad.rowwise_cosine(as_tensor(hL_I), as_tensor(hL_II))
-    mod = -ad.log(ad.clip(sim, cfg.sim_clamp_eps, 1.0))
-    num = ad.l2_norm(hP_i - hP_j_plus, axis=-1, eps=cfg.norm_eps)
+    mod = -ad.log(ad.clip(sim, SIM_CLAMP_EPS, 1.0))
+    num = ad.l2_norm(hP_i - hP_j_plus, axis=-1, eps=NORM_EPS)
     den = ad.l2_norm(hP_i, axis=-1) + ad.l2_norm(hP_j_plus, axis=-1)
     return ad.mean(ad.mul(mod, ad.div(num, den)))
 
 
-def ictn(bundle: ViewBundle, cfg: LossConfig):
+def ictn(bundle: ViewBundle):
     """Symmetric cross-encoder norm constraint:
     L_TN(h_I, h_II+) + L_TN(h_II, h_I+).  Both terms are modulated by
     sim(hL_I, hL_II) of the first views, as the paper's formula writes it."""
-    term1 = l_tn_modulated(bundle.hP_I, bundle.hP_II_plus, bundle.hL_I, bundle.hL_II, cfg)
-    term2 = l_tn_modulated(bundle.hP_II, bundle.hP_I_plus, bundle.hL_I, bundle.hL_II, cfg)
+    term1 = l_tn_modulated(bundle.hP_I, bundle.hP_II_plus, bundle.hL_I, bundle.hL_II)
+    term2 = l_tn_modulated(bundle.hP_II, bundle.hP_I_plus, bundle.hL_I, bundle.hL_II)
     return term1 + term2
 
 
 def total_loss(bundle: ViewBundle, cfg: LossConfig) -> LossBundle:
-    """Sum of the enabled terms: per-encoder InfoNCE, cross-encoder InfoNCE,
+    """Sum of the enabled terms: per-encoder InfoNCE, cross-encoder InfoNCE
+    (InfoNCE across the two encoders' last hidden states of the same batch),
     and the cross-encoder norm constraint."""
     l_nce_i = l_nce_ii = l_icnce = l_ictn = None
     parts = []
@@ -143,10 +139,10 @@ def total_loss(bundle: ViewBundle, cfg: LossConfig) -> LossBundle:
         l_nce_ii = info_nce(bundle.hL_II, bundle.hL_II_plus, cfg.tau)
         parts += [l_nce_i, l_nce_ii]
     if "ICNCE" in cfg.enabled_terms:
-        l_icnce = icnce(bundle.hL_I, bundle.hL_II, cfg.tau)
+        l_icnce = info_nce(bundle.hL_I, bundle.hL_II, cfg.tau)
         parts.append(l_icnce)
     if "ICTN" in cfg.enabled_terms:
-        l_ictn = ictn(bundle, cfg)
+        l_ictn = ictn(bundle)
         parts.append(l_ictn)
     total = parts[0]
     for p in parts[1:]:

@@ -12,10 +12,11 @@ from dataclasses import dataclass, replace
 
 from . import checkpoint as ckpt
 from .data import build_vocab, load_corpus, load_sts_tsv, load_synonyms
-from .encoder import Encoder, EncoderConfig
+from .encoder import Encoder, EncoderConfig, _check_same_vocab
 from .ensemble import EnsembleModel, distill
-from .errors import CheckpointError, ConfigError, DataError
-from .evaluation import EvalReport, alignment, norm_probe, probe_csv, sts_eval, uniformity
+from .errors import CheckpointError, ConfigError
+from .evaluation import (PROBE_SENTENCES, EvalReport, alignment, norm_probe,
+                         probe_csv, sts_eval, uniformity)
 from .losses import LossConfig, ablation_grid
 from .training import (TrainConfig, ensemble_embed_fn, pretrain_single,
                        significance_suite, train_single_tn, train_tncse)
@@ -25,7 +26,6 @@ DEFAULTS = {
     "data.corpus": "",
     "data.sts_dev": "",
     "data.sts_test": "",
-    "data.max_vocab": 0,
     "encoder.max_seq_len": 16,
     "encoder.hidden_dim": 64,
     "encoder.num_layers": 2,
@@ -46,18 +46,14 @@ DEFAULTS = {
     "train.encoder_i": "",
     "train.encoder_ii": "",
     "loss.tau": 0.05,
-    "loss.sim_clamp_eps": 1e-4,
-    "loss.norm_eps": 1e-12,
     "loss.terms": "NCE+ICNCE+ICTN",
     "distill.teacher": "",
     "distill.steps": 300,
     "distill.lr": 1e-3,
     "distill.batch_size": 32,
     "distill.eval_interval": 50,
-    "distill.objective": "similarity",
     "eval.checkpoint": "",
     "probe.checkpoint": "",
-    "probe.sentences": 100,
     "probe.strip_counts": "",
 }
 
@@ -136,10 +132,8 @@ def load_workspace(cfg) -> Workspace:
     corpus = load_corpus(cfg["data.corpus"])
     sts_dev = load_sts_tsv(cfg["data.sts_dev"])
     sts_test = load_sts_tsv(cfg["data.sts_test"]) if cfg["data.sts_test"] else None
-    max_vocab = cfg["data.max_vocab"] or None
-    vocab = build_vocab(corpus, max_size=max_vocab)
     return Workspace(corpus=corpus, sts_dev=sts_dev, sts_test=sts_test,
-                     vocab=vocab, synonyms=load_synonyms())
+                     vocab=build_vocab(corpus), synonyms=load_synonyms())
 
 
 def encoder_config(cfg, vocab):
@@ -157,8 +151,7 @@ def encoder_config(cfg, vocab):
 
 def loss_config(cfg):
     terms = frozenset(t for t in cfg["loss.terms"].split("+") if t)
-    return LossConfig(tau=cfg["loss.tau"], sim_clamp_eps=cfg["loss.sim_clamp_eps"],
-                      norm_eps=cfg["loss.norm_eps"], enabled_terms=terms)
+    return LossConfig(tau=cfg["loss.tau"], enabled_terms=terms)
 
 
 def train_config(cfg, section, seed, terms=None):
@@ -223,8 +216,8 @@ def run_tncse(cfg, ws, prefix_i, prefix_ii, out_dir, terms=None, root_seed=None)
 
 def load_encoder_checked(prefix, ws):
     enc = ckpt.load_encoder(prefix)
-    if enc.vocab_hash is not None and enc.vocab_hash != ws.vocab.content_hash():
-        raise DataError(f"checkpoint {prefix} was trained on a different vocabulary")
+    _check_same_vocab((enc.vocab_hash, ws.vocab.content_hash()),
+                      f"checkpoint {prefix} and the workspace")
     return enc
 
 
@@ -236,9 +229,9 @@ def load_model(path_or_prefix, ws):
         manifest = path_or_prefix + ".manifest"
     if not os.path.exists(manifest):
         raise CheckpointError(f"no checkpoint at {path_or_prefix}")
-    with open(manifest, encoding="utf-8") as f:
+    with open(manifest, "rb") as f:
         head = f.read(64)
-    if "kind ensemble" in head:
+    if b"kind ensemble" in head:
         members = ckpt.load_ensemble_manifest(manifest)
     else:
         members = [manifest[:-len(".manifest")]]
@@ -312,8 +305,7 @@ def run_distill(cfg, ws, out_dir):
     dcfg = train_config(cfg, "distill", cfg["seed"])
     teacher = load_model(cfg["distill.teacher"], ws)
     student = new_encoder(cfg, ws, cfg["seed"], 3, "D")
-    log = distill(teacher, student, ws.corpus, ws.sts_dev, ws.vocab, dcfg,
-                  objective=cfg["distill.objective"])
+    log = distill(teacher, student, ws.corpus, ws.sts_dev, ws.vocab, dcfg)
     prefix = os.path.join(out_dir, "student")
     ckpt.save_encoder(student, prefix)
     with open(os.path.join(out_dir, "trainlog.csv"), "w", encoding="utf-8") as f:
@@ -325,8 +317,7 @@ def run_norm_probe(cfg, ws, out_dir):
     if not cfg["probe.checkpoint"]:
         raise ConfigError("probe.checkpoint is required")
     enc = load_encoder_checked(cfg["probe.checkpoint"], ws)
-    n_sent = cfg["probe.sentences"]
-    sents = list(dict.fromkeys(ws.corpus))[:n_sent]
+    sents = list(dict.fromkeys(ws.corpus))[:PROBE_SENTENCES]
     raw = cfg["probe.strip_counts"]
     try:
         strip_counts = ([int(s) for s in raw.split(",")] if raw

@@ -22,15 +22,13 @@ from .evaluation import sts_eval
 
 
 class Adam:
-    """Adaptive-moment optimizer; zeroes gradients after each step."""
+    """Adam with betas (0.9, 0.999) and eps 1e-8; zeroes gradients after each step."""
 
-    def __init__(self, params, lr=1e-3, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-3):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
@@ -43,8 +41,6 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
             self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
             self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
             mhat = self._m[i] / b1t
@@ -73,6 +69,8 @@ class TrainConfig:
                               f"{self.steps} / {self.eval_interval}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.augment_p <= 1.0:
+            raise ConfigError(f"augment_p must be in [0, 1], got {self.augment_p}")
 
 
 @dataclass
@@ -239,7 +237,7 @@ def train_single_tn(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
     def view_loss(out, out_plus):
         nce = L.info_nce(out.last_hidden, out_plus.last_hidden, cfg.loss.tau)
         tn = L.l_tn_modulated(out.pooler, out_plus.pooler,
-                              out.last_hidden, out_plus.last_hidden, cfg.loss)
+                              out.last_hidden, out_plus.last_hidden)
         loss = nce + ad.scale(tn, cfg.single_tn_weight)
         return loss, {"nce_i": float(nce.item()), "nce_ii": None, "icnce": None,
                       "ictn": float(tn.item()), "total": float(loss.item())}

@@ -1,9 +1,12 @@
+import inspect
+
 import numpy as np
 import pytest
 
 from tncse import autodiff as ad
 from tncse.autodiff import RngStreams, Tensor
 from tncse.gradcheck import check_gradients
+from tncse.gradsuite import _primitive_cases
 
 
 def rand(rng, *shape):
@@ -84,22 +87,6 @@ class TestNormAndCosine:
             assert ad.l2_norm(Tensor(c * x)).item() == pytest.approx(
                 abs(c) * ad.l2_norm(Tensor(x)).item())
 
-    def test_cosine_orthogonal(self):
-        assert ad.cosine_sim(Tensor([1.0, 0.0]), Tensor([0.0, 1.0])).item() == 0.0
-
-    def test_cosine_self(self):
-        rng = np.random.default_rng(6)
-        x = rand(rng, 9)
-        assert ad.cosine_sim(Tensor(x), Tensor(x)).item() == pytest.approx(1.0)
-
-    def test_cosine_hand_value(self):
-        got = ad.cosine_sim(Tensor([1.0, 1.0]), Tensor([1.0, 0.0])).item()
-        assert got == pytest.approx(0.7071068, abs=1e-6)
-
-    def test_cosine_rejects_zero_norm(self):
-        with pytest.raises(ValueError):
-            ad.cosine_sim(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
-
 
 class TestDropout:
     def test_p_zero_is_identity(self):
@@ -109,10 +96,8 @@ class TestDropout:
 
     def test_fixed_seed_replays_identically(self):
         x = Tensor(np.ones((4, 8)))
-        streams = RngStreams(42)
-        a = ad.dropout(x, 0.3, streams.get("s")).data
-        streams.reset()
-        b = ad.dropout(x, 0.3, streams.get("s")).data
+        a = ad.dropout(x, 0.3, RngStreams(42).get("s")).data
+        b = ad.dropout(x, 0.3, RngStreams(42).get("s")).data
         np.testing.assert_array_equal(a, b)
 
     def test_mean_preserving(self):
@@ -174,7 +159,7 @@ PRIMITIVE_CASES = {
     "exp": (lambda a: ad.sum_(ad.exp(a)), lambda r: [r.standard_normal((3, 4))]),
     "log": (lambda a: ad.sum_(ad.log(a)), lambda r: [0.5 + r.random((3, 4))]),
     "sqrt": (lambda a: ad.sum_(ad.sqrt(a)), lambda r: [0.5 + r.random((3, 4))]),
-    "softmax": (lambda a: ad.sum_(ad.mul(ad.softmax(a, temperature=0.7),
+    "softmax": (lambda a: ad.sum_(ad.mul(ad.softmax(a),
                                          Tensor(np.arange(12.0).reshape(3, 4)))),
                 lambda r: [r.standard_normal((3, 4))]),
     "mean": (lambda a: ad.mean(ad.mul(a, a)), lambda r: [r.standard_normal((5, 2))]),
@@ -184,8 +169,6 @@ PRIMITIVE_CASES = {
     "transpose": (lambda a: ad.sum_(ad.mul(ad.transpose(a, (1, 0)), ad.transpose(a, (1, 0)))),
                   lambda r: [r.standard_normal((3, 4))]),
     "l2_norm": (lambda a: ad.sum_(ad.l2_norm(a, axis=-1)), lambda r: [1.0 + r.random((3, 4))]),
-    "cosine_sim": (lambda a, b: ad.cosine_sim(a, b),
-                   lambda r: [1.0 + r.random(5), -1.0 - r.random(5)]),
     "embedding": (lambda t: ad.sum_(ad.mul(ad.embedding(t, np.array([0, 2, 2, 1])),
                                            Tensor(np.arange(12.0).reshape(4, 3)))),
                   lambda r: [r.standard_normal((3, 3))]),
@@ -198,3 +181,10 @@ def test_primitive_gradients(name):
     for trial in range(5):
         rng = np.random.default_rng(1000 + 17 * trial)
         check_gradients(f, make(rng), rtol=1e-6)
+
+
+def test_gradsuite_has_a_case_for_every_public_primitive():
+    public = {name for name, obj in vars(ad).items()
+              if inspect.isfunction(obj) and obj.__module__ == ad.__name__
+              and not name.startswith("_") and name != "as_tensor"}
+    assert public - set(_primitive_cases()) == set()

@@ -9,6 +9,8 @@ import pytest
 from tncse.checkpoint import (checkpoint_hash, load_encoder,
                               load_ensemble_manifest, save_encoder,
                               save_ensemble_manifest)
+from tncse.data import TokenBatch
+from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import CheckpointError
 
 
@@ -78,6 +80,51 @@ def test_load_rejects_truncated_blob(small_encoder, tmp_path):
         load_encoder(prefix)
 
 
+def test_load_rejects_trailing_blob_bytes(small_encoder, tmp_path):
+    prefix = str(tmp_path / "enc")
+    save_encoder(small_encoder, prefix)
+    blob = Path(prefix + ".bin")
+    blob.write_bytes(blob.read_bytes() + bytes(4))
+    with pytest.raises(CheckpointError, match="4 bytes after the last tensor"):
+        load_encoder(prefix)
+
+
+TINY = EncoderConfig(vocab_size=12, max_seq_len=6, hidden_dim=8, num_layers=1,
+                     num_heads=2, ffn_dim=12)
+# magic, 4 header lines, 9 config lines and 20 tensor lines
+TINY_MANIFEST_LINES = 34
+MUTATIONS = {
+    "delete": lambda line: None,
+    "halve": lambda line: line[: len(line) // 2],
+    "drop-last-field": lambda line: line.rpartition(" ")[0],
+    "last-field-not-a-number": lambda line: line.rpartition(" ")[0] + " x",
+}
+
+
+@pytest.mark.parametrize("lineno", range(TINY_MANIFEST_LINES))
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+def test_single_line_manifest_mutation_fails_cleanly_or_loads(tmp_path, mutation,
+                                                             lineno):
+    """Every one-line change to a manifest is a CheckpointError, or else the
+    checkpoint loads into an encoder that runs."""
+    enc = Encoder(TINY, seed=3, name="I", vocab_hash="0badcafe")
+    prefix = str(tmp_path / "enc")
+    save_encoder(enc, prefix)
+    manifest = Path(prefix + ".manifest")
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == TINY_MANIFEST_LINES
+    new = MUTATIONS[mutation](lines[lineno])
+    lines[lineno:lineno + 1] = [] if new is None else [new]
+    manifest.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    try:
+        loaded = load_encoder(prefix)
+    except CheckpointError:
+        return
+    assert set(loaded.params) == set(enc.params)
+    ids = np.array([[1, 5, 7, 2, 0, 0]])
+    loaded.encode(TokenBatch(ids=ids, attention_mask=(ids > 0).astype(np.int64)))
+
+
 def test_load_rejects_missing_blob(small_encoder, tmp_path):
     prefix = str(tmp_path / "enc")
     save_encoder(small_encoder, prefix)
@@ -122,6 +169,9 @@ def test_ensemble_manifest_rejects_empty_and_bad_magic(tmp_path):
     path = tmp_path / "bad.manifest"
     path.write_text("TNCSE1\nkind ensemble\n")
     with pytest.raises(CheckpointError, match="no members"):
+        load_ensemble_manifest(str(path))
+    path.write_text("TNCSE1\nkind ensemble\nmember\n")
+    with pytest.raises(CheckpointError, match=":3:"):
         load_ensemble_manifest(str(path))
     path.write_text("WRONG\nmember x\n")
     with pytest.raises(CheckpointError, match="magic"):

@@ -171,13 +171,27 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     ("norm-probe", ["probe.checkpoint={pair}/encoder_I", "probe.strip_counts=a"]),
     ("eval", ["eval.checkpoint={pair}/encoder_I", "data.sts_dev={pair}/missing.tsv"]),
     ("eval", ["eval.checkpoint={pair}/encoder_I", "data.sts_test={pair}/missing.tsv"]),
+    ("pretrain", ["encoder.num_heads=0"]),
+    ("pretrain", ["encoder.hidden_dim=0"]),
+    ("pretrain", ["encoder.max_seq_len=1"]),
+    ("pretrain", ["encoder.dropout_p=1.5"]),
+    ("pretrain", ["pretrain.augment_p=2"]),
+    # keys that no longer exist
+    ("gen-data", ["data.max_vocab=10"]),
+    ("gen-data", ["loss.sim_clamp_eps=0.001"]),
+    ("gen-data", ["loss.norm_eps=0"]),
+    ("gen-data", ["distill.objective=regression"]),
+    ("gen-data", ["probe.sentences=50"]),
     ("gen-data", "out is a file"),
+    ("gen-data", "out is below a file"),
 ], ids=lambda v: v if isinstance(v, str) else v[-1].replace("{pair}/", ""))
 def test_cli_config_mistakes_exit_2_with_one_line(data_dir, pair_dir, tmp_path,
                                                   capsys, command, settings):
     out = tmp_path / "out"
-    if settings == "out is a file":
+    if isinstance(settings, str):
         out.write_text("x")
+        if settings == "out is below a file":
+            out = out / "sub"
         settings = []
     argv = [command, "--out", str(out)] + data_args(data_dir)
     for s in settings:
@@ -193,6 +207,22 @@ def test_cli_missing_checkpoint_exits_4(data_dir, tmp_path, capsys):
               + ["--set", f"eval.checkpoint={tmp_path}/nothing"])
     assert rc == 4
     assert "checkpoint-error:" in capsys.readouterr().err
+
+
+def test_cli_eval_on_a_broken_manifest_exits_4_with_one_line(data_dir, pair_dir,
+                                                             tmp_path, capsys):
+    manifest = pair_dir / "encoder_II.manifest"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("".join(f"{line}\n" for line in lines
+                                if not line.startswith("tensor pooler_w ")),
+                        encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["eval", "--out", str(tmp_path / "ev")] + data_args(data_dir)
+              + ["--set", f"eval.checkpoint={pair_dir}/ensemble.manifest"])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("checkpoint-error: "), err
+    assert "pooler_w" in err[0]
 
 
 def test_cli_corrupt_sts_file_exits_3(data_dir, tmp_path, capsys):

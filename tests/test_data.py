@@ -47,12 +47,6 @@ def test_build_vocab_orders_by_frequency_then_lexicographic():
     assert [vocab.get(t) for t in ("b", "a", "c", "d")] == [4, 5, 6, 7]
 
 
-def test_build_vocab_max_size_truncates():
-    vocab = build_vocab(["a b c d e"], max_size=6)
-    assert len(vocab) == 6
-    assert "a" in vocab and "b" in vocab and "c" not in vocab
-
-
 def test_build_vocab_rejects_empty_corpus():
     with pytest.raises(DataError):
         build_vocab([])

@@ -6,9 +6,9 @@ import pytest
 from tncse.autodiff import Tensor
 from tncse.data import batch_iter, make_batch
 from tncse.encoder import Encoder
-from tncse.ensemble import (EnsembleModel, _regression_loss, _similarity_loss,
-                            distill, ensemble_embed)
-from tncse.errors import ConfigError, DataError
+from tncse.ensemble import (EnsembleModel, _similarity_loss, distill,
+                            ensemble_embed)
+from tncse.errors import DataError
 from tncse.evaluation import sts_eval
 from tncse.training import TrainConfig, ensemble_embed_fn
 
@@ -40,8 +40,8 @@ def test_ensemble_rejects_mismatched_vocab_hashes(small_config):
 
 
 def test_single_member_ensemble_is_allowed(small_config):
-    model = EnsembleModel([Encoder(small_config, 1)])
-    assert model.hidden_dim == small_config.hidden_dim
+    enc = Encoder(small_config, 1)
+    assert EnsembleModel([enc]).encoders == [enc]
 
 
 # -- sum rule --------------------------------------------------------------
@@ -63,17 +63,7 @@ def test_ensemble_embed_bypasses_pooler(small_config, small_vocab):
     np.testing.assert_array_equal(out, enc.encode(batch).last_hidden.data)
 
 
-# -- distillation objectives -----------------------------------------------
-
-def test_distill_rejects_unknown_objective(small_config, small_vocab,
-                                           small_corpus, small_dev):
-    teacher = EnsembleModel(members(small_config, small_vocab))
-    student = Encoder(small_config, seed=99, name="D",
-                      vocab_hash=small_vocab.content_hash())
-    with pytest.raises(ConfigError, match="contrastive"):
-        distill(teacher, student, small_corpus, small_dev, small_vocab,
-                TrainConfig(steps=1, eval_interval=1), objective="contrastive")
-
+# -- distillation objective ------------------------------------------------
 
 def test_similarity_loss_zero_when_student_matches_teacher(rng):
     H = rng.standard_normal((5, 8))
@@ -98,23 +88,11 @@ def test_similarity_loss_hand_value_two_rows():
     assert _similarity_loss(S, T).item() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_regression_loss_is_mean_squared_error(rng):
-    H = rng.standard_normal((3, 4))
+def test_similarity_loss_rejects_a_zero_norm_teacher_row(rng):
     T = rng.standard_normal((3, 4))
-    loss = _regression_loss(Tensor(H, requires_grad=True), T)
-    assert loss.item() == pytest.approx(np.mean((H - T) ** 2), rel=1e-12)
-
-
-def test_distill_regression_requires_matching_dims(small_config, small_vocab,
-                                                   small_corpus, small_dev):
-    import dataclasses
-    narrow = dataclasses.replace(small_config, hidden_dim=16, num_heads=4)
-    teacher = EnsembleModel(members(small_config, small_vocab))
-    student = Encoder(narrow, seed=99, name="D",
-                      vocab_hash=small_vocab.content_hash())
-    with pytest.raises(ConfigError, match="matching"):
-        distill(teacher, student, small_corpus, small_dev, small_vocab,
-                TrainConfig(steps=1, eval_interval=1), objective="regression")
+    T[1] = 0.0
+    with pytest.raises(DataError, match="zero-norm"):
+        _similarity_loss(Tensor(rng.standard_normal((3, 4)), requires_grad=True), T)
 
 
 # -- distillation loop -----------------------------------------------------

@@ -125,30 +125,24 @@ class TestInfoNce:
 
 
 class TestIcnce:
+    """The cross-encoder term is info_nce over the two encoders' views."""
+
     def test_identical_single_is_zero(self):
         H = np.array([[2.0, 1.0]])
-        assert L.icnce(H, H).item() == pytest.approx(0.0, abs=1e-12)
+        assert L.info_nce(H, H).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_orthonormal_identical_matrices(self):
         H = np.eye(2)
         expected = math.log(1.0 + math.exp(-20.0))
-        assert L.icnce(H, H, tau=0.05).item() == pytest.approx(expected, rel=1e-9)
-
-    def test_equals_info_nce_by_definition(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((5, 4)) + 0.1
-        B = rng.standard_normal((5, 4)) + 0.1
-        assert L.icnce(A, B, 0.05).item() == L.info_nce(A, B, 0.05).item()
+        assert L.info_nce(H, H, tau=0.05).item() == pytest.approx(expected, rel=1e-9)
 
 
 class TestLtnModulated:
-    CFG = L.LossConfig()
-
     def test_perfect_cross_cosine_gives_zero(self):
         hL = np.array([[1.0, 1.0]])
         hP = np.array([[3.0, 0.0]])
         hPp = np.array([[0.0, 4.0]])
-        assert L.l_tn_modulated(hP, hPp, hL, hL, self.CFG).item() == pytest.approx(0.0, abs=1e-12)
+        assert L.l_tn_modulated(hP, hPp, hL, hL).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_hand_composition(self):
         c = math.exp(-1.0)
@@ -156,7 +150,7 @@ class TestLtnModulated:
         hL_II = np.array([[c, math.sqrt(1 - c * c)]])
         hP = np.array([[3.0, 0.0]])
         hPp = np.array([[0.0, 4.0]])
-        got = L.l_tn_modulated(hP, hPp, hL_I, hL_II, self.CFG).item()
+        got = L.l_tn_modulated(hP, hPp, hL_I, hL_II).item()
         assert got == pytest.approx(5.0 / 7.0, rel=1e-6)
 
     def test_nonpositive_sim_clamped(self):
@@ -164,26 +158,24 @@ class TestLtnModulated:
         hL_II = np.array([[-1.0, 0.0]])
         hP = np.array([[3.0, 0.0]])
         hPp = np.array([[0.0, 4.0]])
-        got = L.l_tn_modulated(hP, hPp, hL_I, hL_II, self.CFG).item()
-        expected = -math.log(self.CFG.sim_clamp_eps) * (5.0 / 7.0)
+        got = L.l_tn_modulated(hP, hPp, hL_I, hL_II).item()
+        expected = -math.log(L.SIM_CLAMP_EPS) * (5.0 / 7.0)
         assert math.isfinite(got)
         assert got == pytest.approx(expected, rel=1e-9)
 
     def test_rejects_zero_pooler_row(self):
         hL = np.array([[1.0, 0.0]])
         with pytest.raises(ValueError):
-            L.l_tn_modulated(np.zeros((1, 2)), np.ones((1, 2)), hL, hL, self.CFG)
+            L.l_tn_modulated(np.zeros((1, 2)), np.ones((1, 2)), hL, hL)
 
 
 class TestIctn:
-    CFG = L.LossConfig()
-
     def test_aligned_bundle_vanishes(self):
         hL = Tensor(np.array([[1.0, 2.0], [0.5, 0.5]]))
         hP = Tensor(np.array([[1.0, 0.0], [0.0, 2.0]]))
         b = ViewBundle(hL_I=hL, hL_I_plus=hL, hL_II=hL, hL_II_plus=hL,
                        hP_I=hP, hP_I_plus=hP, hP_II=hP, hP_II_plus=hP)
-        assert L.ictn(b, self.CFG).item() == pytest.approx(0.0, abs=1e-12)
+        assert L.ictn(b).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(1)
@@ -193,15 +185,14 @@ class TestIctn:
                              hP_I=b.hP_II, hP_I_plus=b.hP_II_plus,
                              hP_II=b.hP_I, hP_II_plus=b.hP_I_plus)
         # first_view modulation is sim(hL_I, hL_II), symmetric under the swap
-        assert L.ictn(b, self.CFG).item() == pytest.approx(
-            L.ictn(swapped, self.CFG).item(), rel=1e-12)
+        assert L.ictn(b).item() == pytest.approx(L.ictn(swapped).item(), rel=1e-12)
 
     def test_recomposition(self):
         rng = np.random.default_rng(2)
         b = random_bundle(rng)
-        t1 = L.l_tn_modulated(b.hP_I, b.hP_II_plus, b.hL_I, b.hL_II, self.CFG).item()
-        t2 = L.l_tn_modulated(b.hP_II, b.hP_I_plus, b.hL_I, b.hL_II, self.CFG).item()
-        assert L.ictn(b, self.CFG).item() == pytest.approx(t1 + t2, rel=1e-12)
+        t1 = L.l_tn_modulated(b.hP_I, b.hP_II_plus, b.hL_I, b.hL_II).item()
+        t2 = L.l_tn_modulated(b.hP_II, b.hP_I_plus, b.hL_I, b.hL_II).item()
+        assert L.ictn(b).item() == pytest.approx(t1 + t2, rel=1e-12)
 
 
 class TestTotalLoss:
@@ -220,8 +211,8 @@ class TestTotalLoss:
         lb = L.total_loss(b, cfg)
         parts = (L.info_nce(b.hL_I, b.hL_I_plus, cfg.tau).item()
                  + L.info_nce(b.hL_II, b.hL_II_plus, cfg.tau).item()
-                 + L.icnce(b.hL_I, b.hL_II, cfg.tau).item()
-                 + L.ictn(b, cfg).item())
+                 + L.info_nce(b.hL_I, b.hL_II, cfg.tau).item()
+                 + L.ictn(b).item())
         assert lb.total.item() == pytest.approx(parts, rel=1e-12)
 
     def test_empty_terms_rejected(self):
@@ -253,14 +244,13 @@ class TestLossGradients:
                              rng.standard_normal((4, 5)) + 0.2], rtol=1e-6)
 
     def test_ictn_gradient(self):
-        cfg = L.LossConfig()
         for trial in range(3):
             rng = np.random.default_rng(300 + trial)
             mats = [1.0 + rng.random((3, 4)) for _ in range(8)]
 
             def f(*ts):
                 b = ViewBundle(*ts)
-                return L.ictn(b, cfg)
+                return L.ictn(b)
 
             check_gradients(f, mats, rtol=1e-6)
 
