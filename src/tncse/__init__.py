@@ -11,8 +11,8 @@ from .errors import (CheckpointError, ConfigError, DataError, NumericError,
                      TncseError)
 from .evaluation import (EvalReport, alignment, norm_probe, spearman,
                          sts_eval, uniformity)
-from .losses import (LossBundle, LossConfig, ablation_grid, ictn, info_nce,
-                     l_tn, l_tn_kt, l_tn_modulated, total_loss)
+from .losses import (LossConfig, ablation_grid, ictn, info_nce, l_tn, l_tn_kt,
+                     l_tn_modulated, total_loss)
 from .training import (Adam, TrainConfig, TrainLog, ensemble_embed_fn,
                        pretrain_single, significance_suite, train_single_tn,
                        train_tncse)

@@ -16,6 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .data import batch_iter, make_batch
 from .encoder import Encoder, _check_same_vocab
+from .errors import DataError
 from .evaluation import _normalize_rows
 from .losses import _unit_rows
 from .training import TrainConfig, TrainLog, _member_sums, _train
@@ -29,7 +30,7 @@ class EnsembleModel:
             raise ValueError("an ensemble needs at least one encoder")
         dims = {enc.config.hidden_dim for enc in encoders}
         if len(dims) > 1:
-            raise ValueError(f"member hidden dims differ: {sorted(dims)}")
+            raise DataError(f"member hidden dims differ: {sorted(dims)}")
         _check_same_vocab([enc.vocab_hash for enc in encoders], "ensemble members")
         self.encoders = list(encoders)
 
@@ -83,9 +84,7 @@ def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
         return float(batch_loss(probe_batch, train_mode=False).item())
 
     def step_fn(sentences):
-        loss = batch_loss(make_batch(vocab, sentences, max_len), train_mode=True)
-        loss.backward()
-        return {"total": float(loss.item())}
+        return {"total": batch_loss(make_batch(vocab, sentences, max_len), train_mode=True)}
 
     probe_loss_step0 = probe_loss()
     tl = _train([student], corpus, sts_dev, vocab, cfg, step_fn)

@@ -15,7 +15,7 @@ from scipy.stats import spearmanr
 
 from .data import make_batch
 from .encoder import strip_layernorms
-from .errors import DataError
+from .errors import DataError, NumericError
 
 ALIGNMENT_ALPHA = 2
 UNIFORMITY_T = 2
@@ -49,16 +49,21 @@ def cosine_matrix_rows(A, B):
 def sts_eval(embed_fn, dataset):
     """Spearman of embedding-cosine predictions against gold scores.
 
-    ``embed_fn`` maps a list of sentences to an (n, d) array.
+    ``embed_fn`` maps a list of sentences to an (n, d) array.  Collapsed
+    embeddings, which give every pair the same cosine, are a NumericError.
     """
     if not dataset:
         raise DataError("empty STS dataset")
     if len(dataset) < 2:
         raise DataError("Spearman needs at least 2 pairs")
+    gold = np.asarray([p.gold_score for p in dataset], dtype=float)
+    if np.all(gold == gold[0]):
+        raise DataError("STS gold scores are all equal")
     A = embed_fn([p.sentence_a for p in dataset])
     B = embed_fn([p.sentence_b for p in dataset])
     pred = cosine_matrix_rows(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
-    gold = np.asarray([p.gold_score for p in dataset], dtype=float)
+    if np.all(pred == pred[0]):
+        raise NumericError("collapsed embeddings: every predicted cosine is equal")
     return spearman(pred, gold)
 
 

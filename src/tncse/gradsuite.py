@@ -96,7 +96,7 @@ def _loss_cases():
             L.l_tn_modulated,
             lambda r: [0.5 + r.random((3, 4)) for _ in range(4)]),
         "loss_ictn": (lambda *ts: L.ictn(ViewBundle(*ts)), bundle_mats),
-        "loss_total": (lambda *ts: L.total_loss(ViewBundle(*ts), L.LossConfig()).total,
+        "loss_total": (lambda *ts: L.total_loss(ViewBundle(*ts), L.LossConfig())["total"],
                        bundle_mats),
     }
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, as_tensor
+from .autodiff import as_tensor
 from .encoder import ViewBundle
 from .errors import ConfigError
 
@@ -39,22 +39,6 @@ class LossConfig:
         bad = set(self.enabled_terms) - set(TERMS)
         if bad:
             raise ConfigError(f"unknown loss terms {sorted(bad)}")
-
-
-@dataclass
-class LossBundle:
-    l_nce_i: Tensor | None
-    l_nce_ii: Tensor | None
-    l_icnce: Tensor | None
-    l_ictn: Tensor | None
-    total: Tensor
-
-    def scalars(self):
-        def v(t):
-            return None if t is None else float(t.item())
-        return {"nce_i": v(self.l_nce_i), "nce_ii": v(self.l_nce_ii),
-                "icnce": v(self.l_icnce), "ictn": v(self.l_ictn),
-                "total": float(self.total.item())}
 
 
 def _check_nonzero_rows(t, what):
@@ -128,34 +112,26 @@ def ictn(bundle: ViewBundle):
     return term1 + term2
 
 
-def total_loss(bundle: ViewBundle, cfg: LossConfig) -> LossBundle:
-    """Sum of the enabled terms: per-encoder InfoNCE, cross-encoder InfoNCE
-    (InfoNCE across the two encoders' last hidden states of the same batch),
-    and the cross-encoder norm constraint."""
-    l_nce_i = l_nce_ii = l_icnce = l_ictn = None
-    parts = []
+def total_loss(bundle: ViewBundle, cfg: LossConfig) -> dict:
+    """The enabled terms, keyed by trainlog column, plus their sum under
+    ``"total"``: per-encoder InfoNCE, cross-encoder InfoNCE (InfoNCE across
+    the two encoders' last hidden states of the same batch), and the
+    cross-encoder norm constraint."""
+    terms = {}
     if "NCE" in cfg.enabled_terms:
-        l_nce_i = info_nce(bundle.hL_I, bundle.hL_I_plus, cfg.tau)
-        l_nce_ii = info_nce(bundle.hL_II, bundle.hL_II_plus, cfg.tau)
-        parts += [l_nce_i, l_nce_ii]
+        terms["nce_i"] = info_nce(bundle.hL_I, bundle.hL_I_plus, cfg.tau)
+        terms["nce_ii"] = info_nce(bundle.hL_II, bundle.hL_II_plus, cfg.tau)
     if "ICNCE" in cfg.enabled_terms:
-        l_icnce = info_nce(bundle.hL_I, bundle.hL_II, cfg.tau)
-        parts.append(l_icnce)
+        terms["icnce"] = info_nce(bundle.hL_I, bundle.hL_II, cfg.tau)
     if "ICTN" in cfg.enabled_terms:
-        l_ictn = ictn(bundle)
-        parts.append(l_ictn)
-    total = parts[0]
-    for p in parts[1:]:
-        total = total + p
-    return LossBundle(l_nce_i=l_nce_i, l_nce_ii=l_nce_ii,
-                      l_icnce=l_icnce, l_ictn=l_ictn, total=total)
+        terms["ictn"] = ictn(bundle)
+    first, *rest = terms.values()
+    terms["total"] = sum(rest, first)
+    return terms
 
 
 def ablation_grid():
-    """The 7 non-empty loss subsets, in table order, preceded by None
-    (untrained baseline)."""
-    return [None,
-            frozenset({"NCE"}), frozenset({"ICNCE"}), frozenset({"ICTN"}),
+    """The 7 non-empty loss subsets, in table order."""
+    return [frozenset({"NCE"}), frozenset({"ICNCE"}), frozenset({"ICTN"}),
             frozenset({"NCE", "ICNCE"}), frozenset({"NCE", "ICTN"}),
-            frozenset({"ICNCE", "ICTN"}),
-            frozenset({"NCE", "ICNCE", "ICTN"})]
+            frozenset({"ICNCE", "ICTN"}), frozenset({"NCE", "ICNCE", "ICTN"})]

@@ -8,7 +8,7 @@ resolved-config snapshot and a flat run-metadata file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import checkpoint as ckpt
 from .data import build_vocab, load_corpus, load_sts_tsv, load_synonyms
@@ -96,6 +96,8 @@ def resolve_config(file_kv=None, overrides=None, seed=None):
                 raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
     if seed is not None:
         cfg["seed"] = int(seed)
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     return cfg
 
 
@@ -154,16 +156,13 @@ def loss_config(cfg):
     return LossConfig(tau=cfg["loss.tau"], enabled_terms=terms)
 
 
-def train_config(cfg, section, seed, terms=None):
-    """The TrainConfig of the ``pretrain``, ``train`` or ``distill`` section;
-    ``terms`` replaces the enabled loss terms."""
-    lc = loss_config(cfg)
-    if terms is not None:
-        lc = replace(lc, enabled_terms=terms)
+def train_config(cfg, section, seed):
+    """The TrainConfig of the ``pretrain``, ``train`` or ``distill`` section."""
     return TrainConfig(seed=seed, batch_size=cfg[f"{section}.batch_size"],
                        steps=cfg[f"{section}.steps"],
                        learning_rate=cfg[f"{section}.lr"],
-                       eval_interval=cfg[f"{section}.eval_interval"], loss=lc,
+                       eval_interval=cfg[f"{section}.eval_interval"],
+                       loss=loss_config(cfg),
                        augment_p=cfg["pretrain.augment_p"],
                        single_tn_weight=cfg["train.single_tn_weight"])
 
@@ -179,9 +178,9 @@ def new_encoder(cfg, ws, root_seed, which, name):
 
 # -- pipelines -------------------------------------------------------------
 
-def run_pretrain_pair(cfg, ws, out_dir, root_seed=None):
+def run_pretrain_pair(cfg, ws, out_dir):
     """Pretrain encoders I and II independently and checkpoint them."""
-    seed = root_seed if root_seed is not None else cfg["seed"]
+    seed = cfg["seed"]
     prefixes = []
     for which, name in ((1, "I"), (2, "II")):
         enc = new_encoder(cfg, ws, seed, which, name)
@@ -196,13 +195,12 @@ def run_pretrain_pair(cfg, ws, out_dir, root_seed=None):
     return prefixes
 
 
-def run_tncse(cfg, ws, prefix_i, prefix_ii, out_dir, terms=None, root_seed=None):
+def run_tncse(cfg, ws, prefix_i, prefix_ii, out_dir):
     """Joint dual-encoder training from two pretrained checkpoints."""
-    seed = root_seed if root_seed is not None else cfg["seed"]
     enc_i = load_encoder_checked(prefix_i, ws)
     enc_ii = load_encoder_checked(prefix_ii, ws)
     log = train_tncse(enc_i, enc_ii, ws.corpus, ws.sts_dev, ws.vocab,
-                      train_config(cfg, "train", seed, terms))
+                      train_config(cfg, "train", cfg["seed"]))
     out_i = os.path.join(out_dir, "encoder_I")
     out_ii = os.path.join(out_dir, "encoder_II")
     ckpt.save_encoder(enc_i, out_i)
@@ -256,22 +254,21 @@ def run_eval(cfg, ws, model: EnsembleModel):
 
 
 def run_ablation(cfg, ws, out_dir):
-    """Table rows: untrained dual baseline plus the 7 loss subsets."""
+    """Table rows: untrained dual baseline plus the 7 loss subsets.  The
+    baseline is the step-0 validation of the first subset's run, which scores
+    the two pretrained checkpoints before any update."""
     pre_dir = os.path.join(out_dir, "pretrained")
     os.makedirs(pre_dir, exist_ok=True)
     prefix_i, prefix_ii = run_pretrain_pair(cfg, ws, pre_dir)
     rows = []
     for subset in ablation_grid():
-        if subset is None:
-            enc_i = load_encoder_checked(prefix_i, ws)
-            enc_ii = load_encoder_checked(prefix_ii, ws)
-            rho = sts_eval(ensemble_embed_fn([enc_i, enc_ii], ws.vocab), ws.sts_dev)
-            rows.append(("none", rho))
-            continue
         label = "+".join(sorted(subset))
         run_dir = os.path.join(out_dir, f"subset_{label.replace('+', '_')}")
         os.makedirs(run_dir, exist_ok=True)
-        _, log = run_tncse(cfg, ws, prefix_i, prefix_ii, run_dir, terms=subset)
+        _, log = run_tncse({**cfg, "loss.terms": label}, ws, prefix_i, prefix_ii,
+                           run_dir)
+        if not rows:
+            rows.append(("none", log.evals[0][1]))
         rows.append((label, log.best_spearman))
     csv = "loss_terms,val_spearman\n" + "".join(f"{k},{r:.6f}\n" for k, r in rows)
     with open(os.path.join(out_dir, "ablation.csv"), "w", encoding="utf-8") as f:
@@ -285,8 +282,9 @@ def run_significance(cfg, ws, out_dir, seeds=(1, 2, 3, 4, 5)):
     def one_seed(seed):
         run_dir = os.path.join(out_dir, f"seed_{seed}")
         os.makedirs(run_dir, exist_ok=True)
-        prefix_i, prefix_ii = run_pretrain_pair(cfg, ws, run_dir, root_seed=seed)
-        _, log = run_tncse(cfg, ws, prefix_i, prefix_ii, run_dir, root_seed=seed)
+        seed_cfg = {**cfg, "seed": seed}
+        prefix_i, prefix_ii = run_pretrain_pair(seed_cfg, ws, run_dir)
+        _, log = run_tncse(seed_cfg, ws, prefix_i, prefix_ii, run_dir)
         return log.best_spearman
 
     rows, summary = significance_suite(one_seed, seeds)

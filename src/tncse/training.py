@@ -75,22 +75,23 @@ class TrainConfig:
 
 @dataclass
 class TrainLog:
-    step_records: list = field(default_factory=list)   # dicts of term scalars
+    # trainlog.csv columns: the step, every loss term, the validation Spearman
+    COLUMNS = ("step", "nce_i", "nce_ii", "icnce", "ictn", "total", "val_spearman")
+
+    step_records: list = field(default_factory=list)   # step and its term floats
     evals: list = field(default_factory=list)          # (step, val_spearman)
     best_step: int = 0
     best_spearman: float = float("-inf")
 
     def to_csv(self):
-        lines = ["step,nce_i,nce_ii,icnce,ictn,total,val_spearman"]
+        """One row per step; a term the trainer does not have is an empty cell."""
+        lines = [",".join(self.COLUMNS)]
         evals = dict(self.evals)
         for rec in self.step_records:
-            step = rec["step"]
-            def cell(k):
-                v = rec.get(k)
-                return "" if v is None else f"{v:.6f}"
-            val = f"{evals[step]:.6f}" if step in evals else ""
-            lines.append(f"{step},{cell('nce_i')},{cell('nce_ii')},"
-                         f"{cell('icnce')},{cell('ictn')},{cell('total')},{val}")
+            row = {**rec, "val_spearman": evals.get(rec["step"])}
+            cells = ["" if row.get(k) is None else f"{row[k]:.6f}"
+                     for k in self.COLUMNS[1:]]
+            lines.append(",".join([str(rec["step"]), *cells]))
         return "\n".join(lines) + "\n"
 
 
@@ -121,16 +122,28 @@ def ensemble_embed_fn(encoders, vocab, batch_size=64):
     return f
 
 
+def _backward(step_fn, sentences):
+    """One step's forward and backward passes; returns its terms as floats.
+    The step's graph dies with this frame, before Adam steps."""
+    terms = step_fn(sentences)
+    terms["total"].backward()
+    return {k: float(t.item()) for k, t in terms.items()}
+
+
 def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
     """The step loop every trainer shares, distillation included: per-batch
     loss, Adam update, periodic validation of the members' sum embedding,
     best-checkpoint tracking.
 
-    ``step_fn(sentences)`` builds the batch loss, runs its backward pass and
-    returns the step's scalar terms.  Validation runs at step 0, every
-    ``cfg.eval_interval`` steps and at the last step; the best-validated
-    weights, step 0 included, are restored on return unless
-    ``cfg.restore_best`` is false.
+    ``step_fn(sentences)`` builds the batch's loss graph and returns its terms
+    as scalar tensors keyed by trainlog column (``TrainLog.COLUMNS``), only
+    the terms its trainer has, plus the loss to minimize under ``"total"``.
+    This loop alone differentiates ``"total"``, records every term as a
+    float and raises NumericError on the first non-finite one.
+
+    Validation runs at step 0, every ``cfg.eval_interval`` steps and at the
+    last step; the best-validated weights, step 0 included, are restored on
+    return unless ``cfg.restore_best`` is false.
     """
     params = [p for enc in encoders for p in enc.parameters()]
     opt = Adam(params, lr=cfg.learning_rate)
@@ -154,12 +167,12 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
     while step < cfg.steps:
         for sentences in batch_iter(corpus, cfg.batch_size, cfg.seed, epoch):
             step += 1
-            scalars = step_fn(sentences)
-            if not np.isfinite(scalars["total"]):
-                raise NumericError(f"non-finite loss at step {step}")
+            record = _backward(step_fn, sentences)
+            bad = [k for k, v in record.items() if not np.isfinite(v)]
+            if bad:
+                raise NumericError(f"non-finite loss term {bad[0]} at step {step}")
             opt.step()
-            scalars["step"] = step
-            log.step_records.append(scalars)
+            log.step_records.append({"step": step, **record})
             if step % cfg.eval_interval == 0 or step == cfg.steps:
                 evaluate(step)
             if step == cfg.steps:
@@ -177,7 +190,7 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
 def _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table, view_loss):
     """Train one encoder on two dropout passes per batch, the second one
     optionally synonym-augmented; ``view_loss(out, out_plus)`` returns the
-    loss and the step's scalars."""
+    step's loss terms."""
     aug_rng = encoder.streams.get(f"{encoder.name}/augment") if augment_table else None
     max_len = encoder.config.max_seq_len
 
@@ -191,9 +204,7 @@ def _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table, view_lo
             batch2 = batch
         out = encoder.encode(batch, train_mode=True, pass_index=0)
         out_plus = encoder.encode(batch2, train_mode=True, pass_index=1)
-        loss, scalars = view_loss(out, out_plus)
-        loss.backward()
-        return scalars
+        return view_loss(out, out_plus)
 
     return _train([encoder], corpus, sts_dev, vocab, cfg, step_fn)
 
@@ -205,8 +216,7 @@ def pretrain_single(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
 
     def view_loss(out, out_plus):
         loss = L.info_nce(out.last_hidden, out_plus.last_hidden, cfg.loss.tau)
-        return loss, {"nce_i": float(loss.item()), "nce_ii": None, "icnce": None,
-                      "ictn": None, "total": float(loss.item())}
+        return {"nce_i": loss, "total": loss}
 
     return _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table,
                            view_loss)
@@ -220,11 +230,7 @@ def train_tncse(enc_i: Encoder, enc_ii: Encoder, corpus, sts_dev, vocab,
 
     def step_fn(sentences):
         batch = make_batch(vocab, sentences, max_len)
-        bundle = dual_view(enc_i, enc_ii, batch)
-        lb = L.total_loss(bundle, cfg.loss)
-        scalars = lb.scalars()
-        lb.total.backward()
-        return scalars
+        return L.total_loss(dual_view(enc_i, enc_ii, batch), cfg.loss)
 
     return _train([enc_i, enc_ii], corpus, sts_dev, vocab, cfg, step_fn)
 
@@ -238,9 +244,9 @@ def train_single_tn(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
         nce = L.info_nce(out.last_hidden, out_plus.last_hidden, cfg.loss.tau)
         tn = L.l_tn_modulated(out.pooler, out_plus.pooler,
                               out.last_hidden, out_plus.last_hidden)
-        loss = nce + ad.scale(tn, cfg.single_tn_weight)
-        return loss, {"nce_i": float(nce.item()), "nce_ii": None, "icnce": None,
-                      "ictn": float(tn.item()), "total": float(loss.item())}
+        # the own-pair norm term is logged in the ictn column
+        return {"nce_i": nce, "ictn": tn,
+                "total": nce + ad.scale(tn, cfg.single_tn_weight)}
 
     return _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table,
                            view_loss)

@@ -45,6 +45,12 @@ def test_resolve_config_rejects_unknown_key():
         pl.resolve_config({"train.nonsense": "1"})
 
 
+def test_resolve_config_rejects_a_negative_seed_after_the_seed_override():
+    with pytest.raises(ConfigError, match="seed"):
+        pl.resolve_config(seed=-1)
+    assert pl.resolve_config({"seed": "-1"}, seed=2)["seed"] == 2
+
+
 def test_resolve_config_rejects_unparseable_value():
     with pytest.raises(ConfigError, match="cannot parse"):
         pl.resolve_config({"train.steps": "many"})
@@ -176,6 +182,7 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     ("pretrain", ["encoder.max_seq_len=1"]),
     ("pretrain", ["encoder.dropout_p=1.5"]),
     ("pretrain", ["pretrain.augment_p=2"]),
+    ("gen-data", ["seed=-1"]),
     # keys that no longer exist
     ("gen-data", ["data.max_vocab=10"]),
     ("gen-data", ["loss.sim_clamp_eps=0.001"]),
@@ -223,6 +230,24 @@ def test_cli_eval_on_a_broken_manifest_exits_4_with_one_line(data_dir, pair_dir,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("checkpoint-error: "), err
     assert "pooler_w" in err[0]
+
+
+def test_cli_eval_on_mixed_hidden_dims_exits_3_with_one_line(data_dir, pair_dir,
+                                                             tmp_path, capsys):
+    cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",
+                             "data.sts_dev": f"{data_dir}/sts_dev.tsv",
+                             "encoder.hidden_dim": "32"})
+    ws = pl.load_workspace(cfg)
+    ckpt.save_encoder(pl.new_encoder(cfg, ws, 1, 3, "N"), str(pair_dir / "encoder_N"))
+    ckpt.save_ensemble_manifest(["encoder_I", "encoder_N"],
+                                str(pair_dir / "mixed.manifest"))
+    capsys.readouterr()
+    rc = main(["eval", "--out", str(tmp_path / "ev")] + data_args(data_dir)
+              + ["--set", f"eval.checkpoint={pair_dir}/mixed.manifest"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data-error: "), err
+    assert "hidden dims" in err[0]
 
 
 def test_cli_corrupt_sts_file_exits_3(data_dir, tmp_path, capsys):

@@ -28,7 +28,7 @@ def test_ensemble_rejects_empty():
 def test_ensemble_rejects_mismatched_hidden_dims(small_config, small_vocab):
     import dataclasses
     other = dataclasses.replace(small_config, hidden_dim=16, num_heads=4)
-    with pytest.raises(ValueError, match="hidden dims"):
+    with pytest.raises(DataError, match="hidden dims"):
         EnsembleModel([Encoder(small_config, 1), Encoder(other, 2)])
 
 

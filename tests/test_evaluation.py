@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from tncse.data import make_batch
 from tncse.encoder import Encoder, EncoderConfig
-from tncse.errors import DataError
+from tncse.errors import DataError, NumericError
 from tncse.evaluation import (EvalReport, alignment, cosine_matrix_rows,
                               norm_probe, probe_csv, spearman, sts_eval,
                               uniformity)
@@ -117,6 +117,18 @@ def test_sts_eval_rejects_tiny_datasets():
         sts_eval(lambda s: np.ones((len(s), 2)), [])
     with pytest.raises(DataError):
         sts_eval(lambda s: np.ones((len(s), 2)), [StsPair("a", "b", 1.0)])
+
+
+def test_sts_eval_collapsed_embeddings_are_a_numeric_error():
+    """Every sentence mapped to one row gives every pair cosine 1: a model
+    failure (NumericError), unlike constant gold scores (DataError)."""
+    from tncse.data import StsPair
+    pairs = [StsPair(f"a{i}", f"b{i}", float(i)) for i in range(5)]
+    with pytest.raises(NumericError, match="collapsed"):
+        sts_eval(lambda s: np.tile([0.3, -1.2], (len(s), 1)), pairs)
+    flat = [StsPair(f"a{i}", f"b{i}", 2.0) for i in range(5)]
+    with pytest.raises(DataError):
+        sts_eval(lambda s: np.tile([0.3, -1.2], (len(s), 1)), flat)
 
 
 # -- alignment / uniformity ------------------------------------------------

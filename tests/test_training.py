@@ -70,12 +70,15 @@ def test_train_config_rejects_bad_step_schedule():
 
 
 def test_train_log_csv_header_and_rows():
+    """A term a record lacks, or holds as None, is an empty cell."""
     log = TrainLog(step_records=[{"step": 1, "nce_i": 0.5, "nce_ii": None,
-                                  "icnce": None, "ictn": None, "total": 0.5}],
+                                  "icnce": None, "ictn": None, "total": 0.5},
+                                 {"step": 2, "ictn": 0.125, "total": 1.0}],
                    evals=[(1, 0.25)])
     lines = log.to_csv().splitlines()
     assert lines[0] == "step,nce_i,nce_ii,icnce,ictn,total,val_spearman"
     assert lines[1] == "1,0.500000,,,,0.500000,0.250000"
+    assert lines[2] == "2,,,,0.125000,1.000000,"
 
 
 # -- ensemble embedding ----------------------------------------------------
@@ -199,6 +202,35 @@ def test_single_tn_variant_runs_and_logs_the_norm_term(
                           cfg_small(), augment_table=synonyms)
     assert all(r["ictn"] is not None for r in log.step_records)
     assert all(np.isfinite(r["total"]) for r in log.step_records)
+
+
+def test_step_records_hold_exactly_the_trainers_terms(
+        small_corpus, small_dev, small_vocab, small_config, synonyms):
+    """Each trainer records the step and its own loss terms, with no
+    placeholder for a term it does not have."""
+    from tncse.ensemble import EnsembleModel, distill
+    data = (small_corpus, small_dev, small_vocab)
+    cfg = cfg_small(steps=2, eval_interval=2)
+    icnce_only = cfg_small(steps=2, eval_interval=2,
+                           loss=LossConfig(enabled_terms=frozenset({"ICNCE"})))
+
+    def enc(seed):
+        return Encoder(small_config, seed=seed)
+
+    runs = [
+        (pretrain_single(enc(3), *data, cfg), {"nce_i"}),
+        (train_single_tn(enc(3), *data, cfg, augment_table=synonyms),
+         {"nce_i", "ictn"}),
+        (train_tncse(enc(3), enc(4), *data, cfg),
+         {"nce_i", "nce_ii", "icnce", "ictn"}),
+        (train_tncse(enc(3), enc(4), *data, icnce_only), {"icnce"}),
+        (distill(EnsembleModel([enc(5)]), enc(6), *data, cfg).train_log, set()),
+    ]
+    for log, terms in runs:
+        assert [set(r) for r in log.step_records] == \
+            [{"step", "total"} | terms] * 2
+        assert all(isinstance(v, float) for r in log.step_records
+                   for k, v in r.items() if k != "step")
 
 
 # -- significance harness --------------------------------------------------
