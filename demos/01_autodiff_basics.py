@@ -8,7 +8,7 @@ import numpy as np
 
 import tncse.autodiff as ad
 from tncse.autodiff import Tensor
-from tncse.gradcheck import check_gradients, finite_difference_grad
+from tncse.gradsuite import check_gradients, finite_difference_grad
 
 # A scalar function of a matrix: f(X) = sum(tanh(X @ W) * M)
 rng = np.random.default_rng(0)

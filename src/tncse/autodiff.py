@@ -3,7 +3,7 @@
 Values are numpy arrays wrapped in :class:`Tensor`; every primitive records
 its inputs and a backward closure, and ``backward()`` walks the graph in
 reverse topological order.  Training runs in float32; gradient checking
-re-runs the same graph in float64 (see :mod:`tncse.gradcheck`).
+re-runs the same graph in float64 (see :mod:`tncse.gradsuite`).
 """
 
 from __future__ import annotations
@@ -89,32 +89,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return add(self, scale(as_tensor(other), -1.0))
 
-    def __rsub__(self, other):
-        return add(as_tensor(other), scale(self, -1.0))
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
 
 
 def as_tensor(x):

@@ -1,12 +1,14 @@
 """Checkpoint serialization.
 
 An encoder checkpoint is a text manifest (``<prefix>.manifest``) leading
-with the magic string "TNCSE1", followed by format-version, config fields,
-and a tensor directory (name, shape, byte offset), plus a binary blob
-(``<prefix>.bin``) of little-endian float32 values, row-major, in manifest
-order.  Ensemble manifests list member checkpoint prefixes.  Loading checks
-every line, the tensor set and shapes against the config, and the exact
-blob length; any mismatch is a CheckpointError.
+with the magic string "TNCSE1", followed by format-version, the blob's
+SHA-256, config fields, and a tensor directory (name, shape, byte offset),
+plus a binary blob (``<prefix>.bin``) of little-endian float32 values,
+row-major, in manifest order.  Saving writes the blob first and the manifest
+last, each through a temp file, so the manifest commits the checkpoint.
+Ensemble manifests list member checkpoint prefixes.  Loading checks every
+line, the tensor set and shapes against the config, the exact blob length and
+the blob's SHA-256; any mismatch is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -23,34 +25,38 @@ from .encoder import Encoder, EncoderConfig, _param_shapes
 from .errors import CheckpointError
 
 MAGIC = "TNCSE1"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # field -> type in EncoderConfig's declaration order, which the manifest keeps
 _CONFIG_FIELDS = typing.get_type_hints(EncoderConfig)
-_HEADER_FIELDS = {"format-version": str, "seed": int, "name": str, "vocab-hash": str}
+_HEADER_FIELDS = {"format-version": str, "seed": int, "name": str, "vocab-hash": str,
+                  "blob-sha256": str}
+
+
+def _write_replacing(path, data: bytes):
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(data)
+    os.replace(tmp, path)
 
 
 def save_encoder(enc: Encoder, prefix: str):
-    """Write ``<prefix>.manifest`` and ``<prefix>.bin``."""
+    """Write ``<prefix>.bin``, then ``<prefix>.manifest``."""
     os.makedirs(os.path.dirname(os.path.abspath(prefix)), exist_ok=True)
-    names = sorted(enc.params)
-    lines = [MAGIC, f"format-version {FORMAT_VERSION}", f"seed {enc.seed}",
-             f"name {enc.name}", f"vocab-hash {enc.vocab_hash or '-'}"]
-    for field in _CONFIG_FIELDS:
-        lines.append(f"config {field} {getattr(enc.config, field)}")
-    offset = 0
-    blobs = []
-    for name in names:
+    tensor_lines, blobs, offset = [], [], 0
+    for name in sorted(enc.params):
         arr = np.ascontiguousarray(enc.params[name].data, dtype="<f4")
         shape = " ".join(str(s) for s in arr.shape)
-        lines.append(f"tensor {name} {len(arr.shape)} {shape} {offset}")
+        tensor_lines.append(f"tensor {name} {len(arr.shape)} {shape} {offset}")
         blobs.append(arr.tobytes())
         offset += arr.nbytes
-    with open(prefix + ".manifest", "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
-    with open(prefix + ".bin", "wb") as f:
-        for b in blobs:
-            f.write(b)
+    blob = b"".join(blobs)
+    lines = [MAGIC, f"format-version {FORMAT_VERSION}", f"seed {enc.seed}",
+             f"name {enc.name}", f"vocab-hash {enc.vocab_hash or '-'}",
+             f"blob-sha256 {hashlib.sha256(blob).hexdigest()}"]
+    lines += [f"config {field} {getattr(enc.config, field)}" for field in _CONFIG_FIELDS]
+    _write_replacing(prefix + ".bin", blob)
+    _write_replacing(prefix + ".manifest", ("\n".join(lines + tensor_lines) + "\n").encode())
 
 
 def _read_manifest(path, what):
@@ -114,7 +120,9 @@ def load_encoder(prefix: str) -> Encoder:
     blob_path = prefix + ".bin"
     if not os.path.exists(blob_path):
         raise CheckpointError(f"missing weight blob {blob_path}")
-    blob = np.fromfile(blob_path, dtype="<f4")
+    with open(blob_path, "rb") as f:
+        raw = f.read()
+    blob = np.frombuffer(raw, dtype="<f4", count=len(raw) // 4)
     params, start = {}, 0
     for name, (shape, offset) in tensors.items():
         n = math.prod(shape)
@@ -126,9 +134,12 @@ def load_encoder(prefix: str) -> Encoder:
         params[name] = Tensor(blob[start:start + n].reshape(shape).astype(np.float32),
                               requires_grad=True)
         start += n
-    trailing = os.path.getsize(blob_path) - 4 * start
+    trailing = len(raw) - 4 * start
     if trailing:
         raise CheckpointError(f"{blob_path}: {trailing} bytes after the last tensor")
+    if hashlib.sha256(raw).hexdigest() != header["blob-sha256"]:
+        raise CheckpointError(f"{blob_path}: contents do not match the blob-sha256 "
+                              f"of {manifest_path}")
     vocab_hash = header["vocab-hash"]
     return Encoder(config, header["seed"], header["name"],
                    None if vocab_hash == "-" else vocab_hash, params)
@@ -136,7 +147,8 @@ def load_encoder(prefix: str) -> Encoder:
 
 def checkpoint_hash(prefix: str) -> str:
     """SHA-256 over manifest + blob bytes: a fingerprint for comparing runs.
-    Loading does not check it."""
+    Loading checks the blob against the manifest's ``blob-sha256`` line, not
+    against this hash."""
     h = hashlib.sha256()
     for suffix in (".manifest", ".bin"):
         with open(prefix + suffix, "rb") as f:

@@ -8,6 +8,7 @@ and the pretraining-time augmentation that decorrelates the two encoders.
 
 from __future__ import annotations
 
+import collections
 import importlib.resources
 from dataclasses import dataclass
 
@@ -73,10 +74,7 @@ def build_vocab(corpus):
     """Frequency-ranked vocabulary, ties broken lexicographically."""
     if not corpus:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    counts = {}
-    for line in corpus:
-        for tok in line.lower().split():
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = collections.Counter(" ".join(corpus).lower().split())
     return Vocab(sorted(counts, key=lambda t: (-counts[t], t)))
 
 

@@ -32,7 +32,6 @@ class EncoderConfig:
     ffn_dim: int = 256
     dropout_p: float = 0.1
     layernorms_stripped: int = 0
-    pooling_mode: str = "cls"
 
     def __post_init__(self):
         if self.num_heads < 1:
@@ -50,8 +49,6 @@ class EncoderConfig:
                               f"num_heads {self.num_heads}")
         if not 0 <= self.layernorms_stripped <= 2 * self.num_layers:
             raise ConfigError(f"layernorms_stripped must be in [0, {2 * self.num_layers}]")
-        if self.pooling_mode not in ("cls", "mean"):
-            raise ConfigError(f"unknown pooling_mode {self.pooling_mode!r}")
 
 
 @dataclass
@@ -180,12 +177,7 @@ class Encoder:
             out = ad.add(ad.matmul(h, p[f"layer{i}.ffn2_w"]), p[f"layer{i}.ffn2_b"])
             x = maybe_ln(ad.add(x, drop(out)), p[f"layer{i}.ln2_g"], p[f"layer{i}.ln2_b"])
 
-        if c.pooling_mode == "cls":
-            hL = ad.getitem(x, (slice(None), 0))
-        else:
-            counts = mask.sum(axis=1, keepdims=True)
-            hL = ad.div(ad.sum_(ad.mul(x, mask[:, :, None]), axis=1),
-                        Tensor(counts))
+        hL = ad.getitem(x, (slice(None), 0))
         hP = ad.tanh(ad.add(ad.matmul(hL, p["pooler_w"]), p["pooler_b"]))
         return EncoderOutput(last_hidden=hL, pooler=hP)
 

@@ -49,8 +49,9 @@ def cosine_matrix_rows(A, B):
 def sts_eval(embed_fn, dataset):
     """Spearman of embedding-cosine predictions against gold scores.
 
-    ``embed_fn`` maps a list of sentences to an (n, d) array.  Collapsed
-    embeddings, which give every pair the same cosine, are a NumericError.
+    ``embed_fn`` maps a list of sentences to an (n, d) array.  A non-finite
+    embedding, or collapsed embeddings that give every pair the same cosine,
+    are a NumericError.
     """
     if not dataset:
         raise DataError("empty STS dataset")
@@ -59,9 +60,13 @@ def sts_eval(embed_fn, dataset):
     gold = np.asarray([p.gold_score for p in dataset], dtype=float)
     if np.all(gold == gold[0]):
         raise DataError("STS gold scores are all equal")
-    A = embed_fn([p.sentence_a for p in dataset])
-    B = embed_fn([p.sentence_b for p in dataset])
-    pred = cosine_matrix_rows(np.asarray(A, dtype=float), np.asarray(B, dtype=float))
+    A = np.asarray(embed_fn([p.sentence_a for p in dataset]), dtype=float)
+    B = np.asarray(embed_fn([p.sentence_b for p in dataset]), dtype=float)
+    for side, X in (("a", A), ("b", B)):
+        rows = np.flatnonzero(~np.isfinite(X).all(axis=1))
+        if rows.size:
+            raise NumericError(f"non-finite embedding of sentence_{side} in pair {rows[0]}")
+    pred = cosine_matrix_rows(A, B)
     if np.all(pred == pred[0]):
         raise NumericError("collapsed embeddings: every predicted cosine is equal")
     return spearman(pred, gold)

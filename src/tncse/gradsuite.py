@@ -1,9 +1,11 @@
-"""Named finite-difference checks over every differentiable primitive and
-every loss, for the grad-check command and the acceptance suite.
+"""The finite-difference gradient oracle and its named checks over every
+differentiable primitive and every loss, for the grad-check command and the
+test suites.
 
 Each case runs ``n_trials`` random float64 configurations away from the
 declared singular neighborhoods and fails if the relative error of any
-reverse-mode gradient exceeds the tolerance.
+reverse-mode gradient exceeds the tolerance.  All checks run in float64;
+float32 round-off swamps the O(h^2) truncation error of the central stencil.
 """
 
 from __future__ import annotations
@@ -17,7 +19,53 @@ from . import losses as L
 from .autodiff import RngStreams, Tensor
 from .data import TokenBatch
 from .encoder import Encoder, EncoderConfig, ViewBundle
-from .gradcheck import check_gradients
+
+
+def finite_difference_grad(f, x, h=1e-6):
+    """Central-difference gradient of scalar-valued ``f`` at array ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    g = np.zeros_like(x)
+    flat = x.reshape(-1)
+    gflat = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        fp = float(f(x))
+        flat[i] = orig - h
+        fm = float(f(x))
+        flat[i] = orig
+        gflat[i] = (fp - fm) / (2.0 * h)
+    return g
+
+
+def check_gradients(f, inputs, h=1e-6, rtol=1e-6):
+    """Compare reverse-mode and finite-difference gradients of ``f``.
+
+    ``f`` maps a tuple of Tensors to a scalar Tensor.  ``inputs`` is a list
+    of float64 arrays; every one is treated as differentiable.  Returns the
+    worst relative error over all inputs.
+    """
+    tensors = [Tensor(np.asarray(x, dtype=np.float64).copy(), requires_grad=True)
+               for x in inputs]
+    out = f(*tensors)
+    out.backward()
+
+    worst = 0.0
+    for k, t in enumerate(tensors):
+        def f_k(xk, k=k):
+            args = [Tensor(t2.data) for t2 in tensors]
+            args[k] = Tensor(np.asarray(xk, dtype=np.float64))
+            return f(*args).item()
+
+        num = finite_difference_grad(f_k, t.data, h=h)
+        ana = t.grad if t.grad is not None else np.zeros_like(t.data)
+        denom = max(np.linalg.norm(num), np.linalg.norm(ana), 1e-8)
+        err = np.linalg.norm(ana - num) / denom
+        worst = max(worst, float(err))
+    if worst >= rtol:
+        raise AssertionError(f"gradient check failed: relative error {worst:.3e} "
+                             f">= tolerance {rtol:.1e}")
+    return worst
 
 
 @dataclass
@@ -53,6 +101,8 @@ def _primitive_cases():
                    lambda r: [rnd(r, 4, 3), rnd(r, 3, 5)]),
         "matmul_batched": (lambda a, b: ad.sum_(ad.matmul(a, b)),
                            lambda r: [rnd(r, 2, 3, 4), rnd(r, 2, 4, 3)]),
+        "matmul_batched_4d": (lambda a, b: ad.sum_(ad.matmul(a, b)),
+                              lambda r: [rnd(r, 2, 3, 4, 3), rnd(r, 2, 3, 3, 2)]),
         "tanh": (lambda a: ad.sum_(ad.tanh(a)), lambda r: [rnd(r, 3, 4)]),
         "exp": (lambda a: ad.sum_(ad.exp(a)), lambda r: [rnd(r, 3, 4)]),
         "log": (lambda a: ad.sum_(ad.log(a)), lambda r: [0.5 + r.random((3, 4))]),
@@ -65,6 +115,9 @@ def _primitive_cases():
         "getitem": (lambda a: weighted(ad.getitem(a, (np.array([0, 2, 2]), slice(1, 3))),
                                        (3, 2)),
                     lambda r: [rnd(r, 3, 4)]),
+        # the encoder's [CLS] pooling key
+        "getitem_cls": (lambda a: weighted(ad.getitem(a, (slice(None), 0)), (3,)),
+                        lambda r: [rnd(r, 3, 4)]),
         "softmax": (lambda a: weighted(ad.softmax(a), (3, 4)), lambda r: [rnd(r, 3, 4)]),
         "layer_norm": (lambda x, g, b: weighted(ad.layer_norm(x, g, b), (3, 6)),
                        lambda r: [rnd(r, 3, 6), 1.0 + 0.1 * rnd(r, 6), 0.1 * rnd(r, 6)]),
@@ -73,6 +126,7 @@ def _primitive_cases():
         "sum_": (lambda a: weighted(ad.sum_(a, axis=0), (3,)), lambda r: [rnd(r, 4, 3)]),
         "mean": (lambda a: weighted(ad.mean(ad.mul(a, a), axis=1), (4,)),
                  lambda r: [rnd(r, 4, 3)]),
+        "mean_all": (lambda a: ad.mean(ad.mul(a, a)), lambda r: [rnd(r, 5, 2)]),
         "l2_norm": (lambda a: ad.sum_(ad.l2_norm(a, axis=-1)),
                     lambda r: [1.0 + r.random((3, 4))]),
         "rowwise_cosine": (lambda a, b: weighted(ad.rowwise_cosine(a, b), (3,)),
@@ -96,8 +150,9 @@ def _loss_cases():
             L.l_tn_modulated,
             lambda r: [0.5 + r.random((3, 4)) for _ in range(4)]),
         "loss_ictn": (lambda *ts: L.ictn(ViewBundle(*ts)), bundle_mats),
-        "loss_total": (lambda *ts: L.total_loss(ViewBundle(*ts), L.LossConfig())["total"],
-                       bundle_mats),
+        "loss_total_loss": (
+            lambda *ts: L.total_loss(ViewBundle(*ts), L.LossConfig())["total"],
+            bundle_mats),
     }
 
 

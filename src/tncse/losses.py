@@ -32,8 +32,8 @@ class LossConfig:
     enabled_terms: frozenset = frozenset(TERMS)
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ConfigError(f"tau must be positive, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise ConfigError(f"tau must be finite and > 0, got {self.tau}")
         if not self.enabled_terms:
             raise ConfigError("enabled_terms must be non-empty")
         bad = set(self.enabled_terms) - set(TERMS)

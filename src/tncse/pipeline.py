@@ -19,7 +19,7 @@ from .evaluation import (PROBE_SENTENCES, EvalReport, alignment, norm_probe,
                          probe_csv, sts_eval, uniformity)
 from .losses import LossConfig, ablation_grid
 from .training import (TrainConfig, ensemble_embed_fn, pretrain_single,
-                       significance_suite, train_single_tn, train_tncse)
+                       significance_suite, train_tncse)
 
 DEFAULTS = {
     "seed": 1,
@@ -32,7 +32,6 @@ DEFAULTS = {
     "encoder.num_heads": 4,
     "encoder.ffn_dim": 256,
     "encoder.dropout_p": 0.1,
-    "encoder.pooling_mode": "cls",
     "pretrain.steps": 100,
     "pretrain.lr": 1e-3,
     "pretrain.batch_size": 32,
@@ -147,7 +146,6 @@ def encoder_config(cfg, vocab):
         num_heads=cfg["encoder.num_heads"],
         ffn_dim=cfg["encoder.ffn_dim"],
         dropout_p=cfg["encoder.dropout_p"],
-        pooling_mode=cfg["encoder.pooling_mode"],
     )
 
 

@@ -9,6 +9,7 @@ validation embedding is the member sum, matching the inference rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +72,12 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0.0 <= self.augment_p <= 1.0:
             raise ConfigError(f"augment_p must be in [0, 1], got {self.augment_p}")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, "
+                              f"got {self.learning_rate}")
+        if not 0.0 <= self.single_tn_weight < math.inf:
+            raise ConfigError(f"single_tn_weight must be finite and >= 0, "
+                              f"got {self.single_tn_weight}")
 
 
 @dataclass

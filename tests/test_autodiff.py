@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tncse import autodiff as ad
+from tncse import losses as L
 from tncse.autodiff import RngStreams, Tensor
-from tncse.gradcheck import check_gradients
-from tncse.gradsuite import _primitive_cases
+from tncse.gradsuite import _loss_cases, _primitive_cases, check_gradients
 
 
 def rand(rng, *shape):
@@ -28,16 +28,6 @@ class TestMatmul:
     def test_shape_mismatch_reports_both_shapes(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
             ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-
-    def test_gradient_vs_finite_differences(self):
-        rng = np.random.default_rng(1)
-        check_gradients(lambda a, b: ad.sum_(ad.matmul(a, b)),
-                        [rand(rng, 4, 3), rand(rng, 3, 5)], rtol=1e-6)
-
-    def test_batched_gradient(self):
-        rng = np.random.default_rng(2)
-        check_gradients(lambda a, b: ad.sum_(ad.matmul(a, b)),
-                        [rand(rng, 2, 3, 4, 3), rand(rng, 2, 3, 3, 2)], rtol=1e-6)
 
 
 class TestLayerNorm:
@@ -63,14 +53,6 @@ class TestLayerNorm:
     def test_rejects_width_one(self):
         with pytest.raises(ValueError):
             ad.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]))
-
-    def test_gradient(self):
-        rng = np.random.default_rng(4)
-        check_gradients(
-            lambda x, g, b: ad.sum_(ad.mul(ad.layer_norm(x, g, b),
-                                           Tensor(rand(np.random.default_rng(9), 3, 6)))),
-            [rand(rng, 3, 6), 1.0 + 0.1 * rand(rng, 6), 0.1 * rand(rng, 6)],
-            rtol=1e-6)
 
 
 class TestNormAndCosine:
@@ -150,41 +132,28 @@ class TestEngineContracts:
         assert np.all(np.isfinite(x.grad))
 
 
-PRIMITIVE_CASES = {
-    "add": (lambda a, b: ad.sum_(ad.add(a, b)), lambda r: [r.standard_normal((3, 4)), r.standard_normal(4)]),
-    "mul": (lambda a, b: ad.sum_(ad.mul(a, b)), lambda r: [r.standard_normal((3, 4)), r.standard_normal((3, 4))]),
-    "div": (lambda a, b: ad.sum_(ad.div(a, b)), lambda r: [r.standard_normal((3, 4)), 1.5 + r.random((3, 4))]),
-    "scale": (lambda a: ad.sum_(ad.scale(a, -1.7)), lambda r: [r.standard_normal((3, 4))]),
-    "tanh": (lambda a: ad.sum_(ad.tanh(a)), lambda r: [r.standard_normal((3, 4))]),
-    "exp": (lambda a: ad.sum_(ad.exp(a)), lambda r: [r.standard_normal((3, 4))]),
-    "log": (lambda a: ad.sum_(ad.log(a)), lambda r: [0.5 + r.random((3, 4))]),
-    "sqrt": (lambda a: ad.sum_(ad.sqrt(a)), lambda r: [0.5 + r.random((3, 4))]),
-    "softmax": (lambda a: ad.sum_(ad.mul(ad.softmax(a),
-                                         Tensor(np.arange(12.0).reshape(3, 4)))),
-                lambda r: [r.standard_normal((3, 4))]),
-    "mean": (lambda a: ad.mean(ad.mul(a, a)), lambda r: [r.standard_normal((5, 2))]),
-    "getitem": (lambda a: ad.sum_(ad.getitem(a, (slice(None), 0))), lambda r: [r.standard_normal((3, 4))]),
-    "reshape": (lambda a: ad.sum_(ad.mul(ad.reshape(a, (2, 6)), ad.reshape(a, (2, 6)))),
-                lambda r: [r.standard_normal((3, 4))]),
-    "transpose": (lambda a: ad.sum_(ad.mul(ad.transpose(a, (1, 0)), ad.transpose(a, (1, 0)))),
-                  lambda r: [r.standard_normal((3, 4))]),
-    "l2_norm": (lambda a: ad.sum_(ad.l2_norm(a, axis=-1)), lambda r: [1.0 + r.random((3, 4))]),
-    "embedding": (lambda t: ad.sum_(ad.mul(ad.embedding(t, np.array([0, 2, 2, 1])),
-                                           Tensor(np.arange(12.0).reshape(4, 3)))),
-                  lambda r: [r.standard_normal((3, 3))]),
-}
+GRADIENT_CASES = {**_primitive_cases(), **_loss_cases()}
 
 
-@pytest.mark.parametrize("name", sorted(PRIMITIVE_CASES))
-def test_primitive_gradients(name):
-    f, make = PRIMITIVE_CASES[name]
+@pytest.mark.parametrize("name", sorted(GRADIENT_CASES))
+def test_gradsuite_case_matches_finite_differences(name):
+    f, make = GRADIENT_CASES[name]
     for trial in range(5):
         rng = np.random.default_rng(1000 + 17 * trial)
         check_gradients(f, make(rng), rtol=1e-6)
 
 
+def _public_functions(module):
+    return {name for name, obj in vars(module).items()
+            if inspect.isfunction(obj) and obj.__module__ == module.__name__
+            and not name.startswith("_")}
+
+
 def test_gradsuite_has_a_case_for_every_public_primitive():
-    public = {name for name, obj in vars(ad).items()
-              if inspect.isfunction(obj) and obj.__module__ == ad.__name__
-              and not name.startswith("_") and name != "as_tensor"}
-    assert public - set(_primitive_cases()) == set()
+    assert _public_functions(ad) - {"as_tensor"} - set(_primitive_cases()) == set()
+
+
+def test_gradsuite_has_a_case_for_every_graph_building_loss():
+    # l_tn_kt is the closed form on floats; ablation_grid builds no graph
+    losses = _public_functions(L) - {"l_tn_kt", "ablation_grid"}
+    assert {f"loss_{name}" for name in losses} - set(_loss_cases()) == set()

@@ -1,12 +1,15 @@
 """Checkpoint format: roundtrip fidelity, corruption detection, hashing,
 and ensemble manifests."""
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tncse.checkpoint import (checkpoint_hash, load_encoder,
+from tncse.checkpoint import (FORMAT_VERSION, checkpoint_hash, load_encoder,
                               load_ensemble_manifest, save_encoder,
                               save_ensemble_manifest)
 from tncse.data import TokenBatch
@@ -60,12 +63,14 @@ def test_load_rejects_bad_magic(small_encoder, tmp_path):
         load_encoder(prefix)
 
 
-def test_load_rejects_unsupported_version(small_encoder, tmp_path):
+@pytest.mark.parametrize("version", ["1", "99"])
+def test_load_rejects_unsupported_version(small_encoder, tmp_path, version):
     prefix = str(tmp_path / "enc")
     save_encoder(small_encoder, prefix)
     manifest = Path(prefix + ".manifest")
     text = manifest.read_text(encoding="utf-8")
-    manifest.write_text(text.replace("format-version 1", "format-version 99"),
+    manifest.write_text(text.replace(f"format-version {FORMAT_VERSION}",
+                                     f"format-version {version}"),
                         encoding="utf-8")
     with pytest.raises(CheckpointError, match="format-version"):
         load_encoder(prefix)
@@ -91,7 +96,7 @@ def test_load_rejects_trailing_blob_bytes(small_encoder, tmp_path):
 
 TINY = EncoderConfig(vocab_size=12, max_seq_len=6, hidden_dim=8, num_layers=1,
                      num_heads=2, ffn_dim=12)
-# magic, 4 header lines, 9 config lines and 20 tensor lines
+# magic, 5 header lines, 8 config lines and 20 tensor lines
 TINY_MANIFEST_LINES = 34
 MUTATIONS = {
     "delete": lambda line: None,
@@ -131,6 +136,64 @@ def test_load_rejects_missing_blob(small_encoder, tmp_path):
     (tmp_path / "enc.bin").unlink()
     with pytest.raises(CheckpointError, match="blob"):
         load_encoder(prefix)
+
+
+def test_stale_blob_of_the_right_length_is_rejected(tmp_path):
+    """A save killed after the manifest but before the blob leaves a new
+    manifest beside an old blob of the same length."""
+    prefix = str(tmp_path / "enc")
+    save_encoder(Encoder(TINY, seed=3, name="I"), prefix)
+    old_blob = Path(prefix + ".bin").read_bytes()
+    save_encoder(Encoder(TINY, seed=4, name="I"), prefix)
+    Path(prefix + ".bin").write_bytes(old_blob)
+    with pytest.raises(CheckpointError, match=r"enc\.bin.*blob-sha256"):
+        load_encoder(prefix)
+
+
+def test_interrupted_save_never_loads_stale_weights(tmp_path, monkeypatch):
+    """The blob is replaced before the manifest; a save that dies between
+    the two leaves a pair that fails to load."""
+    prefix = str(tmp_path / "enc")
+    save_encoder(Encoder(TINY, seed=3, name="I"), prefix)
+    replaced = []
+
+    def replace_then_die(src, dst):
+        if replaced:
+            raise OSError("killed")
+        replaced.append(dst)
+        os.rename(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace_then_die)
+    with pytest.raises(OSError, match="killed"):
+        save_encoder(Encoder(TINY, seed=4, name="I"), prefix)
+    monkeypatch.undo()
+    assert replaced == [prefix + ".bin"]
+    with pytest.raises(CheckpointError, match="blob-sha256"):
+        load_encoder(prefix)
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    prefix = str(tmp_path_factory.mktemp("tiny") / "enc")
+    save_encoder(Encoder(TINY, seed=3, name="I"), prefix)
+    return prefix, Path(prefix + ".bin").read_bytes()
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_any_flipped_blob_byte_is_a_checkpoint_error(tiny_checkpoint, data):
+    prefix, blob = tiny_checkpoint
+    flips = data.draw(st.dictionaries(st.integers(0, len(blob) - 1),
+                                      st.integers(1, 255), min_size=1, max_size=8))
+    mutated = bytearray(blob)
+    for pos, mask in flips.items():
+        mutated[pos] ^= mask
+    Path(prefix + ".bin").write_bytes(bytes(mutated))
+    try:
+        with pytest.raises(CheckpointError, match="blob-sha256"):
+            load_encoder(prefix)
+    finally:
+        Path(prefix + ".bin").write_bytes(blob)
 
 
 def test_checkpoint_hash_is_stable_and_tamper_sensitive(small_encoder, tmp_path):

@@ -183,7 +183,15 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     ("pretrain", ["encoder.dropout_p=1.5"]),
     ("pretrain", ["pretrain.augment_p=2"]),
     ("gen-data", ["seed=-1"]),
+    ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II",
+               "train.lr=-1"]),
+    ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II",
+               "train.lr=nan"]),
+    ("train-single-tn", ["train.single_tn_weight=-0.3"]),
+    ("pretrain", ["loss.tau=nan"]),
+    ("pretrain", ["loss.tau=inf"]),
     # keys that no longer exist
+    ("gen-data", ["encoder.pooling_mode=cls"]),
     ("gen-data", ["data.max_vocab=10"]),
     ("gen-data", ["loss.sim_clamp_eps=0.001"]),
     ("gen-data", ["loss.norm_eps=0"]),

@@ -131,6 +131,21 @@ def test_sts_eval_collapsed_embeddings_are_a_numeric_error():
         sts_eval(lambda s: np.tile([0.3, -1.2], (len(s), 1)), flat)
 
 
+@pytest.mark.parametrize("side, bad", [("a", np.nan), ("b", np.inf)])
+def test_sts_eval_names_the_first_non_finite_embedding(side, bad):
+    from tncse.data import StsPair
+    pairs = [StsPair(f"a{i}", f"b{i}", float(i)) for i in range(5)]
+
+    def embed(sentences):
+        X = np.array([[1.0 + i, 2.0 - i] for i in range(len(sentences))])
+        if sentences[0].startswith(side):
+            X[3, 1] = X[4, 0] = bad
+        return X
+
+    with pytest.raises(NumericError, match=f"sentence_{side} in pair 3"):
+        sts_eval(embed, pairs)
+
+
 # -- alignment / uniformity ------------------------------------------------
 
 def test_alignment_zero_for_identical_pairs():

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from tncse import losses as L
 from tncse.autodiff import Tensor
 from tncse.encoder import ViewBundle
-from tncse.gradcheck import check_gradients
 
 
 def random_bundle(rng, batch=4, d=6):
@@ -227,39 +226,3 @@ class TestTotalLoss:
         assert len(subsets) == 7
         assert frozenset({"NCE", "ICNCE", "ICTN"}) in subsets
 
-
-class TestLossGradients:
-    def test_l_tn_gradient(self):
-        for trial in range(5):
-            rng = np.random.default_rng(100 + trial)
-            check_gradients(lambda h, hp: L.l_tn(h, hp),
-                            [1.0 + rng.random(5), -1.0 - rng.random(5)], rtol=1e-6)
-
-    def test_info_nce_gradient(self):
-        for trial in range(5):
-            rng = np.random.default_rng(200 + trial)
-            check_gradients(lambda H, Hp: L.info_nce(H, Hp, tau=0.5),
-                            [rng.standard_normal((4, 5)) + 0.2,
-                             rng.standard_normal((4, 5)) + 0.2], rtol=1e-6)
-
-    def test_ictn_gradient(self):
-        for trial in range(3):
-            rng = np.random.default_rng(300 + trial)
-            mats = [1.0 + rng.random((3, 4)) for _ in range(8)]
-
-            def f(*ts):
-                b = ViewBundle(*ts)
-                return L.ictn(b)
-
-            check_gradients(f, mats, rtol=1e-6)
-
-    def test_total_loss_gradient(self):
-        cfg = L.LossConfig()
-        for trial in range(3):
-            rng = np.random.default_rng(400 + trial)
-            mats = [0.5 + rng.random((3, 4)) for _ in range(8)]
-
-            def f(*ts):
-                return L.total_loss(ViewBundle(*ts), cfg)["total"]
-
-            check_gradients(f, mats, rtol=1e-6)
