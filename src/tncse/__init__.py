@@ -14,7 +14,6 @@ from .evaluation import (EvalReport, alignment, norm_probe, spearman,
 from .losses import (LossConfig, ablation_grid, ictn, info_nce, l_tn, l_tn_kt,
                      l_tn_modulated, total_loss)
 from .training import (Adam, TrainConfig, TrainLog, ensemble_embed_fn,
-                       pretrain_single, significance_suite, train_single_tn,
-                       train_tncse)
+                       pretrain_single, train_single_tn, train_tncse)
 
 __version__ = "0.1.0"

@@ -212,41 +212,35 @@ def getitem(a, key):
     return _node(a.data[key], (a,), bw)
 
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def bw(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).copy(),)
-        gg = g if keepdims else np.expand_dims(g, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         return (np.broadcast_to(gg, a.shape).copy(),)
 
     return _node(out, (a,), bw)
 
 
-def mean(a, axis=None, keepdims=False):
+def mean(a, axis=None):
     a = as_tensor(a)
-    if axis is None:
-        n = a.data.size
-    else:
-        n = a.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
+    n = a.data.size if axis is None else a.shape[axis]
+    return scale(sum_(a, axis=axis), 1.0 / n)
 
 
 # -- linear algebra --------------------------------------------------------
 
 def matmul(a, b):
+    """Matrix product of operands with 2 or more dims; leading dims broadcast."""
     a, b = as_tensor(a), as_tensor(b)
-    if a.shape[-1] != b.shape[-2 if b.data.ndim > 1 else 0]:
+    if min(a.data.ndim, b.data.ndim) < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     out = np.matmul(a.data, b.data)
 
     def bw(g):
-        bt = np.swapaxes(b.data, -1, -2) if b.data.ndim > 1 else b.data[None, :]
-        at = np.swapaxes(a.data, -1, -2) if a.data.ndim > 1 else a.data[None, :]
-        ga = np.matmul(g, bt) if g.ndim > 1 or b.data.ndim > 1 else np.outer(g, b.data)
-        gb = np.matmul(at, g)
+        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
         return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
 
     return _node(out, (a, b), bw)

@@ -15,7 +15,6 @@ import sys
 import time
 
 from . import __version__
-from . import checkpoint as ckpt
 from . import pipeline as pl
 from .data import save_corpus, save_sts_tsv, synth_corpus
 from .errors import ConfigError, TncseError
@@ -125,16 +124,8 @@ def _cmd_train(args, cfg, out_dir):
 
 
 def _cmd_train_single_tn(args, cfg, out_dir):
-    from .training import train_single_tn
     ws = pl.load_workspace(cfg)
-    enc = pl.new_encoder(cfg, ws, cfg["seed"], 1, "S")
-    tcfg = pl.train_config(cfg, "pretrain", cfg["seed"])
-    log = train_single_tn(enc, ws.corpus, ws.sts_dev, ws.vocab, tcfg,
-                          augment_table=ws.synonyms)
-    prefix = os.path.join(out_dir, "encoder_S")
-    ckpt.save_encoder(enc, prefix)
-    with open(os.path.join(out_dir, "trainlog.csv"), "w", encoding="utf-8") as f:
-        f.write(log.to_csv())
+    _, log = pl.run_single_tn(cfg, ws, out_dir)
     _finish(cfg, out_dir, {"command": "train-single-tn", "best_step": log.best_step,
                            "best_val_spearman": f"{log.best_spearman:.6f}"})
     print(f"best validation Spearman {log.best_spearman:.4f} at step {log.best_step}")
@@ -190,8 +181,8 @@ def _cmd_significance(args, cfg, out_dir):
     ws = pl.load_workspace(cfg)
     rows, summary = pl.run_significance(cfg, ws, out_dir)
     _finish(cfg, out_dir, {"command": "significance", **summary})
-    for r in rows:
-        print(f"seed {r.seed}: {r.spearman:.4f}")
+    for seed, rho in rows:
+        print(f"seed {seed}: {rho:.4f}")
     print(f"mean {summary['mean']:.4f} std {summary['std']:.4f}")
     return 0
 

@@ -60,15 +60,6 @@ class Vocab:
             for i in range(len(self)):
                 f.write(self.id_to_token[i] + "\n")
 
-    @classmethod
-    def load(cls, path):
-        with open(path, encoding="utf-8") as f:
-            toks = [line.rstrip("\n") for line in f]
-        reserved = [t for t, _ in _RESERVED]
-        if toks[:4] != reserved:
-            raise DataError(f"vocab file {path} does not start with reserved tokens")
-        return cls(toks[4:])
-
 
 def build_vocab(corpus):
     """Frequency-ranked vocabulary, ties broken lexicographically."""
@@ -244,10 +235,16 @@ def synth_corpus(seed, n_sentences=2048, n_pairs=128):
 
 # -- file formats ----------------------------------------------------------
 
+def _read_lines(path):
+    try:
+        with open(path, encoding="utf-8") as f:
+            return f.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path}: {exc}") from None
+
+
 def load_corpus(path):
-    with open(path, encoding="utf-8") as f:
-        lines = [line.strip() for line in f]
-    corpus = [line for line in lines if line]
+    corpus = [line.strip() for line in _read_lines(path) if line.strip()]
     if not corpus:
         raise DataError(f"corpus file {path} contains no sentences")
     return corpus
@@ -261,19 +258,17 @@ def save_corpus(corpus, path):
 
 def load_sts_tsv(path):
     pairs = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns")
-            try:
-                score = float(cols[2])
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric score {cols[2]!r}") from None
-            pairs.append(StsPair(cols[0], cols[1], score))
+    for lineno, line in enumerate(_read_lines(path), start=1):
+        if not line.strip():
+            continue
+        cols = line.split("\t")
+        if len(cols) != 3:
+            raise DataError(f"{path}:{lineno}: expected 3 tab-separated columns")
+        try:
+            score = float(cols[2])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric score {cols[2]!r}") from None
+        pairs.append(StsPair(cols[0], cols[1], score))
     if not pairs:
         raise DataError(f"STS file {path} contains no pairs")
     return pairs

@@ -10,16 +10,18 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import checkpoint as ckpt
 from .data import build_vocab, load_corpus, load_sts_tsv, load_synonyms
 from .encoder import Encoder, EncoderConfig, _check_same_vocab
 from .ensemble import EnsembleModel, distill
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, TncseError
 from .evaluation import (PROBE_SENTENCES, EvalReport, alignment, norm_probe,
                          probe_csv, sts_eval, uniformity)
 from .losses import LossConfig, ablation_grid
 from .training import (TrainConfig, ensemble_embed_fn, pretrain_single,
-                       significance_suite, train_tncse)
+                       train_single_tn, train_tncse)
 
 DEFAULTS = {
     "seed": 1,
@@ -63,7 +65,7 @@ def parse_config_file(path):
     try:
         with open(path, encoding="utf-8") as f:
             lines = f.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from None
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
@@ -100,17 +102,24 @@ def resolve_config(file_kv=None, overrides=None, seed=None):
     return cfg
 
 
+def _write_text(path, text):
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(text)
+
+
+def _write_table(path, header, rows):
+    """A ``label,value`` CSV with values to six decimals."""
+    _write_text(path, header + "\n" + "".join(f"{k},{v:.6f}\n" for k, v in rows))
+
+
 def write_metadata(path, kv):
     """Flat key-value run metadata file."""
-    with open(path, "w", encoding="utf-8") as f:
-        for k, v in kv.items():
-            f.write(f"{k} {v}\n")
+    _write_text(path, "".join(f"{k} {v}\n" for k, v in kv.items()))
 
 
 def write_resolved_config(cfg, out_dir):
-    with open(os.path.join(out_dir, "resolved-config.txt"), "w", encoding="utf-8") as f:
-        for key in sorted(cfg):
-            f.write(f"{key} = {cfg[key]}\n")
+    _write_text(os.path.join(out_dir, "resolved-config.txt"),
+                "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg)))
 
 
 @dataclass
@@ -128,8 +137,8 @@ def load_workspace(cfg) -> Workspace:
     if not cfg["data.sts_dev"]:
         raise ConfigError("data.sts_dev is required")
     for key in ("data.corpus", "data.sts_dev", "data.sts_test"):
-        if cfg[key] and not os.path.exists(cfg[key]):
-            raise ConfigError(f"{key} path {cfg[key]} does not exist")
+        if cfg[key] and not os.path.isfile(cfg[key]):
+            raise ConfigError(f"{key} path {cfg[key]} is not an existing file")
     corpus = load_corpus(cfg["data.corpus"])
     sts_dev = load_sts_tsv(cfg["data.sts_dev"])
     sts_test = load_sts_tsv(cfg["data.sts_test"]) if cfg["data.sts_test"] else None
@@ -176,21 +185,35 @@ def new_encoder(cfg, ws, root_seed, which, name):
 
 # -- pipelines -------------------------------------------------------------
 
+def _map_runs(kind, fn, jobs):
+    """Call ``fn(*args)`` for each ``(label, args)`` job in table order and
+    return the results.  A failure is re-raised naming its run; a TncseError
+    keeps its class, and so its CLI exit status."""
+    results = []
+    for label, args in jobs:
+        try:
+            results.append(fn(*args))
+        except Exception as exc:
+            cls = type(exc) if isinstance(exc, TncseError) else TncseError
+            raise cls(f"{kind} run {label} failed: {exc}") from exc
+    return results
+
+
 def run_pretrain_pair(cfg, ws, out_dir):
     """Pretrain encoders I and II independently and checkpoint them."""
     seed = cfg["seed"]
-    prefixes = []
-    for which, name in ((1, "I"), (2, "II")):
+
+    def one_encoder(which, name):
         enc = new_encoder(cfg, ws, seed, which, name)
         log = pretrain_single(enc, ws.corpus, ws.sts_dev, ws.vocab,
                               train_config(cfg, "pretrain", seed + which - 1),
                               augment_table=ws.synonyms)
         prefix = os.path.join(out_dir, f"encoder_{name}")
         ckpt.save_encoder(enc, prefix)
-        with open(prefix + ".trainlog.csv", "w", encoding="utf-8") as f:
-            f.write(log.to_csv())
-        prefixes.append(prefix)
-    return prefixes
+        _write_text(prefix + ".trainlog.csv", log.to_csv())
+        return prefix
+
+    return _map_runs("pretrain", one_encoder, [("I", (1, "I")), ("II", (2, "II"))])
 
 
 def run_tncse(cfg, ws, prefix_i, prefix_ii, out_dir):
@@ -205,8 +228,7 @@ def run_tncse(cfg, ws, prefix_i, prefix_ii, out_dir):
     ckpt.save_encoder(enc_ii, out_ii)
     ckpt.save_ensemble_manifest(["encoder_I", "encoder_II"],
                                 os.path.join(out_dir, "ensemble.manifest"))
-    with open(os.path.join(out_dir, "trainlog.csv"), "w", encoding="utf-8") as f:
-        f.write(log.to_csv())
+    _write_text(os.path.join(out_dir, "trainlog.csv"), log.to_csv())
     return (enc_i, enc_ii), log
 
 
@@ -258,24 +280,24 @@ def run_ablation(cfg, ws, out_dir):
     pre_dir = os.path.join(out_dir, "pretrained")
     os.makedirs(pre_dir, exist_ok=True)
     prefix_i, prefix_ii = run_pretrain_pair(cfg, ws, pre_dir)
-    rows = []
-    for subset in ablation_grid():
-        label = "+".join(sorted(subset))
+    labels = ["+".join(sorted(subset)) for subset in ablation_grid()]
+
+    def one_subset(label):
         run_dir = os.path.join(out_dir, f"subset_{label.replace('+', '_')}")
         os.makedirs(run_dir, exist_ok=True)
-        _, log = run_tncse({**cfg, "loss.terms": label}, ws, prefix_i, prefix_ii,
-                           run_dir)
-        if not rows:
-            rows.append(("none", log.evals[0][1]))
-        rows.append((label, log.best_spearman))
-    csv = "loss_terms,val_spearman\n" + "".join(f"{k},{r:.6f}\n" for k, r in rows)
-    with open(os.path.join(out_dir, "ablation.csv"), "w", encoding="utf-8") as f:
-        f.write(csv)
+        return run_tncse({**cfg, "loss.terms": label}, ws, prefix_i, prefix_ii,
+                         run_dir)[1]
+
+    logs = _map_runs("ablation", one_subset, [(label, (label,)) for label in labels])
+    rows = [("none", logs[0].evals[0][1])]
+    rows += [(label, log.best_spearman) for label, log in zip(labels, logs)]
+    _write_table(os.path.join(out_dir, "ablation.csv"), "loss_terms,val_spearman", rows)
     return rows
 
 
 def run_significance(cfg, ws, out_dir, seeds=(1, 2, 3, 4, 5)):
-    """Full pipeline per seed; rows plus mean/std/min/max summary."""
+    """Full pipeline per seed; ``(seed, rho)`` rows plus a mean/std/min/max
+    summary."""
 
     def one_seed(seed):
         run_dir = os.path.join(out_dir, f"seed_{seed}")
@@ -283,15 +305,15 @@ def run_significance(cfg, ws, out_dir, seeds=(1, 2, 3, 4, 5)):
         seed_cfg = {**cfg, "seed": seed}
         prefix_i, prefix_ii = run_pretrain_pair(seed_cfg, ws, run_dir)
         _, log = run_tncse(seed_cfg, ws, prefix_i, prefix_ii, run_dir)
-        return log.best_spearman
+        return float(log.best_spearman)
 
-    rows, summary = significance_suite(one_seed, seeds)
-    lines = ["seed,val_spearman"]
-    lines += [f"{r.seed},{r.spearman:.6f}" for r in rows]
-    lines += [f"mean,{summary['mean']:.6f}", f"std,{summary['std']:.6f}",
-              f"min,{summary['min']:.6f}", f"max,{summary['max']:.6f}"]
-    with open(os.path.join(out_dir, "significance.csv"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    rhos = _map_runs("significance", one_seed, [(f"seed {s}", (s,)) for s in seeds])
+    rows = list(zip(seeds, rhos))
+    values = np.array(rhos)
+    summary = {"mean": float(values.mean()), "std": float(values.std()),
+               "min": float(values.min()), "max": float(values.max())}
+    _write_table(os.path.join(out_dir, "significance.csv"), "seed,val_spearman",
+                 rows + list(summary.items()))
     return rows, summary
 
 
@@ -302,11 +324,20 @@ def run_distill(cfg, ws, out_dir):
     teacher = load_model(cfg["distill.teacher"], ws)
     student = new_encoder(cfg, ws, cfg["seed"], 3, "D")
     log = distill(teacher, student, ws.corpus, ws.sts_dev, ws.vocab, dcfg)
-    prefix = os.path.join(out_dir, "student")
-    ckpt.save_encoder(student, prefix)
-    with open(os.path.join(out_dir, "trainlog.csv"), "w", encoding="utf-8") as f:
-        f.write(log.train_log.to_csv())
+    ckpt.save_encoder(student, os.path.join(out_dir, "student"))
+    _write_text(os.path.join(out_dir, "trainlog.csv"), log.train_log.to_csv())
     return student, log
+
+
+def run_single_tn(cfg, ws, out_dir):
+    """The single-encoder norm-constraint variant under the pretrain section."""
+    enc = new_encoder(cfg, ws, cfg["seed"], 1, "S")
+    log = train_single_tn(enc, ws.corpus, ws.sts_dev, ws.vocab,
+                          train_config(cfg, "pretrain", cfg["seed"]),
+                          augment_table=ws.synonyms)
+    ckpt.save_encoder(enc, os.path.join(out_dir, "encoder_S"))
+    _write_text(os.path.join(out_dir, "trainlog.csv"), log.to_csv())
+    return enc, log
 
 
 def run_norm_probe(cfg, ws, out_dir):
@@ -321,6 +352,5 @@ def run_norm_probe(cfg, ws, out_dir):
     except ValueError:
         raise ConfigError(f"probe.strip_counts: cannot parse {raw!r}") from None
     rows = norm_probe(enc, sents, strip_counts, ws.vocab)
-    with open(os.path.join(out_dir, "norm_probe.csv"), "w", encoding="utf-8") as f:
-        f.write(probe_csv(rows))
+    _write_text(os.path.join(out_dir, "norm_probe.csv"), probe_csv(rows))
     return rows

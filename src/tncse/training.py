@@ -1,6 +1,6 @@
 """Training loops: single-encoder contrastive pretraining, joint
-dual-encoder training on the combined objective, the single-encoder
-norm-constraint variant, and the seeds-1-to-5 significance harness.
+dual-encoder training on the combined objective and the single-encoder
+norm-constraint variant.
 
 All of them, and distillation, run one step loop under one TrainConfig.
 Checkpoint selection follows validation Spearman; during dual training the
@@ -18,7 +18,7 @@ from . import autodiff as ad
 from . import losses as L
 from .data import batch_iter, make_batch, synonym_substitute
 from .encoder import Encoder, dual_view
-from .errors import ConfigError, NumericError, TncseError
+from .errors import ConfigError, NumericError
 from .evaluation import sts_eval
 
 
@@ -257,28 +257,4 @@ def train_single_tn(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
 
     return _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table,
                            view_loss)
-
-
-@dataclass
-class SignificanceRow:
-    seed: int
-    spearman: float
-
-
-def significance_suite(run_fn, seeds=(1, 2, 3, 4, 5)):
-    """Run ``run_fn(seed) -> final validation Spearman`` per seed; report
-    per-seed rows plus mean/std/min/max."""
-    rows = []
-    for seed in seeds:
-        try:
-            rho = float(run_fn(seed))
-        except Exception as exc:
-            # keep a TncseError's class so the CLI exit status survives
-            cls = type(exc) if isinstance(exc, TncseError) else TncseError
-            raise cls(f"significance run for seed {seed} failed: {exc}") from exc
-        rows.append(SignificanceRow(seed=seed, spearman=rho))
-    values = np.array([r.spearman for r in rows])
-    summary = {"mean": float(values.mean()), "std": float(values.std()),
-               "min": float(values.min()), "max": float(values.max())}
-    return rows, summary
 

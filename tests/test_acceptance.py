@@ -271,7 +271,7 @@ def test_bit_exact_reruns_and_significance_seeds(cfg_ws, run_root):
         sig_out = run_root / "significance"
         sig_out.mkdir()
         rows, summary = pl.run_significance(short, ws, str(sig_out))
-        assert [r.seed for r in rows] == [1, 2, 3, 4, 5]
+        assert [seed for seed, _ in rows] == [1, 2, 3, 4, 5]
         csv = (sig_out / "significance.csv").read_text().splitlines()
         assert csv[0] == "seed,val_spearman"
         assert [line.split(",")[0] for line in csv[1:6]] == ["1", "2", "3", "4", "5"]

@@ -1,4 +1,5 @@
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ class TestMatmul:
         np.testing.assert_allclose(ad.matmul(A, B).data, [[3.0], [7.0]])
 
     def test_shape_mismatch_reports_both_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2, 3\).*\(2, 3\)"):
-            ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        # operands with fewer than 2 dims are refused too
+        for a_shape, b_shape in (((2, 3), (2, 3)), ((3,), (3, 2)), ((2, 3), (3,))):
+            with pytest.raises(ValueError, match=re.escape(f"{a_shape} @ {b_shape}")):
+                ad.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
 
 
 class TestLayerNorm:

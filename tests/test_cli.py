@@ -2,6 +2,7 @@
 including the exit-code taxonomy."""
 
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from tncse import checkpoint as ckpt
 from tncse import pipeline as pl
 from tncse.cli import main
-from tncse.errors import CheckpointError, ConfigError
+from tncse.errors import CheckpointError, ConfigError, DataError, TncseError
 
 
 # -- config resolution -----------------------------------------------------
@@ -127,6 +128,66 @@ def test_load_model_resolves_prefix_and_manifest_spellings(data_dir, pair_dir):
         pl.load_model(str(pair_dir / "missing.manifest"), ws)
 
 
+# -- independent runs ------------------------------------------------------
+
+@pytest.fixture
+def fake_dual_runs(monkeypatch):
+    """Stand-ins for the pretrain pair and the dual run; ``fail`` maps a
+    (seed, loss terms) pair to the exception its dual run raises, and each
+    other run validates at 0.1 before training and at seed / 10 after."""
+    fail = {}
+    monkeypatch.setattr(pl, "run_pretrain_pair", lambda cfg, ws, out_dir: ("I", "II"))
+
+    def run_tncse(cfg, ws, prefix_i, prefix_ii, out_dir):
+        exc = fail.get((cfg["seed"], cfg["loss.terms"]))
+        if exc is not None:
+            raise exc
+        rho = cfg["seed"] / 10.0
+        return None, SimpleNamespace(evals=[(0, 0.1)], best_spearman=rho)
+
+    monkeypatch.setattr(pl, "run_tncse", run_tncse)
+    return fail
+
+
+def test_run_significance_rows_summary_and_csv(fake_dual_runs, tmp_path):
+    rows, summary = pl.run_significance(pl.resolve_config(), None, str(tmp_path),
+                                        seeds=(1, 2, 3))
+    assert rows == [(1, 0.1), (2, 0.2), (3, 0.3)]
+    assert summary["mean"] == pytest.approx(0.2)
+    assert summary["min"] == pytest.approx(0.1)
+    assert summary["max"] == pytest.approx(0.3)
+    assert summary["std"] == pytest.approx(np.std([0.1, 0.2, 0.3]))
+    assert (tmp_path / "significance.csv").read_text() == (
+        "seed,val_spearman\n1,0.100000\n2,0.200000\n3,0.300000\n"
+        "mean,0.200000\nstd,0.081650\nmin,0.100000\nmax,0.300000\n")
+
+
+# a TncseError keeps its class, and so its CLI exit status; any other
+# exception becomes a TncseError
+RUN_FAILURES = [(ValueError, TncseError), (DataError, DataError)]
+
+
+@pytest.mark.parametrize("raised, expected", RUN_FAILURES)
+def test_run_significance_names_a_failed_seed(fake_dual_runs, tmp_path, raised,
+                                              expected):
+    cfg = pl.resolve_config()
+    fake_dual_runs[(2, cfg["loss.terms"])] = raised("exploded")
+    with pytest.raises(expected,
+                       match="significance run seed 2 failed: exploded") as info:
+        pl.run_significance(cfg, None, str(tmp_path), seeds=(1, 2))
+    assert type(info.value) is expected
+
+
+@pytest.mark.parametrize("raised, expected", RUN_FAILURES)
+def test_run_ablation_names_a_failed_subset(fake_dual_runs, tmp_path, raised,
+                                            expected):
+    cfg = pl.resolve_config()
+    fake_dual_runs[(cfg["seed"], "ICTN")] = raised("exploded")
+    with pytest.raises(expected, match="ablation run ICTN failed: exploded") as info:
+        pl.run_ablation(cfg, None, str(tmp_path))
+    assert type(info.value) is expected
+
+
 # -- CLI behavior ----------------------------------------------------------
 
 def test_gen_data_writes_corpus_sts_and_run_records(data_dir):
@@ -197,19 +258,25 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     ("gen-data", ["loss.norm_eps=0"]),
     ("gen-data", ["distill.objective=regression"]),
     ("gen-data", ["probe.sentences=50"]),
+    ("pretrain", ["data.corpus={pair}"]),
     ("gen-data", "out is a file"),
     ("gen-data", "out is below a file"),
+    ("gen-data", "config is not UTF-8"),
 ], ids=lambda v: v if isinstance(v, str) else v[-1].replace("{pair}/", ""))
 def test_cli_config_mistakes_exit_2_with_one_line(data_dir, pair_dir, tmp_path,
                                                   capsys, command, settings):
     out = tmp_path / "out"
-    if isinstance(settings, str):
+    extra = []
+    if settings == "config is not UTF-8":
+        config = tmp_path / "cfg.txt"
+        config.write_bytes(b"seed = \xff\n")
+        extra = ["--config", str(config)]
+    elif isinstance(settings, str):
         out.write_text("x")
         if settings == "out is below a file":
             out = out / "sub"
-        settings = []
-    argv = [command, "--out", str(out)] + data_args(data_dir)
-    for s in settings:
+    argv = [command, "--out", str(out)] + extra + data_args(data_dir)
+    for s in [] if isinstance(settings, str) else settings:
         argv += ["--set", s.format(pair=pair_dir)]
     capsys.readouterr()
     assert main(argv) == 2
@@ -266,6 +333,21 @@ def test_cli_corrupt_sts_file_exits_3(data_dir, tmp_path, capsys):
                "--set", f"data.sts_dev={bad}"])
     assert rc == 3
     assert "data-error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["data.corpus", "data.sts_dev"])
+def test_cli_non_utf8_data_file_exits_3_with_one_line(data_dir, tmp_path, capsys,
+                                                      key):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("the caf\xe9 sits near the park\tthe caf\xe9\t4.0\n"
+                    .encode("latin-1"))
+    capsys.readouterr()
+    rc = main(["pretrain", "--out", str(tmp_path / "pre")] + data_args(data_dir)
+              + ["--set", f"{key}={bad}"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data-error: "), err
+    assert str(bad) in err[0]
 
 
 def test_cli_eval_without_checkpoint_exits_2(data_dir, tmp_path):

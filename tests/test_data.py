@@ -56,17 +56,14 @@ def test_vocab_roundtrip_and_hash(tmp_path):
     v = build_vocab(["the cat sat", "the dog ran"])
     path = tmp_path / "vocab.txt"
     v.save(path)
-    v2 = Vocab.load(path)
+    toks = path.read_text(encoding="utf-8").splitlines()
+    assert toks == ["[PAD]", "[CLS]", "[SEP]", "[UNK]",
+                    "the", "cat", "dog", "ran", "sat"]
+    assert [v.get(t) for t in toks] == list(range(len(v)))
+    v2 = Vocab(toks[4:])
     assert v2.token_to_id == v.token_to_id
     assert v2.content_hash() == v.content_hash()
     assert build_vocab(["entirely different words"]).content_hash() != v.content_hash()
-
-
-def test_vocab_load_rejects_missing_reserved_header(tmp_path):
-    path = tmp_path / "bad.txt"
-    path.write_text("cat\ndog\n")
-    with pytest.raises(DataError):
-        Vocab.load(path)
 
 
 # -- tokenize / batches ----------------------------------------------------

@@ -1,16 +1,15 @@
 """Training loops: optimizer oracle, determinism, best-checkpoint
-restoration, loss-term reduction identities, and the significance harness."""
+restoration and loss-term reduction identities."""
 
 import numpy as np
 import pytest
 
 from tncse.autodiff import Tensor
 from tncse.encoder import Encoder
-from tncse.errors import DataError, NumericError, TncseError
+from tncse.errors import NumericError
 from tncse.losses import LossConfig
-from tncse.training import (Adam, SignificanceRow, TrainConfig, TrainLog,
-                            ensemble_embed_fn, pretrain_single,
-                            significance_suite, train_single_tn, train_tncse)
+from tncse.training import (Adam, TrainConfig, TrainLog, ensemble_embed_fn,
+                            pretrain_single, train_single_tn, train_tncse)
 
 
 def cfg_small(**kw):
@@ -232,25 +231,3 @@ def test_step_records_hold_exactly_the_trainers_terms(
         assert all(isinstance(v, float) for r in log.step_records
                    for k, v in r.items() if k != "step")
 
-
-# -- significance harness --------------------------------------------------
-
-def test_significance_suite_summary_statistics():
-    rows, summary = significance_suite(lambda seed: seed / 10.0, seeds=(1, 2, 3))
-    assert rows == [SignificanceRow(1, 0.1), SignificanceRow(2, 0.2),
-                    SignificanceRow(3, 0.3)]
-    assert summary["mean"] == pytest.approx(0.2)
-    assert summary["min"] == pytest.approx(0.1)
-    assert summary["max"] == pytest.approx(0.3)
-    assert summary["std"] == pytest.approx(np.std([0.1, 0.2, 0.3]))
-
-
-def test_significance_suite_wraps_failures_with_seed():
-    """The seed joins the message; a TncseError keeps its class, and so
-    its CLI exit status."""
-    for raised, expected in ((ValueError, TncseError), (DataError, DataError)):
-        def boom(seed):
-            raise raised("exploded")
-        with pytest.raises(expected, match="seed 2.*exploded") as info:
-            significance_suite(boom, seeds=(2,))
-        assert type(info.value) is expected
