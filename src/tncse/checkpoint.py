@@ -157,11 +157,8 @@ def checkpoint_hash(prefix: str) -> str:
 
 
 def save_ensemble_manifest(member_prefixes, path):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(MAGIC + "\n")
-        f.write("kind ensemble\n")
-        for p in member_prefixes:
-            f.write(f"member {p}\n")
+    lines = [MAGIC, "kind ensemble"] + [f"member {p}" for p in member_prefixes]
+    _write_replacing(path, ("\n".join(lines) + "\n").encode())
 
 
 def load_ensemble_manifest(path):

@@ -150,8 +150,7 @@ def _cmd_eval(args, cfg, out_dir):
         raise ConfigError("eval.checkpoint is required")
     model = pl.load_model(cfg["eval.checkpoint"], ws)
     report = pl.run_eval(cfg, ws, model)
-    with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
-        f.write(report.to_text())
+    pl._write_text(os.path.join(out_dir, "report.txt"), report.to_text())
     pl.write_metadata(os.path.join(out_dir, "report.kv"), report.to_kv())
     _finish(cfg, out_dir, {"command": "eval"})
     print(report.to_text(), end="")
@@ -196,8 +195,7 @@ def _cmd_grad_check(args, cfg, out_dir):
         ok = ok and r.passed
         lines.append(f"{status} {r.name} worst_rel_err={r.worst_error:.3e} {r.detail}")
         print(lines[-1])
-    with open(os.path.join(out_dir, "grad_check.txt"), "w", encoding="utf-8") as f:
-        f.write("\n".join(lines) + "\n")
+    pl._write_text(os.path.join(out_dir, "grad_check.txt"), "\n".join(lines) + "\n")
     _finish(cfg, out_dir, {"command": "grad-check",
                            "checks": len(results), "all_passed": ok})
     return 0 if ok else EXIT_CODES["numeric-error"]

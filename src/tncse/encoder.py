@@ -34,8 +34,9 @@ class EncoderConfig:
     layernorms_stripped: int = 0
 
     def __post_init__(self):
-        if self.num_heads < 1:
-            raise ConfigError(f"num_heads must be >= 1, got {self.num_heads}")
+        if self.num_layers < 1 or self.num_heads < 1:
+            raise ConfigError(f"num_layers and num_heads must be >= 1, got "
+                              f"{self.num_layers} and {self.num_heads}")
         if self.hidden_dim < 1 or self.ffn_dim < 1:
             raise ConfigError(f"hidden_dim and ffn_dim must be >= 1, got "
                               f"{self.hidden_dim} and {self.ffn_dim}")

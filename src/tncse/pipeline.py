@@ -257,19 +257,27 @@ def load_model(path_or_prefix, ws):
 
 
 def run_eval(cfg, ws, model: EnsembleModel):
-    embed = ensemble_embed_fn(model.encoders, ws.vocab)
+    """STS Spearman, alignment and uniformity from one embedding of each
+    distinct sentence; a sentence's row does not depend on its batch."""
+    pairs = ws.sts_dev + (ws.sts_test or [])
+    sents = list(dict.fromkeys(s for p in pairs for s in (p.sentence_a, p.sentence_b)))
+    rows = ensemble_embed_fn(model.encoders, ws.vocab)(sents) if sents else None
+    index = {s: i for i, s in enumerate(sents)}
+
+    def embed(batch):
+        return rows[[index[s] for s in batch]]
+
     report = EvalReport()
     report.per_dataset["dev"] = sts_eval(embed, ws.sts_dev)
     if ws.sts_test:
         report.per_dataset["test"] = sts_eval(embed, ws.sts_test)
     positives = [p for p in ws.sts_dev if p.gold_score >= 4.0]
     if positives:
-        A = embed([p.sentence_a for p in positives])
-        B = embed([p.sentence_b for p in positives])
-        report.alignment = alignment(A, B)
-    sents = list(dict.fromkeys(p.sentence_a for p in ws.sts_dev))
-    if len(sents) >= 2:
-        report.uniformity = uniformity(embed(sents))
+        report.alignment = alignment(embed([p.sentence_a for p in positives]),
+                                     embed([p.sentence_b for p in positives]))
+    sents_a = list(dict.fromkeys(p.sentence_a for p in ws.sts_dev))
+    if len(sents_a) >= 2:
+        report.uniformity = uniformity(embed(sents_a))
     return report
 
 

@@ -130,6 +130,18 @@ def test_single_line_manifest_mutation_fails_cleanly_or_loads(tmp_path, mutation
     loaded.encode(TokenBatch(ids=ids, attention_mask=(ids > 0).astype(np.int64)))
 
 
+def test_manifest_with_zero_layers_is_a_checkpoint_error(tmp_path):
+    prefix = str(tmp_path / "enc")
+    save_encoder(Encoder(TINY, seed=3, name="I"), prefix)
+    manifest = Path(prefix + ".manifest")
+    text = manifest.read_text(encoding="utf-8")
+    assert "config num_layers 1\n" in text
+    manifest.write_text(text.replace("config num_layers 1\n", "config num_layers 0\n"),
+                        encoding="utf-8")
+    with pytest.raises(CheckpointError, match="bad config: num_layers"):
+        load_encoder(prefix)
+
+
 def test_load_rejects_missing_blob(small_encoder, tmp_path):
     prefix = str(tmp_path / "enc")
     save_encoder(small_encoder, prefix)
@@ -218,8 +230,27 @@ def test_save_is_deterministic(small_encoder, tmp_path):
 def test_ensemble_manifest_roundtrip_resolves_relative_members(tmp_path):
     path = str(tmp_path / "ens.manifest")
     save_ensemble_manifest(["encoder_I", "encoder_II"], path)
+    assert Path(path).read_bytes() == (b"TNCSE1\nkind ensemble\n"
+                                       b"member encoder_I\nmember encoder_II\n")
     members = load_ensemble_manifest(path)
     assert members == [str(tmp_path / "encoder_I"), str(tmp_path / "encoder_II")]
+
+
+def test_interrupted_ensemble_manifest_save_keeps_the_old_one(tmp_path, monkeypatch):
+    path = str(tmp_path / "ens.manifest")
+    save_ensemble_manifest(["encoder_I", "encoder_II"], path)
+    before = Path(path).read_bytes()
+
+    def die(src, dst):
+        raise OSError("killed")
+
+    monkeypatch.setattr(os, "replace", die)
+    with pytest.raises(OSError, match="killed"):
+        save_ensemble_manifest(["other_I", "other_II", "other_III"], path)
+    monkeypatch.undo()
+    assert Path(path).read_bytes() == before
+    assert load_ensemble_manifest(path) == [str(tmp_path / "encoder_I"),
+                                            str(tmp_path / "encoder_II")]
 
 
 def test_ensemble_manifest_keeps_absolute_members(tmp_path):

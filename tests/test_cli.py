@@ -6,11 +6,17 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncse import checkpoint as ckpt
 from tncse import pipeline as pl
 from tncse.cli import main
+from tncse.encoder import Encoder
+from tncse.ensemble import EnsembleModel
 from tncse.errors import CheckpointError, ConfigError, DataError, TncseError
+from tncse.evaluation import alignment, sts_eval, uniformity
+from tncse.training import ensemble_embed_fn
 
 
 # -- config resolution -----------------------------------------------------
@@ -55,6 +61,23 @@ def test_resolve_config_rejects_a_negative_seed_after_the_seed_override():
 def test_resolve_config_rejects_unparseable_value():
     with pytest.raises(ConfigError, match="cannot parse"):
         pl.resolve_config({"train.steps": "many"})
+
+
+@given(key=st.sampled_from(sorted(pl.DEFAULTS)),
+       value=st.one_of(st.text(), st.integers().map(str), st.floats().map(str)))
+@settings(max_examples=300, deadline=None)
+def test_any_set_pair_builds_every_config_or_is_a_config_error(small_vocab, key, value):
+    """``--set key=value`` with any key and any text: the resolved config
+    builds the encoder, the three train sections and the loss, or a
+    ConfigError says why not."""
+    try:
+        cfg = pl.resolve_config(overrides={key: value})
+        pl.encoder_config(cfg, small_vocab)
+        for section in ("pretrain", "train", "distill"):
+            pl.train_config(cfg, section, cfg["seed"])
+        pl.loss_config(cfg)
+    except ConfigError:
+        pass
 
 
 def test_write_resolved_config_is_sorted_and_complete(tmp_path):
@@ -126,6 +149,58 @@ def test_load_model_resolves_prefix_and_manifest_spellings(data_dir, pair_dir):
                 np.testing.assert_array_equal(got.params[k].data, want.params[k].data)
     with pytest.raises(CheckpointError):
         pl.load_model(str(pair_dir / "missing.manifest"), ws)
+
+
+# -- evaluation requests ---------------------------------------------------
+
+@pytest.fixture(params=["dev+test", "dev"])
+def eval_setup(request, small_data, small_vocab, small_config, synonyms):
+    """A workspace with or without a test set, and an untrained pair."""
+    corpus, dev, test = small_data
+    ws = pl.Workspace(corpus=corpus, sts_dev=dev,
+                      sts_test=test if request.param == "dev+test" else None,
+                      vocab=small_vocab, synonyms=synonyms)
+    model = EnsembleModel([Encoder(small_config, seed=1, name="I"),
+                           Encoder(small_config, seed=2, name="II")])
+    return ws, model
+
+
+def test_run_eval_embeds_each_distinct_sentence_once(eval_setup, monkeypatch):
+    ws, model = eval_setup
+    calls = []
+
+    def counting_embed_fn(encoders, vocab):
+        embed = ensemble_embed_fn(encoders, vocab)
+
+        def f(sentences):
+            calls.append(list(sentences))
+            return embed(sentences)
+
+        return f
+
+    monkeypatch.setattr(pl, "ensemble_embed_fn", counting_embed_fn)
+    pl.run_eval({}, ws, model)
+    pairs = ws.sts_dev + (ws.sts_test or [])
+    wanted = {s for p in pairs for s in (p.sentence_a, p.sentence_b)}
+    assert len(wanted) < 2 * len(pairs)
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) and set(calls[0]) == wanted
+
+
+def test_run_eval_equals_the_per_call_metrics(eval_setup):
+    ws, model = eval_setup
+    embed = ensemble_embed_fn(model.encoders, ws.vocab)
+    positives = [p for p in ws.sts_dev if p.gold_score >= 4.0]
+    assert positives
+    expected = {"spearman.dev": sts_eval(embed, ws.sts_dev)}
+    if ws.sts_test:
+        expected["spearman.test"] = sts_eval(embed, ws.sts_test)
+    expected["spearman.avg"] = float(np.mean(list(expected.values())))
+    expected["alignment"] = alignment(embed([p.sentence_a for p in positives]),
+                                      embed([p.sentence_b for p in positives]))
+    expected["uniformity"] = uniformity(
+        embed(list(dict.fromkeys(p.sentence_a for p in ws.sts_dev))))
+    assert pl.run_eval({}, ws, model).to_kv() == expected
 
 
 # -- independent runs ------------------------------------------------------
@@ -239,6 +314,7 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     ("eval", ["eval.checkpoint={pair}/encoder_I", "data.sts_dev={pair}/missing.tsv"]),
     ("eval", ["eval.checkpoint={pair}/encoder_I", "data.sts_test={pair}/missing.tsv"]),
     ("pretrain", ["encoder.num_heads=0"]),
+    ("pretrain", ["encoder.num_layers=0"]),
     ("pretrain", ["encoder.hidden_dim=0"]),
     ("pretrain", ["encoder.max_seq_len=1"]),
     ("pretrain", ["encoder.dropout_p=1.5"]),

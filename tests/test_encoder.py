@@ -6,7 +6,7 @@ import pytest
 
 from tncse.data import make_batch
 from tncse.encoder import (Encoder, EncoderConfig, dual_view, strip_layernorms)
-from tncse.errors import DataError
+from tncse.errors import ConfigError, DataError
 
 
 def enc_of(vocab, **kw):
@@ -22,6 +22,12 @@ def enc_of(vocab, **kw):
 def test_config_rejects_indivisible_heads():
     with pytest.raises(ValueError, match="divisible"):
         EncoderConfig(vocab_size=10, hidden_dim=30, num_heads=4)
+
+
+@pytest.mark.parametrize("field", ["num_layers", "num_heads"])
+def test_config_rejects_fewer_than_one_layer_or_head(field):
+    with pytest.raises(ConfigError, match=f"{field}.* must be >= 1"):
+        EncoderConfig(vocab_size=10, **{field: 0})
 
 
 def test_config_rejects_strip_count_out_of_range():

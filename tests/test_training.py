@@ -92,6 +92,21 @@ def test_ensemble_embed_fn_sums_members(small_vocab, small_config):
     np.testing.assert_array_equal(hab, ha + hb)
 
 
+def test_ensemble_embed_fn_row_does_not_depend_on_its_batch(small_corpus, small_vocab,
+                                                            small_config):
+    """Alone, in a batch of 7, or at position 65 (the second batch of 64):
+    a sentence's row is the same bit for bit, so callers may embed each
+    distinct sentence once and index the rows."""
+    embed = ensemble_embed_fn([Encoder(small_config, seed=1, name="I"),
+                               Encoder(small_config, seed=2, name="II")], small_vocab)
+    others = small_corpus[100:]
+    for sentence in small_corpus[:5]:
+        alone = embed([sentence])[0]
+        np.testing.assert_array_equal(embed(others[:3] + [sentence] + others[3:6])[3],
+                                      alone)
+        np.testing.assert_array_equal(embed(others[:65] + [sentence])[65], alone)
+
+
 # -- pretraining -----------------------------------------------------------
 
 def test_pretrain_single_is_bit_deterministic(small_corpus, small_dev,
