@@ -1,11 +1,10 @@
 """Norm-constrained contrastive sentence embeddings at desk scale."""
 
 from .autodiff import RngStreams, Tensor
-from .data import (StsPair, TokenBatch, Vocab, batch_iter, build_vocab,
-                   load_corpus, load_sts_tsv, load_synonyms, make_batch,
-                   synonym_substitute, synth_corpus, tokenize)
-from .encoder import (Encoder, EncoderConfig, EncoderOutput, ViewBundle,
-                      dual_view, strip_layernorms)
+from .data import (StsPair, Vocab, batch_iter, build_vocab, load_corpus,
+                   load_sts_tsv, load_synonyms, make_batch, synonym_substitute,
+                   synth_corpus, tokenize)
+from .encoder import Encoder, EncoderConfig, EncoderOutput, strip_layernorms
 from .ensemble import EnsembleModel, distill, ensemble_embed
 from .errors import (CheckpointError, ConfigError, DataError, NumericError,
                      TncseError)

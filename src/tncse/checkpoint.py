@@ -59,13 +59,22 @@ def save_encoder(enc: Encoder, prefix: str):
     _write_replacing(prefix + ".manifest", ("\n".join(lines + tensor_lines) + "\n").encode())
 
 
-def _read_manifest(path, what):
-    """The lines of a manifest whose first line is the magic string."""
+def _read_bytes(path, what):
+    """The bytes of ``path``; a missing or unreadable file is a CheckpointError."""
     if not os.path.exists(path):
         raise CheckpointError(f"no {what} at {path}")
     try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.read().splitlines()
+        with open(path, "rb") as f:
+            return f.read()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read {what} {path}: {exc.strerror}") from None
+
+
+def _read_manifest(path, what):
+    """The lines of a manifest whose first line is the magic string."""
+    raw = _read_bytes(path, what)
+    try:
+        lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError:
         raise CheckpointError(f"{path}: not UTF-8 text") from None
     if not lines or lines[0] != MAGIC:
@@ -107,6 +116,8 @@ def load_encoder(prefix: str) -> Encoder:
     if header["format-version"] != str(FORMAT_VERSION):
         raise CheckpointError(f"{manifest_path}: unsupported format-version "
                               f"{header['format-version']!r}")
+    if header["seed"] < 0:  # would load, then fail once training draws dropout masks
+        raise CheckpointError(f"{manifest_path}: seed {header['seed']} must be >= 0")
     try:
         config = EncoderConfig(**config_kv)
     except ValueError as exc:
@@ -118,10 +129,7 @@ def load_encoder(prefix: str) -> Encoder:
         raise CheckpointError(f"{manifest_path}: tensor {bad[0]} does not match the config")
 
     blob_path = prefix + ".bin"
-    if not os.path.exists(blob_path):
-        raise CheckpointError(f"missing weight blob {blob_path}")
-    with open(blob_path, "rb") as f:
-        raw = f.read()
+    raw = _read_bytes(blob_path, "weight blob")
     blob = np.frombuffer(raw, dtype="<f4", count=len(raw) // 4)
     params, start = {}, 0
     for name, (shape, offset) in tensors.items():

@@ -32,9 +32,7 @@ def _parse_args(argv):
                                                  "sentence embeddings, desk scale")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = ["gen-data", "pretrain", "train", "train-single-tn", "distill",
-                "eval", "norm-probe", "ablate", "significance", "grad-check"]
-    for name in commands:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--set", dest="overrides", action="append", default=[],

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import collections
 import importlib.resources
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,33 +33,28 @@ class StsPair:
 
 
 class Vocab:
-    """Dense token->id map with reserved PAD/CLS/SEP/UNK at ids 0..3."""
+    """Dense token->id map with reserved PAD/CLS/SEP/UNK at ids 0..3; the
+    map's insertion order is id order."""
 
     def __init__(self, tokens):
         self.token_to_id = {tok: i for tok, i in _RESERVED}
         for tok in tokens:
             if tok not in self.token_to_id:
                 self.token_to_id[tok] = len(self.token_to_id)
-        self.id_to_token = {i: t for t, i in self.token_to_id.items()}
 
     def __len__(self):
         return len(self.token_to_id)
-
-    def __contains__(self, tok):
-        return tok in self.token_to_id
 
     def get(self, tok):
         return self.token_to_id.get(tok, UNK_ID)
 
     def content_hash(self):
-        import zlib
-        blob = "\n".join(t for t, _ in sorted(self.token_to_id.items(), key=lambda kv: kv[1]))
+        blob = "\n".join(self.token_to_id)
         return f"{zlib.crc32(blob.encode('utf-8')):08x}"
 
     def save(self, path):
         with open(path, "w", encoding="utf-8") as f:
-            for i in range(len(self)):
-                f.write(self.id_to_token[i] + "\n")
+            f.write("".join(tok + "\n" for tok in self.token_to_id))
 
 
 def build_vocab(corpus):
@@ -69,27 +65,18 @@ def build_vocab(corpus):
     return Vocab(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
-@dataclass
-class TokenBatch:
-    ids: np.ndarray            # (batch, max_seq_len) int64
-    attention_mask: np.ndarray  # (batch, max_seq_len) {0,1} int64
-
-
 def tokenize(vocab, sentence, max_seq_len):
-    """[CLS] + tokens (truncated to fit) + [SEP], PAD-filled; returns (ids, mask)."""
+    """[CLS] + tokens (truncated to fit) + [SEP], PAD-filled int64 ids.  Only
+    padding is PAD_ID: tokens are lowercased, and PAD's token is "[PAD]"."""
     toks = sentence.lower().split()[: max_seq_len - 2]
     ids = [CLS_ID] + [vocab.get(t) for t in toks] + [SEP_ID]
-    mask = [1] * len(ids)
-    pad = max_seq_len - len(ids)
-    ids += [PAD_ID] * pad
-    mask += [0] * pad
-    return np.asarray(ids, dtype=np.int64), np.asarray(mask, dtype=np.int64)
+    ids += [PAD_ID] * (max_seq_len - len(ids))
+    return np.asarray(ids, dtype=np.int64)
 
 
 def make_batch(vocab, sentences, max_seq_len):
-    rows = [tokenize(vocab, s, max_seq_len) for s in sentences]
-    return TokenBatch(ids=np.stack([r[0] for r in rows]),
-                      attention_mask=np.stack([r[1] for r in rows]))
+    """A (batch, max_seq_len) int64 id array."""
+    return np.stack([tokenize(vocab, s, max_seq_len) for s in sentences])
 
 
 def batch_iter(corpus, batch_size, seed, epoch):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import RngStreams, Tensor
-from .data import TokenBatch
+from .data import PAD_ID
 from .errors import ConfigError, DataError
 
 _MASK_NEG = 1e9
@@ -56,19 +56,6 @@ class EncoderConfig:
 class EncoderOutput:
     last_hidden: Tensor   # (batch, d) pooled row
     pooler: Tensor        # (batch, d)
-
-
-@dataclass
-class ViewBundle:
-    """The four last-hidden views and their pooler outputs for one batch."""
-    hL_I: Tensor
-    hL_I_plus: Tensor
-    hL_II: Tensor
-    hL_II_plus: Tensor
-    hP_I: Tensor
-    hP_I_plus: Tensor
-    hP_II: Tensor
-    hP_II_plus: Tensor
 
 
 def _param_shapes(c: EncoderConfig):
@@ -124,10 +111,9 @@ class Encoder:
 
     # -- forward -----------------------------------------------------------
 
-    def encode(self, batch: TokenBatch, train_mode: bool = False,
+    def encode(self, ids, train_mode: bool = False,
                pass_index: int = 0) -> EncoderOutput:
         c = self.config
-        ids = batch.ids
         if ids.shape[1] != c.max_seq_len:
             raise DataError(f"batch seq len {ids.shape[1]} != max_seq_len {c.max_seq_len}")
         if ids.max() >= c.vocab_size:
@@ -135,7 +121,7 @@ class Encoder:
                             f"(size {c.vocab_size})")
         p = self.params
         dtype = p["tok_emb"].dtype
-        mask = batch.attention_mask.astype(dtype)
+        mask = (ids != PAD_ID).astype(dtype)
         B, L = ids.shape
         rng = self.streams.get(f"{self.name}/pass{pass_index}") if train_mode else None
         drop_p = c.dropout_p if train_mode else 0.0
@@ -187,21 +173,6 @@ def _check_same_vocab(hashes, what):
     """Vocabulary hashes that are None (not recorded) pass unchecked."""
     if len({h for h in hashes if h is not None}) > 1:
         raise DataError(f"{what} were built over different vocabulary hashes")
-
-
-def dual_view(enc_i: Encoder, enc_ii: Encoder, batch: TokenBatch) -> ViewBundle:
-    """Four dropout passes (two per encoder) over the same batch."""
-    _check_same_vocab((enc_i.vocab_hash, enc_ii.vocab_hash), "encoders")
-    o_i = enc_i.encode(batch, train_mode=True, pass_index=0)
-    o_i_plus = enc_i.encode(batch, train_mode=True, pass_index=1)
-    o_ii = enc_ii.encode(batch, train_mode=True, pass_index=0)
-    o_ii_plus = enc_ii.encode(batch, train_mode=True, pass_index=1)
-    return ViewBundle(
-        hL_I=o_i.last_hidden, hL_I_plus=o_i_plus.last_hidden,
-        hL_II=o_ii.last_hidden, hL_II_plus=o_ii_plus.last_hidden,
-        hP_I=o_i.pooler, hP_I_plus=o_i_plus.pooler,
-        hP_II=o_ii.pooler, hP_II_plus=o_ii_plus.pooler,
-    )
 
 
 def strip_layernorms(enc: Encoder, n: int) -> Encoder:

@@ -21,6 +21,8 @@ ALIGNMENT_ALPHA = 2
 UNIFORMITY_T = 2
 # distinct sentences the norm probe measures
 PROBE_SENTENCES = 100
+# sentences per encode call when embedding in eval mode
+EMBED_BATCH = 64
 
 
 def spearman(pred, gold):
@@ -80,22 +82,22 @@ def _normalize_rows(X):
     return X / norms
 
 
-def alignment(X, X_plus, alpha=ALIGNMENT_ALPHA):
+def alignment(X, X_plus):
     """Mean ||f(x) - f(x+)||^alpha over positive pairs (normalized)."""
     X, X_plus = np.atleast_2d(X), np.atleast_2d(X_plus)
     if X.size == 0:
         raise DataError("alignment of an empty set")
     Xn, Xpn = _normalize_rows(X), _normalize_rows(X_plus)
-    return float(np.mean(np.linalg.norm(Xn - Xpn, axis=1) ** alpha))
+    return float(np.mean(np.linalg.norm(Xn - Xpn, axis=1) ** ALIGNMENT_ALPHA))
 
 
-def uniformity(X, t=UNIFORMITY_T):
+def uniformity(X):
     """log mean over distinct pairs of exp(-t ||f(x) - f(y)||^2) (normalized)."""
     X = np.atleast_2d(X)
     if X.shape[0] < 2:
         raise DataError("uniformity needs at least 2 embeddings")
     d2 = pdist(_normalize_rows(X), metric="sqeuclidean")
-    return float(np.log(np.mean(np.exp(-t * d2))))
+    return float(np.log(np.mean(np.exp(-UNIFORMITY_T * d2))))
 
 
 @dataclass
@@ -109,7 +111,7 @@ class ProbeRow:
     cv_hp: float
 
 
-def norm_probe(encoder, sentences, strip_counts, vocab, batch_size=50):
+def norm_probe(encoder, sentences, strip_counts, vocab):
     """Norm statistics of h^L and h^P under LayerNorm stripping.
 
     For each requested strip count the last n LayerNorms are replaced by
@@ -122,10 +124,10 @@ def norm_probe(encoder, sentences, strip_counts, vocab, batch_size=50):
     for n in strip_counts:
         enc = strip_layernorms(encoder, n)
         hl_norms, hp_norms = [], []
-        for start in range(0, len(sentences), batch_size):
-            batch = make_batch(vocab, sentences[start:start + batch_size],
-                               encoder.config.max_seq_len)
-            out = enc.encode(batch, train_mode=False)
+        for start in range(0, len(sentences), EMBED_BATCH):
+            ids = make_batch(vocab, sentences[start:start + EMBED_BATCH],
+                             encoder.config.max_seq_len)
+            out = enc.encode(ids, train_mode=False)
             hl_norms.append(np.linalg.norm(out.last_hidden.data, axis=1))
             hp_norms.append(np.linalg.norm(out.pooler.data, axis=1))
         hl = np.concatenate(hl_norms)

@@ -17,8 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from .autodiff import RngStreams, Tensor
-from .data import TokenBatch
-from .encoder import Encoder, EncoderConfig, ViewBundle
+from .encoder import Encoder, EncoderConfig, EncoderOutput
 
 
 def finite_difference_grad(f, x, h=1e-6):
@@ -137,8 +136,11 @@ def _primitive_cases():
 
 
 def _loss_cases():
-    def bundle_mats(r):
+    def view_mats(r):
         return [0.5 + r.random((3, 4)) for _ in range(8)]
+
+    def views(*mats):  # EncoderOutputs (I, I+, II, II+): four h^L, then four h^P
+        return [EncoderOutput(hL, hP) for hL, hP in zip(mats[:4], mats[4:])]
 
     return {
         "loss_l_tn": (lambda h, hp: L.l_tn(h, hp),
@@ -149,10 +151,10 @@ def _loss_cases():
         "loss_l_tn_modulated": (
             L.l_tn_modulated,
             lambda r: [0.5 + r.random((3, 4)) for _ in range(4)]),
-        "loss_ictn": (lambda *ts: L.ictn(ViewBundle(*ts)), bundle_mats),
+        "loss_ictn": (lambda *ts: L.ictn(views(*ts)), view_mats),
         "loss_total_loss": (
-            lambda *ts: L.total_loss(ViewBundle(*ts), L.LossConfig())["total"],
-            bundle_mats),
+            lambda *ts: L.total_loss(views(*ts), L.LossConfig())["total"],
+            view_mats),
     }
 
 
@@ -171,10 +173,7 @@ def _attention_composite_case(trial):
             t.data = rng.standard_normal(t.shape) * 0.4
     ids = rng.integers(4, 12, size=(2, 6))
     ids[:, 0] = 1
-    mask = np.ones_like(ids)
-    mask[0, 4:] = 0
-    ids[0, 4:] = 0
-    batch = TokenBatch(ids=ids, attention_mask=mask)
+    ids[0, 4:] = 0   # padding
     weights = rng.standard_normal((2, 8))
     names = ["layer0.q_w", "layer0.o_w", "layer0.ffn1_w", "layer0.ln1_g",
              "pooler_w", "tok_emb"]
@@ -184,7 +183,7 @@ def _attention_composite_case(trial):
         old = enc.params[name]
         enc.params[name] = p
         try:
-            out = enc.encode(batch, train_mode=False)
+            out = enc.encode(ids, train_mode=False)
             return ad.sum_(ad.mul(ad.add(out.last_hidden, out.pooler),
                                   Tensor(weights)))
         finally:

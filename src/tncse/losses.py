@@ -16,7 +16,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import as_tensor
-from .encoder import ViewBundle
 from .errors import ConfigError
 
 TERMS = ("NCE", "ICNCE", "ICTN")
@@ -103,28 +102,32 @@ def l_tn_modulated(hP_i, hP_j_plus, hL_I, hL_II):
     return ad.mean(ad.mul(mod, ad.div(num, den)))
 
 
-def ictn(bundle: ViewBundle):
-    """Symmetric cross-encoder norm constraint:
-    L_TN(h_I, h_II+) + L_TN(h_II, h_I+).  Both terms are modulated by
-    sim(hL_I, hL_II) of the first views, as the paper's formula writes it."""
-    term1 = l_tn_modulated(bundle.hP_I, bundle.hP_II_plus, bundle.hL_I, bundle.hL_II)
-    term2 = l_tn_modulated(bundle.hP_II, bundle.hP_I_plus, bundle.hL_I, bundle.hL_II)
+def ictn(views):
+    """Symmetric cross-encoder norm constraint over the EncoderOutputs
+    ``views`` = (I, I+, II, II+): L_TN(h_I, h_II+) + L_TN(h_II, h_I+).  Both
+    terms are modulated by sim(hL_I, hL_II) of the first views, as the
+    paper's formula writes it."""
+    o_i, o_i_plus, o_ii, o_ii_plus = views
+    term1 = l_tn_modulated(o_i.pooler, o_ii_plus.pooler, o_i.last_hidden, o_ii.last_hidden)
+    term2 = l_tn_modulated(o_ii.pooler, o_i_plus.pooler, o_i.last_hidden, o_ii.last_hidden)
     return term1 + term2
 
 
-def total_loss(bundle: ViewBundle, cfg: LossConfig) -> dict:
-    """The enabled terms, keyed by trainlog column, plus their sum under
-    ``"total"``: per-encoder InfoNCE, cross-encoder InfoNCE (InfoNCE across
-    the two encoders' last hidden states of the same batch), and the
-    cross-encoder norm constraint."""
+def total_loss(views, cfg: LossConfig) -> dict:
+    """The enabled terms over the EncoderOutputs ``views`` = (I, I+, II, II+),
+    keyed by trainlog column, plus their sum under ``"total"``: per-encoder
+    InfoNCE, cross-encoder InfoNCE (InfoNCE across the two encoders' last
+    hidden states of the same batch), and the cross-encoder norm
+    constraint."""
+    hL_I, hL_I_plus, hL_II, hL_II_plus = (o.last_hidden for o in views)
     terms = {}
     if "NCE" in cfg.enabled_terms:
-        terms["nce_i"] = info_nce(bundle.hL_I, bundle.hL_I_plus, cfg.tau)
-        terms["nce_ii"] = info_nce(bundle.hL_II, bundle.hL_II_plus, cfg.tau)
+        terms["nce_i"] = info_nce(hL_I, hL_I_plus, cfg.tau)
+        terms["nce_ii"] = info_nce(hL_II, hL_II_plus, cfg.tau)
     if "ICNCE" in cfg.enabled_terms:
-        terms["icnce"] = info_nce(bundle.hL_I, bundle.hL_II, cfg.tau)
+        terms["icnce"] = info_nce(hL_I, hL_II, cfg.tau)
     if "ICTN" in cfg.enabled_terms:
-        terms["ictn"] = ictn(bundle)
+        terms["ictn"] = ictn(views)
     first, *rest = terms.values()
     terms["total"] = sum(rest, first)
     return terms

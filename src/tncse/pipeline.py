@@ -247,9 +247,7 @@ def load_model(path_or_prefix, ws):
         manifest = path_or_prefix + ".manifest"
     if not os.path.exists(manifest):
         raise CheckpointError(f"no checkpoint at {path_or_prefix}")
-    with open(manifest, "rb") as f:
-        head = f.read(64)
-    if b"kind ensemble" in head:
+    if b"kind ensemble" in ckpt._read_bytes(manifest, "manifest")[:64]:
         members = ckpt.load_ensemble_manifest(manifest)
     else:
         members = [manifest[:-len(".manifest")]]

@@ -17,9 +17,9 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from .data import batch_iter, make_batch, synonym_substitute
-from .encoder import Encoder, dual_view
+from .encoder import Encoder, _check_same_vocab
 from .errors import ConfigError, NumericError
-from .evaluation import sts_eval
+from .evaluation import EMBED_BATCH, sts_eval
 
 
 class Adam:
@@ -116,14 +116,14 @@ def _member_sums(encoders, batches):
     return out
 
 
-def ensemble_embed_fn(encoders, vocab, batch_size=64):
+def ensemble_embed_fn(encoders, vocab):
     """Sum of member last-hidden CLS states in eval mode; the pooler is
     bypassed."""
     max_len = encoders[0].config.max_seq_len
 
     def f(sentences):
-        batches = (make_batch(vocab, sentences[start:start + batch_size], max_len)
-                   for start in range(0, len(sentences), batch_size))
+        batches = (make_batch(vocab, sentences[start:start + EMBED_BATCH], max_len)
+                   for start in range(0, len(sentences), EMBED_BATCH))
         return np.concatenate(_member_sums(encoders, batches), axis=0)
 
     return f
@@ -202,15 +202,15 @@ def _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table, view_lo
     max_len = encoder.config.max_seq_len
 
     def step_fn(sentences):
-        batch = make_batch(vocab, sentences, max_len)
+        ids = make_batch(vocab, sentences, max_len)
         if augment_table:
             view2 = [synonym_substitute(s, augment_table, aug_rng, p=cfg.augment_p)
                      for s in sentences]
-            batch2 = make_batch(vocab, view2, max_len)
+            ids2 = make_batch(vocab, view2, max_len)
         else:
-            batch2 = batch
-        out = encoder.encode(batch, train_mode=True, pass_index=0)
-        out_plus = encoder.encode(batch2, train_mode=True, pass_index=1)
+            ids2 = ids
+        out = encoder.encode(ids, train_mode=True, pass_index=0)
+        out_plus = encoder.encode(ids2, train_mode=True, pass_index=1)
         return view_loss(out, out_plus)
 
     return _train([encoder], corpus, sts_dev, vocab, cfg, step_fn)
@@ -233,11 +233,14 @@ def train_tncse(enc_i: Encoder, enc_ii: Encoder, corpus, sts_dev, vocab,
                 cfg: TrainConfig):
     """Joint dual-encoder training on the combined objective; validation and
     checkpointing use the sum-ensemble embedding."""
+    _check_same_vocab((enc_i.vocab_hash, enc_ii.vocab_hash), "encoders")
     max_len = enc_i.config.max_seq_len
 
     def step_fn(sentences):
-        batch = make_batch(vocab, sentences, max_len)
-        return L.total_loss(dual_view(enc_i, enc_ii, batch), cfg.loss)
+        ids = make_batch(vocab, sentences, max_len)
+        views = [enc.encode(ids, train_mode=True, pass_index=k)
+                 for enc in (enc_i, enc_ii) for k in (0, 1)]
+        return L.total_loss(views, cfg.loss)
 
     return _train([enc_i, enc_ii], corpus, sts_dev, vocab, cfg, step_fn)
 

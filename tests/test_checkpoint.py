@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from tncse.checkpoint import (FORMAT_VERSION, checkpoint_hash, load_encoder,
                               load_ensemble_manifest, save_encoder,
                               save_ensemble_manifest)
-from tncse.data import TokenBatch
 from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import CheckpointError
 
@@ -126,8 +125,7 @@ def test_single_line_manifest_mutation_fails_cleanly_or_loads(tmp_path, mutation
     except CheckpointError:
         return
     assert set(loaded.params) == set(enc.params)
-    ids = np.array([[1, 5, 7, 2, 0, 0]])
-    loaded.encode(TokenBatch(ids=ids, attention_mask=(ids > 0).astype(np.int64)))
+    loaded.encode(np.array([[1, 5, 7, 2, 0, 0]]))
 
 
 def test_manifest_with_zero_layers_is_a_checkpoint_error(tmp_path):

@@ -383,6 +383,43 @@ def test_cli_eval_on_a_broken_manifest_exits_4_with_one_line(data_dir, pair_dir,
     assert "pooler_w" in err[0]
 
 
+def test_cli_train_from_a_manifest_with_a_negative_seed_exits_4_with_one_line(
+        data_dir, pair_dir, tmp_path, capsys):
+    # the blob SHA-256 does not cover the manifest, so the loader checks the seed
+    manifest = pair_dir / "encoder_I.manifest"
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    manifest.write_text("".join("seed -5\n" if line.startswith("seed ") else f"{line}\n"
+                                for line in lines), encoding="utf-8")
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "tr")] + data_args(data_dir)
+              + ["--set", f"train.encoder_i={pair_dir}/encoder_I",
+                 "--set", f"train.encoder_ii={pair_dir}/encoder_II",
+                 "--set", "train.steps=2", "--set", "train.eval_interval=1"])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("checkpoint-error: "), err
+    assert f"{manifest}: seed -5" in err[0]
+
+
+@pytest.mark.parametrize("directory, checkpoint", [
+    ("encoder_II.manifest", "ensemble.manifest"),
+    ("encoder_II.bin", "ensemble.manifest"),
+    ("encoder_II.manifest", "encoder_II"),   # the ensemble-or-encoder sniff
+])
+def test_cli_eval_on_a_checkpoint_file_that_is_a_directory_exits_4_with_one_line(
+        data_dir, pair_dir, tmp_path, capsys, directory, checkpoint):
+    path = pair_dir / directory
+    path.unlink()
+    path.mkdir()
+    capsys.readouterr()
+    rc = main(["eval", "--out", str(tmp_path / "ev")] + data_args(data_dir)
+              + ["--set", f"eval.checkpoint={pair_dir}/{checkpoint}"])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("checkpoint-error: "), err
+    assert str(path) in err[0]
+
+
 def test_cli_eval_on_mixed_hidden_dims_exits_3_with_one_line(data_dir, pair_dir,
                                                              tmp_path, capsys):
     cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",

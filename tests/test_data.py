@@ -3,6 +3,8 @@ and the on-disk text formats."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncse.data import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, StsPair, Vocab,
                         batch_iter, build_vocab, load_corpus, load_sts_tsv,
@@ -66,34 +68,66 @@ def test_vocab_roundtrip_and_hash(tmp_path):
     assert build_vocab(["entirely different words"]).content_hash() != v.content_hash()
 
 
+@pytest.mark.parametrize("seed, expected", [(1, "05fcee78"), (3, "b543a98b"),
+                                            (101, "e31095fd")])
+def test_content_hash_is_stable(seed, expected):
+    # manifests record this hash, and loading compares it with the workspace's
+    assert build_vocab(synth_corpus(seed)[0]).content_hash() == expected
+
+
 # -- tokenize / batches ----------------------------------------------------
 
 def test_tokenize_wraps_with_cls_sep_and_pads():
     v = Vocab(["cat", "sat"])
-    ids, mask = tokenize(v, "cat sat", max_seq_len=8)
+    ids = tokenize(v, "cat sat", max_seq_len=8)
     assert ids.tolist() == [CLS_ID, 4, 5, SEP_ID, 0, 0, 0, 0]
-    assert mask.tolist() == [1, 1, 1, 1, 0, 0, 0, 0]
+    assert (ids != PAD_ID).tolist() == [True] * 4 + [False] * 4
 
 
 def test_tokenize_truncates_to_fit():
     v = Vocab(["a"])
-    ids, mask = tokenize(v, "a a a a a a", max_seq_len=5)
+    ids = tokenize(v, "a a a a a a", max_seq_len=5)
     assert ids.tolist() == [CLS_ID, 4, 4, 4, SEP_ID]
-    assert mask.sum() == 5
+    assert (ids != PAD_ID).sum() == 5
 
 
 def test_tokenize_is_case_insensitive():
     v = Vocab(["cat"])
-    ids, _ = tokenize(v, "CAT Cat", max_seq_len=6)
+    ids = tokenize(v, "CAT Cat", max_seq_len=6)
     assert ids.tolist()[1:3] == [4, 4]
 
 
 def test_make_batch_shapes():
     v = Vocab(["a", "b"])
     batch = make_batch(v, ["a b", "b"], max_seq_len=6)
-    assert batch.ids.shape == (2, 6)
-    assert batch.attention_mask.shape == (2, 6)
-    assert batch.ids.dtype == np.int64
+    assert batch.shape == (2, 6)
+    assert batch.dtype == np.int64
+    assert batch.tolist() == [[CLS_ID, 4, 5, SEP_ID, PAD_ID, PAD_ID],
+                              [CLS_ID, 5, SEP_ID, PAD_ID, PAD_ID, PAD_ID]]
+
+
+# any text, the reserved spellings among it
+_WORDS = st.one_of(st.sampled_from(["[PAD]", "[pad]", "[CLS]", "[SEP]", "[UNK]"]),
+                   st.text(max_size=6))
+
+
+@given(vocab_words=st.lists(_WORDS, max_size=8),
+       sentences=st.lists(st.lists(_WORDS, max_size=20).map(" ".join),
+                          min_size=1, max_size=5),
+       max_seq_len=st.integers(2, 12))
+@settings(max_examples=200, deadline=None)
+def test_make_batch_rows_are_cls_tokens_sep_then_only_padding(vocab_words, sentences,
+                                                              max_seq_len):
+    """The encoder's attention mask is ``ids != PAD_ID``; it rests on PAD_ID
+    filling the end of each row and appearing nowhere else."""
+    vocab = Vocab(vocab_words)
+    batch = make_batch(vocab, sentences, max_seq_len)
+    assert batch.shape == (len(sentences), max_seq_len)
+    for sentence, row in zip(sentences, batch.tolist()):
+        n = min(len(sentence.split()), max_seq_len - 2)
+        assert row[0] == CLS_ID and row[n + 1] == SEP_ID
+        assert PAD_ID not in row[:n + 2]
+        assert row[n + 2:] == [PAD_ID] * (max_seq_len - n - 2)
 
 
 def test_batch_iter_is_a_permutation_and_keeps_short_tail():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tncse.data import make_batch
-from tncse.encoder import (Encoder, EncoderConfig, dual_view, strip_layernorms)
+from tncse.encoder import Encoder, EncoderConfig, strip_layernorms
 from tncse.errors import ConfigError, DataError
 
 
@@ -94,24 +94,17 @@ def test_reset_rng_replays_dropout_masks(small_vocab):
     np.testing.assert_array_equal(h_first, h_replay)
 
 
-def test_dual_view_produces_four_distinct_views(small_vocab):
+def test_dual_step_passes_produce_four_distinct_views(small_vocab):
+    """The four passes of a dual training step: I and I+, II and II+."""
     enc_i = enc_of(small_vocab)
     enc_ii = Encoder(enc_i.config, seed=8, name="II",
                      vocab_hash=small_vocab.content_hash())
     batch = make_batch(small_vocab, ["the quick dog runs", "a cat"], 16)
-    b = dual_view(enc_i, enc_ii, batch)
-    views = [b.hL_I.data, b.hL_I_plus.data, b.hL_II.data, b.hL_II_plus.data]
+    views = [enc.encode(batch, train_mode=True, pass_index=k).last_hidden.data
+             for enc in (enc_i, enc_ii) for k in (0, 1)]
     for i in range(4):
         for j in range(i + 1, 4):
             assert not np.array_equal(views[i], views[j])
-
-
-def test_dual_view_rejects_vocab_mismatch(small_vocab):
-    enc_i = enc_of(small_vocab)
-    enc_ii = Encoder(enc_i.config, seed=8, name="II", vocab_hash="deadbeef")
-    batch = make_batch(small_vocab, ["a cat"], 16)
-    with pytest.raises(DataError):
-        dual_view(enc_i, enc_ii, batch)
 
 
 # -- input validation ------------------------------------------------------
@@ -126,7 +119,7 @@ def test_encode_rejects_wrong_sequence_length(small_vocab):
 def test_encode_rejects_out_of_vocab_ids(small_vocab):
     enc = enc_of(small_vocab)
     batch = make_batch(small_vocab, ["a cat"], 16)
-    batch.ids[0, 1] = len(small_vocab) + 10
+    batch[0, 1] = len(small_vocab) + 10
     with pytest.raises(DataError, match="out of vocabulary"):
         enc.encode(batch)
 

@@ -7,14 +7,14 @@ from hypothesis import strategies as st
 
 from tncse import losses as L
 from tncse.autodiff import Tensor
-from tncse.encoder import ViewBundle
+from tncse.encoder import EncoderOutput
 
 
-def random_bundle(rng, batch=4, d=6):
-    def m():
-        return Tensor(rng.standard_normal((batch, d)) + 0.1)
-    return ViewBundle(hL_I=m(), hL_I_plus=m(), hL_II=m(), hL_II_plus=m(),
-                      hP_I=m(), hP_I_plus=m(), hP_II=m(), hP_II_plus=m())
+def random_views(rng, batch=4, d=6):
+    """EncoderOutputs (I, I+, II, II+); their four h^L are drawn first, then
+    their four h^P."""
+    mats = [Tensor(rng.standard_normal((batch, d)) + 0.1) for _ in range(8)]
+    return [EncoderOutput(hL, hP) for hL, hP in zip(mats[:4], mats[4:])]
 
 
 class TestLtn:
@@ -169,49 +169,48 @@ class TestLtnModulated:
 
 
 class TestIctn:
-    def test_aligned_bundle_vanishes(self):
+    def test_aligned_views_vanish(self):
         hL = Tensor(np.array([[1.0, 2.0], [0.5, 0.5]]))
         hP = Tensor(np.array([[1.0, 0.0], [0.0, 2.0]]))
-        b = ViewBundle(hL_I=hL, hL_I_plus=hL, hL_II=hL, hL_II_plus=hL,
-                       hP_I=hP, hP_I_plus=hP, hP_II=hP, hP_II_plus=hP)
-        assert L.ictn(b).item() == pytest.approx(0.0, abs=1e-12)
+        views = [EncoderOutput(hL, hP)] * 4
+        assert L.ictn(views).item() == pytest.approx(0.0, abs=1e-12)
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(1)
-        b = random_bundle(rng)
-        swapped = ViewBundle(hL_I=b.hL_II, hL_I_plus=b.hL_II_plus,
-                             hL_II=b.hL_I, hL_II_plus=b.hL_I_plus,
-                             hP_I=b.hP_II, hP_I_plus=b.hP_II_plus,
-                             hP_II=b.hP_I, hP_II_plus=b.hP_I_plus)
+        o_i, o_i_plus, o_ii, o_ii_plus = views = random_views(rng)
+        swapped = [o_ii, o_ii_plus, o_i, o_i_plus]
         # first_view modulation is sim(hL_I, hL_II), symmetric under the swap
-        assert L.ictn(b).item() == pytest.approx(L.ictn(swapped).item(), rel=1e-12)
+        assert L.ictn(views).item() == pytest.approx(L.ictn(swapped).item(), rel=1e-12)
 
     def test_recomposition(self):
         rng = np.random.default_rng(2)
-        b = random_bundle(rng)
-        t1 = L.l_tn_modulated(b.hP_I, b.hP_II_plus, b.hL_I, b.hL_II).item()
-        t2 = L.l_tn_modulated(b.hP_II, b.hP_I_plus, b.hL_I, b.hL_II).item()
-        assert L.ictn(b).item() == pytest.approx(t1 + t2, rel=1e-12)
+        o_i, o_i_plus, o_ii, o_ii_plus = views = random_views(rng)
+        t1 = L.l_tn_modulated(o_i.pooler, o_ii_plus.pooler,
+                              o_i.last_hidden, o_ii.last_hidden).item()
+        t2 = L.l_tn_modulated(o_ii.pooler, o_i_plus.pooler,
+                              o_i.last_hidden, o_ii.last_hidden).item()
+        assert L.ictn(views).item() == pytest.approx(t1 + t2, rel=1e-12)
 
 
 class TestTotalLoss:
     def test_nce_only_single_sample_is_zero(self):
         rng = np.random.default_rng(3)
-        b = random_bundle(rng, batch=1)
+        views = random_views(rng, batch=1)
         cfg = L.LossConfig(enabled_terms=frozenset({"NCE"}))
-        terms = L.total_loss(b, cfg)
+        terms = L.total_loss(views, cfg)
         assert terms["total"].item() == pytest.approx(0.0, abs=1e-12)
         assert set(terms) == {"nce_i", "nce_ii", "total"}
 
     def test_recomposition_oracle(self):
         rng = np.random.default_rng(4)
-        b = random_bundle(rng)
+        views = random_views(rng)
         cfg = L.LossConfig()
-        terms = L.total_loss(b, cfg)
-        parts = (L.info_nce(b.hL_I, b.hL_I_plus, cfg.tau).item()
-                 + L.info_nce(b.hL_II, b.hL_II_plus, cfg.tau).item()
-                 + L.info_nce(b.hL_I, b.hL_II, cfg.tau).item()
-                 + L.ictn(b).item())
+        terms = L.total_loss(views, cfg)
+        hL_I, hL_I_plus, hL_II, hL_II_plus = (o.last_hidden for o in views)
+        parts = (L.info_nce(hL_I, hL_I_plus, cfg.tau).item()
+                 + L.info_nce(hL_II, hL_II_plus, cfg.tau).item()
+                 + L.info_nce(hL_I, hL_II, cfg.tau).item()
+                 + L.ictn(views).item())
         assert terms["total"].item() == pytest.approx(parts, rel=1e-12)
 
     def test_empty_terms_rejected(self):

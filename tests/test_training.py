@@ -4,9 +4,10 @@ restoration and loss-term reduction identities."""
 import numpy as np
 import pytest
 
+from tncse import training
 from tncse.autodiff import Tensor
 from tncse.encoder import Encoder
-from tncse.errors import NumericError
+from tncse.errors import DataError, NumericError
 from tncse.losses import LossConfig
 from tncse.training import (Adam, TrainConfig, TrainLog, ensemble_embed_fn,
                             pretrain_single, train_single_tn, train_tncse)
@@ -196,6 +197,18 @@ def test_dual_training_with_cross_terms_diverges_from_solo(
     deltas = [np.abs(enc_i.params[k].data - solo_i.params[k].data).max()
               for k in enc_i.params]
     assert max(deltas) > 1e-6
+
+
+def test_train_tncse_checks_vocabularies_before_validation(
+        small_corpus, small_dev, small_vocab, small_config, monkeypatch):
+    evals = []
+    monkeypatch.setattr(training, "sts_eval", lambda *a: evals.append(a) or 0.5)
+    enc_i = Encoder(small_config, seed=3, name="I",
+                    vocab_hash=small_vocab.content_hash())
+    enc_ii = Encoder(small_config, seed=4, name="II", vocab_hash="deadbeef")
+    with pytest.raises(DataError, match="different vocabulary"):
+        train_tncse(enc_i, enc_ii, small_corpus, small_dev, small_vocab, cfg_small())
+    assert evals == []
 
 
 def test_restore_best_rewinds_parameters(small_corpus, small_dev, small_vocab,
