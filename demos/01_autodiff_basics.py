@@ -38,7 +38,7 @@ H = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
 g = Tensor(np.ones(5))
 b = Tensor(np.zeros(5))
 normed = ad.layer_norm(H, g, b)
-probs = ad.softmax(normed, axis=-1)
+probs = ad.softmax(normed)
 loss = ad.mean(ad.mul(probs, probs))
 loss.backward()
 print("layer_norm+softmax composite grad norm =", np.linalg.norm(H.grad))

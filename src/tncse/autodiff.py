@@ -246,16 +246,38 @@ def matmul(a, b):
     return _node(out, (a, b), bw)
 
 
+def linear(x, w, b):
+    """``x @ w + b``, equal to ``np.matmul(x, w) + b`` bit for bit, with the
+    leading dims of ``x`` folded into one 2-D GEMM forward and backward."""
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    out = (x2 @ w.data + b.data).reshape(*x.shape[:-1], w.shape[1])
+
+    def bw(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return ((g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0))
+
+    return _node(out, (x, w, b), bw)
+
+
 def embedding(table, ids):
-    """Row gather from ``table`` by an integer id array; scatter-add backward."""
+    """Row gather from ``table`` by an integer id array; the backward sums
+    the gradient rows of each id in one ``reduceat`` over the stably sorted
+    ids."""
     table = as_tensor(table)
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ValueError(f"embedding id out of range for table of {table.shape[0]} rows")
 
     def bw(g):
+        order = np.argsort(ids, axis=None, kind="stable")
+        sorted_ids = ids.reshape(-1)[order]
+        starts = np.flatnonzero(np.diff(sorted_ids, prepend=-1))
         full = np.zeros_like(table.data)
-        np.add.at(full, ids, g)
+        full[sorted_ids[starts]] = np.add.reduceat(
+            g.reshape(ids.size, *table.shape[1:])[order], starts, axis=0)
         return (full,)
 
     return _node(table.data[ids], (table,), bw)
@@ -263,33 +285,45 @@ def embedding(table, ids):
 
 # -- neural-net primitives -------------------------------------------------
 
-def softmax(a, axis=-1, additive_mask=None):
-    """Softmax; ``additive_mask`` is added to the logits."""
+def _last_axis_max(z):
+    """``z.max(axis=-1, keepdims=True)`` by a pairwise ``np.maximum`` tree,
+    which is faster on short rows; a max is exact in any order."""
+    while z.shape[-1] > 1:
+        half = z.shape[-1] // 2
+        top = np.maximum(z[..., :half], z[..., half:2 * half])
+        if z.shape[-1] % 2:
+            np.maximum(top[..., :1], z[..., -1:], out=top[..., :1])
+        z = top
+    return z
+
+
+def softmax(a, additive_mask=None):
+    """Softmax over the last axis; ``additive_mask`` is added to the logits."""
     a = as_tensor(a)
     z = a.data
     if additive_mask is not None:
         z = z + additive_mask
-    z = z - z.max(axis=axis, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=axis, keepdims=True)
+    e = np.exp(z - _last_axis_max(z))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def bw(g):
         gs = g * out
-        return (gs - out * gs.sum(axis=axis, keepdims=True),)
+        return (gs - out * gs.sum(axis=-1, keepdims=True),)
 
     return _node(out, (a,), bw)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
-    """Zero-mean unit-variance normalization over the last axis, then affine."""
+def layer_norm(x, gamma, beta):
+    """Zero-mean unit-variance normalization over the last axis (eps 1e-5),
+    then affine."""
     x, gamma, beta = as_tensor(x), as_tensor(gamma), as_tensor(beta)
     d = x.shape[-1]
     if d < 2:
         raise ValueError(f"layer_norm needs a feature dimension >= 2, got {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # centered once, for the variance (as np.var computes it) and for xhat
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat = xc * inv
     out = gamma.data * xhat + beta.data
 
     def bw(g):
@@ -316,9 +350,9 @@ def dropout(x, p, rng):
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    keep = (rng.random(x.shape) >= p).astype(x.dtype)
-    s = 1.0 / (1.0 - p)
-    return _node(x.data * keep * s, (x,), lambda g: (g * keep * s,))
+    # keep is 0 or 1, so x * (keep * s) rounds as x * keep * s does
+    scaled_keep = (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
+    return _node(x.data * scaled_keep, (x,), lambda g: (g * scaled_keep,))
 
 
 # -- vector geometry -------------------------------------------------------

@@ -186,14 +186,11 @@ def _cmd_significance(args, cfg, out_dir):
 
 def _cmd_grad_check(args, cfg, out_dir):
     results = run_gradient_suite()
-    lines = []
-    ok = True
-    for r in results:
-        status = "pass" if r.passed else "FAIL"
-        ok = ok and r.passed
-        lines.append(f"{status} {r.name} worst_rel_err={r.worst_error:.3e} {r.detail}")
-        print(lines[-1])
-    pl._write_text(os.path.join(out_dir, "grad_check.txt"), "\n".join(lines) + "\n")
+    ok = all(r.passed for r in results)
+    text = "".join(f"{'pass' if r.passed else 'FAIL'} {r.name} "
+                   f"worst_rel_err={r.worst_error:.3e} {r.detail}\n" for r in results)
+    print(text, end="")
+    pl._write_text(os.path.join(out_dir, "grad_check.txt"), text)
     _finish(cfg, out_dir, {"command": "grad-check",
                            "checks": len(results), "all_passed": ok})
     return 0 if ok else EXIT_CODES["numeric-error"]

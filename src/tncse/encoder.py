@@ -129,44 +129,48 @@ class Encoder:
         def drop(x):
             return ad.dropout(x, drop_p, rng) if drop_p > 0 else x
 
-        x = ad.add(ad.embedding(p["tok_emb"], ids),
-                   ad.getitem(p["pos_emb"], slice(0, L)))
-        x = drop(x)
-
+        x = drop(ad.add(ad.embedding(p["tok_emb"], ids),
+                        ad.getitem(p["pos_emb"], slice(0, L))))
         attn_bias = ((mask - 1.0) * _MASK_NEG)[:, None, None, :]
         H, dk = c.num_heads, c.hidden_dim // c.num_heads
-        ln_total = 2 * c.num_layers
-        ln_kept = ln_total - c.layernorms_stripped
-        ln_index = 0
-
-        def maybe_ln(x, g, b):
-            nonlocal ln_index
-            keep = ln_index < ln_kept
-            ln_index += 1
-            return ad.layer_norm(x, g, b) if keep else x
+        ln_kept = 2 * c.num_layers - c.layernorms_stripped
 
         def heads(t):
             return ad.transpose(ad.reshape(t, (B, L, H, dk)), (0, 2, 1, 3))
 
+        def proj(t, name):
+            return ad.linear(t, p[f"{name}_w"], p[f"{name}_b"])
+
+        def add_norm(x, out, name, ln_index):
+            """Residual add of dropped-out ``out``, then LayerNorm ``name`` if kept."""
+            x = ad.add(x, drop(out))
+            if ln_index >= ln_kept:
+                return x
+            return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"])
+
         for i in range(c.num_layers):
-            q = heads(ad.add(ad.matmul(x, p[f"layer{i}.q_w"]), p[f"layer{i}.q_b"]))
-            k = heads(ad.add(ad.matmul(x, p[f"layer{i}.k_w"]), p[f"layer{i}.k_b"]))
-            v = heads(ad.add(ad.matmul(x, p[f"layer{i}.v_w"]), p[f"layer{i}.v_b"]))
+            q, k, v = (heads(proj(x, f"layer{i}.{n}")) for n in ("q", "k", "v"))
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                               1.0 / math.sqrt(dk))
-            attn = ad.softmax(scores, axis=-1, additive_mask=attn_bias)
-            attn = drop(attn)
+            attn = drop(ad.softmax(scores, additive_mask=attn_bias))
             ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, L, -1))
-            out = ad.add(ad.matmul(ctx, p[f"layer{i}.o_w"]), p[f"layer{i}.o_b"])
-            x = maybe_ln(ad.add(x, drop(out)), p[f"layer{i}.ln1_g"], p[f"layer{i}.ln1_b"])
-
-            h = ad.tanh(ad.add(ad.matmul(x, p[f"layer{i}.ffn1_w"]), p[f"layer{i}.ffn1_b"]))
-            out = ad.add(ad.matmul(h, p[f"layer{i}.ffn2_w"]), p[f"layer{i}.ffn2_b"])
-            x = maybe_ln(ad.add(x, drop(out)), p[f"layer{i}.ln2_g"], p[f"layer{i}.ln2_b"])
+            x = add_norm(x, proj(ctx, f"layer{i}.o"), f"layer{i}.ln1", 2 * i)
+            h = ad.tanh(proj(x, f"layer{i}.ffn1"))
+            x = add_norm(x, proj(h, f"layer{i}.ffn2"), f"layer{i}.ln2", 2 * i + 1)
 
         hL = ad.getitem(x, (slice(None), 0))
-        hP = ad.tanh(ad.add(ad.matmul(hL, p["pooler_w"]), p["pooler_b"]))
+        hP = ad.tanh(proj(hL, "pooler"))
         return EncoderOutput(last_hidden=hL, pooler=hP)
+
+
+def _check_compatible(encoders, what):
+    """Encoders summed or trained together share hidden_dim, max_seq_len and
+    vocabulary."""
+    for field in ("hidden_dim", "max_seq_len"):
+        values = sorted({getattr(enc.config, field) for enc in encoders})
+        if len(values) > 1:
+            raise DataError(f"{what} differ in {field}: {values}")
+    _check_same_vocab([enc.vocab_hash for enc in encoders], what)
 
 
 def _check_same_vocab(hashes, what):

@@ -15,8 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import batch_iter, make_batch
-from .encoder import Encoder, _check_same_vocab
-from .errors import DataError
+from .encoder import Encoder, _check_compatible
 from .evaluation import _normalize_rows
 from .losses import _unit_rows
 from .training import TrainConfig, TrainLog, _member_sums, _train
@@ -28,10 +27,7 @@ class EnsembleModel:
     def __init__(self, encoders):
         if not encoders:
             raise ValueError("an ensemble needs at least one encoder")
-        dims = {enc.config.hidden_dim for enc in encoders}
-        if len(dims) > 1:
-            raise DataError(f"member hidden dims differ: {sorted(dims)}")
-        _check_same_vocab([enc.vocab_hash for enc in encoders], "ensemble members")
+        _check_compatible(encoders, "ensemble members")
         self.encoders = list(encoders)
 
 

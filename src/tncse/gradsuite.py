@@ -102,6 +102,11 @@ def _primitive_cases():
                            lambda r: [rnd(r, 2, 3, 4), rnd(r, 2, 4, 3)]),
         "matmul_batched_4d": (lambda a, b: ad.sum_(ad.matmul(a, b)),
                               lambda r: [rnd(r, 2, 3, 4, 3), rnd(r, 2, 3, 3, 2)]),
+        # as the projections call it (3-D input) and as the pooler does (2-D)
+        "linear": (lambda x, w, b: weighted(ad.linear(x, w, b), (2, 3, 5)),
+                   lambda r: [rnd(r, 2, 3, 4), rnd(r, 4, 5), rnd(r, 5)]),
+        "linear_2d": (lambda x, w, b: weighted(ad.linear(x, w, b), (3, 5)),
+                      lambda r: [rnd(r, 3, 4), rnd(r, 4, 5), rnd(r, 5)]),
         "tanh": (lambda a: ad.sum_(ad.tanh(a)), lambda r: [rnd(r, 3, 4)]),
         "exp": (lambda a: ad.sum_(ad.exp(a)), lambda r: [rnd(r, 3, 4)]),
         "log": (lambda a: ad.sum_(ad.log(a)), lambda r: [0.5 + r.random((3, 4))]),
@@ -118,6 +123,10 @@ def _primitive_cases():
         "getitem_cls": (lambda a: weighted(ad.getitem(a, (slice(None), 0)), (3,)),
                         lambda r: [rnd(r, 3, 4)]),
         "softmax": (lambda a: weighted(ad.softmax(a), (3, 4)), lambda r: [rnd(r, 3, 4)]),
+        # an odd width takes the odd branch of the max tree; one entry masked
+        "softmax_masked_odd": (
+            lambda a: weighted(ad.softmax(a, np.array([0, 0, 0, -1e9, 0])), (2, 3, 5)),
+            lambda r: [rnd(r, 2, 3, 5)]),
         "layer_norm": (lambda x, g, b: weighted(ad.layer_norm(x, g, b), (3, 6)),
                        lambda r: [rnd(r, 3, 6), 1.0 + 0.1 * rnd(r, 6), 0.1 * rnd(r, 6)]),
         "embedding": (lambda t: weighted(ad.embedding(t, np.array([0, 2, 1, 2])), (4, 3)),

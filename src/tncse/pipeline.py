@@ -85,14 +85,8 @@ def resolve_config(file_kv=None, overrides=None, seed=None):
         for key, raw in source.items():
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
-            default = DEFAULTS[key]
             try:
-                if isinstance(default, int):
-                    cfg[key] = int(raw)
-                elif isinstance(default, float):
-                    cfg[key] = float(raw)
-                else:
-                    cfg[key] = str(raw)
+                cfg[key] = type(DEFAULTS[key])(raw)   # int, float or str
             except ValueError:
                 raise ConfigError(f"config key {key!r}: cannot parse {raw!r}") from None
     if seed is not None:
@@ -132,10 +126,9 @@ class Workspace:
 
 
 def load_workspace(cfg) -> Workspace:
-    if not cfg["data.corpus"]:
-        raise ConfigError("data.corpus is required")
-    if not cfg["data.sts_dev"]:
-        raise ConfigError("data.sts_dev is required")
+    for key in ("data.corpus", "data.sts_dev"):
+        if not cfg[key]:
+            raise ConfigError(f"{key} is required")
     for key in ("data.corpus", "data.sts_dev", "data.sts_test"):
         if cfg[key] and not os.path.isfile(cfg[key]):
             raise ConfigError(f"{key} path {cfg[key]} is not an existing file")
@@ -147,15 +140,9 @@ def load_workspace(cfg) -> Workspace:
 
 
 def encoder_config(cfg, vocab):
-    return EncoderConfig(
-        vocab_size=len(vocab),
-        max_seq_len=cfg["encoder.max_seq_len"],
-        hidden_dim=cfg["encoder.hidden_dim"],
-        num_layers=cfg["encoder.num_layers"],
-        num_heads=cfg["encoder.num_heads"],
-        ffn_dim=cfg["encoder.ffn_dim"],
-        dropout_p=cfg["encoder.dropout_p"],
-    )
+    """EncoderConfig from the ``encoder.*`` keys, each named after its field."""
+    fields = {k.split(".", 1)[1]: v for k, v in cfg.items() if k.startswith("encoder.")}
+    return EncoderConfig(vocab_size=len(vocab), **fields)
 
 
 def loss_config(cfg):

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from .data import batch_iter, make_batch, synonym_substitute
-from .encoder import Encoder, _check_same_vocab
+from .encoder import Encoder, _check_compatible
 from .errors import ConfigError, NumericError
 from .evaluation import EMBED_BATCH, sts_eval
 
@@ -233,7 +233,7 @@ def train_tncse(enc_i: Encoder, enc_ii: Encoder, corpus, sts_dev, vocab,
                 cfg: TrainConfig):
     """Joint dual-encoder training on the combined objective; validation and
     checkpointing use the sum-ensemble embedding."""
-    _check_same_vocab((enc_i.vocab_hash, enc_ii.vocab_hash), "encoders")
+    _check_compatible((enc_i, enc_ii), "encoders I and II")
     max_len = enc_i.config.max_seq_len
 
     def step_fn(sentences):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tncse import autodiff as ad
 from tncse import losses as L
@@ -41,7 +43,7 @@ class TestLayerNorm:
 
     def test_two_point_row(self):
         out = ad.layer_norm(Tensor([[1.0, 3.0]]), Tensor(np.ones(2)),
-                            Tensor(np.zeros(2)), eps=1e-12)
+                            Tensor(np.zeros(2)))
         np.testing.assert_allclose(out.data, [[-1.0, 1.0]], atol=1e-5)
 
     def test_beta_is_a_shift(self):
@@ -56,6 +58,85 @@ class TestLayerNorm:
     def test_rejects_width_one(self):
         with pytest.raises(ValueError):
             ad.layer_norm(Tensor([[1.0]]), Tensor([1.0]), Tensor([0.0]))
+
+
+class TestExactForward:
+    """The fused and restructured forward kernels equal the plain numpy
+    formulas bit for bit, so encoder outputs do not depend on them."""
+
+    @pytest.mark.parametrize("batch, seq_len, d, f", [
+        (32, 16, 64, 256), (64, 16, 64, 256), (32, 32, 128, 512), (64, 32, 128, 512)])
+    def test_linear_equals_matmul_plus_bias(self, batch, seq_len, d, f):
+        rng = np.random.default_rng(batch + seq_len)
+        # q/k/v/o, ffn1, ffn2 on (batch, seq_len, .) rows, the pooler on (batch, d)
+        for lead, n_in, n_out in (((batch, seq_len), d, d), ((batch, seq_len), d, f),
+                                  ((batch, seq_len), f, d), ((batch,), d, d)):
+            x = rng.standard_normal((*lead, n_in)).astype(np.float32)
+            w = (0.02 * rng.standard_normal((n_in, n_out))).astype(np.float32)
+            b = (0.1 * rng.standard_normal(n_out)).astype(np.float32)
+            got = ad.linear(Tensor(x), Tensor(w), Tensor(b)).data
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got, np.matmul(x, w) + b)
+
+    def test_linear_rejects_mismatched_shapes(self):
+        for w_shape, b_shape in (((5, 3), (3,)), ((4, 3), (4,)), ((4, 3), (1,))):
+            with pytest.raises(ValueError, match="linear shape mismatch"):
+                ad.linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros(w_shape)),
+                          Tensor(np.zeros(b_shape)))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 33),
+           st.sampled_from([np.float32, np.float64]))
+    @settings(max_examples=100, deadline=None)
+    def test_softmax_equals_the_max_shifted_formula(self, seed, width, dtype):
+        rng = np.random.default_rng(seed)
+        a = (4.0 * rng.standard_normal((2, 3, width))).astype(dtype)
+        # the encoder's additive key mask: 0 or -1e9 per key, shared by rows
+        mask = np.where(rng.random((2, 1, width)) < 0.3, -1e9, 0.0).astype(dtype)
+        z = a + mask
+        e = np.exp(z - z.max(axis=-1, keepdims=True))
+        np.testing.assert_array_equal(ad.softmax(Tensor(a), additive_mask=mask).data,
+                                      e / e.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_equals_the_np_var_formula(self, dtype):
+        rng = np.random.default_rng(11)
+        for shape in ((32, 16, 64), (64, 32, 128), (3, 6)):
+            x = (2.0 * rng.standard_normal(shape) + 0.5).astype(dtype)
+            g = (1.0 + 0.1 * rng.standard_normal(shape[-1])).astype(dtype)
+            b = (0.1 * rng.standard_normal(shape[-1])).astype(dtype)
+            mu = x.mean(axis=-1, keepdims=True)
+            var = x.var(axis=-1, keepdims=True)
+            want = g * ((x - mu) * (1.0 / np.sqrt(var + 1e-5))) + b
+            np.testing.assert_array_equal(
+                ad.layer_norm(Tensor(x), Tensor(g), Tensor(b)).data, want)
+
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_dropout_equals_x_times_keep_times_scale(self, p):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.standard_normal((32, 16, 64)).astype(np.float32),
+                   requires_grad=True)
+        g = rng.standard_normal(x.shape).astype(np.float32)
+        out = ad.dropout(x, p, RngStreams(9).get("d"))
+        ad.sum_(ad.mul(out, Tensor(g))).backward()
+        keep = (RngStreams(9).get("d").random(x.shape) >= p).astype(np.float32)
+        s = 1.0 / (1.0 - p)
+        np.testing.assert_array_equal(out.data, x.data * keep * s)
+        np.testing.assert_array_equal(x.grad, g * keep * s)
+
+    def test_embedding_backward_matches_add_at_on_repeated_ids(self):
+        rng = np.random.default_rng(13)
+        table = Tensor(rng.standard_normal((200, 8)).astype(np.float32),
+                       requires_grad=True)
+        ids = rng.integers(2, 200, size=(32, 16))
+        ids[:, 0] = 1        # [CLS] and padding repeat in every row, and 352
+        ids[:, 12:] = 0      # draws from 198 ids repeat many of them
+        g = rng.standard_normal((32, 16, 8)).astype(np.float32)
+        ad.sum_(ad.mul(ad.embedding(table, ids), Tensor(g))).backward()
+        want = np.zeros_like(table.data)
+        np.add.at(want, ids, g)
+        assert np.linalg.norm(table.grad - want) <= 1e-6 * np.linalg.norm(want)
+        untouched = np.setdiff1d(np.arange(200), ids)
+        assert untouched.size and not table.grad[untouched].any()
 
 
 class TestNormAndCosine:
@@ -111,7 +192,7 @@ class TestEngineContracts:
             x = Tensor(np.linspace(-1, 1, 24).reshape(4, 6))
             h = ad.tanh(ad.matmul(x, Tensor(np.ones((6, 6)))))
             h = ad.dropout(h, 0.2, streams.get("d"))
-            return ad.softmax(h, axis=-1).data
+            return ad.softmax(h).data
         np.testing.assert_array_equal(run(), run())
 
     def test_grad_accumulates_over_shared_use(self):

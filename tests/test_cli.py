@@ -435,7 +435,28 @@ def test_cli_eval_on_mixed_hidden_dims_exits_3_with_one_line(data_dir, pair_dir,
     assert rc == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data-error: "), err
-    assert "hidden dims" in err[0]
+    assert "differ in hidden_dim: [32, 64]" in err[0]
+
+
+@pytest.mark.parametrize("key, value, expected", [
+    ("encoder.hidden_dim", "32", "differ in hidden_dim: [32, 64]"),
+    ("encoder.max_seq_len", "24", "differ in max_seq_len: [16, 24]"),
+])
+def test_cli_train_on_encoders_of_different_shapes_exits_3_with_one_line(
+        data_dir, pair_dir, tmp_path, capsys, key, value, expected):
+    cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",
+                             "data.sts_dev": f"{data_dir}/sts_dev.tsv", key: value})
+    ws = pl.load_workspace(cfg)
+    ckpt.save_encoder(pl.new_encoder(cfg, ws, 1, 2, "II"), str(pair_dir / "encoder_N"))
+    capsys.readouterr()
+    rc = main(["train", "--out", str(tmp_path / "tr")] + data_args(data_dir)
+              + ["--set", f"train.encoder_i={pair_dir}/encoder_I",
+                 "--set", f"train.encoder_ii={pair_dir}/encoder_N",
+                 "--set", "train.steps=2", "--set", "train.eval_interval=1"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("data-error: "), err
+    assert expected in err[0]
 
 
 def test_cli_corrupt_sts_file_exits_3(data_dir, tmp_path, capsys):

@@ -28,7 +28,14 @@ def test_ensemble_rejects_empty():
 def test_ensemble_rejects_mismatched_hidden_dims(small_config, small_vocab):
     import dataclasses
     other = dataclasses.replace(small_config, hidden_dim=16, num_heads=4)
-    with pytest.raises(DataError, match="hidden dims"):
+    with pytest.raises(DataError, match=r"differ in hidden_dim: \[16, 32\]"):
+        EnsembleModel([Encoder(small_config, 1), Encoder(other, 2)])
+
+
+def test_ensemble_rejects_mismatched_max_seq_lens(small_config):
+    import dataclasses
+    other = dataclasses.replace(small_config, max_seq_len=small_config.max_seq_len + 8)
+    with pytest.raises(DataError, match=r"differ in max_seq_len: \[16, 24\]"):
         EnsembleModel([Encoder(small_config, 1), Encoder(other, 2)])
 
 
