@@ -126,9 +126,10 @@ class Workspace:
 
 
 def load_workspace(cfg) -> Workspace:
-    for key in ("data.corpus", "data.sts_dev"):
-        if not cfg[key]:
-            raise ConfigError(f"{key} is required")
+    if not cfg["data.corpus"]:
+        raise ConfigError("data.corpus is required")
+    if not cfg["data.sts_dev"]:
+        raise ConfigError("data.sts_dev is required")
     for key in ("data.corpus", "data.sts_dev", "data.sts_test"):
         if cfg[key] and not os.path.isfile(cfg[key]):
             raise ConfigError(f"{key} path {cfg[key]} is not an existing file")
