@@ -2,6 +2,8 @@
 including the exit-code taxonomy."""
 
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +19,8 @@ from tncse.ensemble import EnsembleModel
 from tncse.errors import CheckpointError, ConfigError, DataError, TncseError
 from tncse.evaluation import alignment, sts_eval, uniformity
 from tncse.training import ensemble_embed_fn
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 # -- config resolution -----------------------------------------------------
@@ -493,6 +497,30 @@ def test_cli_default_out_dir_env_root(data_dir, tmp_path, monkeypatch):
     assert main(["gen-data", "--seed", "1"]) == 0
     runs = os.listdir(tmp_path / "root")
     assert len(runs) == 1 and runs[0].startswith("gen-data-")
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_importing_tncse_defaults_blas_to_one_thread(preset):
+    """A fresh process that imports tncse before numpy runs its GEMMs on one
+    BLAS thread, unless OPENBLAS_NUM_THREADS was set."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    script = ("import os, tncse, numpy as np\n"
+              "a = np.ones((512, 512), np.float32)\n"
+              "a @ a\n"
+              "t = '/proc/self/task'\n"
+              "tasks = len(os.listdir(t)) if os.path.isdir(t) else 1\n"
+              "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    value, tasks = proc.stdout.split()
+    if preset is None:
+        assert (value, tasks) == ("1", "1")
+    else:
+        assert value == preset
 
 
 def test_cli_short_training_pipeline_end_to_end(data_dir, tmp_path, capsys):
