@@ -232,18 +232,14 @@ def mean(a, axis=None):
 # -- linear algebra --------------------------------------------------------
 
 def matmul(a, b):
-    """Matrix product of operands with 2 or more dims; leading dims broadcast."""
+    """Matrix product of operands with 2 or more dims and equal leading dims."""
     a, b = as_tensor(a), as_tensor(b)
-    if min(a.data.ndim, b.data.ndim) < 2 or a.shape[-1] != b.shape[-2]:
+    if (min(a.data.ndim, b.data.ndim) < 2 or a.shape[-1] != b.shape[-2]
+            or a.shape[:-2] != b.shape[:-2]):
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = np.matmul(a.data, b.data)
-
-    def bw(g):
-        ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-        gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-        return (_unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape))
-
-    return _node(out, (a, b), bw)
+    return _node(np.matmul(a.data, b.data), (a, b),
+                 lambda g: (np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                            np.matmul(np.swapaxes(a.data, -1, -2), g)))
 
 
 def linear(x, w, b):
@@ -338,12 +334,13 @@ def layer_norm(x, gamma, beta):
     return _node(out, (x, gamma, beta), bw)
 
 
-def dropout(x, p, rng):
+def dropout(x, p, rng, draw_shape=None):
     """Inverted dropout driven by a named, seeded generator stream.
 
     The survivor mask is drawn from ``rng`` and captured by the backward
     closure, so replaying with the stream at the same position reproduces
-    the forward output exactly.
+    the forward output exactly.  A mask drawn at ``draw_shape`` applies its
+    leading corner, leaving the stream where a full-shape dropout would.
     """
     x = as_tensor(x)
     if not 0.0 <= p < 1.0:
@@ -351,7 +348,8 @@ def dropout(x, p, rng):
     if p == 0.0:
         return x
     # keep is 0 or 1, so x * (keep * s) rounds as x * keep * s does
-    scaled_keep = (rng.random(x.shape) >= p).astype(x.dtype) * (1.0 / (1.0 - p))
+    keep = rng.random(draw_shape or x.shape)[tuple(map(slice, x.shape))] >= p
+    scaled_keep = keep.astype(x.dtype) * (1.0 / (1.0 - p))
     return _node(x.data * scaled_keep, (x,), lambda g: (g * scaled_keep,))
 
 

@@ -95,13 +95,7 @@ def batch_iter(corpus, batch_size, seed, epoch):
 def load_synonyms():
     """The shipped word -> synonym table."""
     text = (importlib.resources.files("tncse") / "resources/synonyms.tsv").read_text("utf-8")
-    table = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        word, syn = line.split("\t")
-        table[word] = syn
-    return table
+    return dict(line.split("\t") for line in text.splitlines() if line.strip())
 
 
 def synonym_substitute(sentence, table, rng, p=0.7):
@@ -178,10 +172,8 @@ def synth_corpus(seed, n_sentences=2048, n_pairs=128):
         raise DataError("corpus sizes must be >= 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 0x5e]))
 
-    corpus = []
-    for _ in range(n_sentences):
-        t = _TEMPLATES[rng.integers(len(_TEMPLATES))]
-        corpus.append(_fill(t, rng)[0])
+    corpus = [_fill(_TEMPLATES[rng.integers(len(_TEMPLATES))], rng)[0]
+              for _ in range(n_sentences)]
 
     table = load_synonyms()
 

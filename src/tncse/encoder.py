@@ -3,6 +3,8 @@
 Each layer is multi-head attention and a tanh FFN, each followed by a
 LayerNorm (so 2·num_layers LayerNorms total); pooling takes the CLS row of
 the last hidden state and a single tanh feedforward pooler projects it.
+The last layer computes only the rows the pooled output reads: its keys and
+values span the sequence, its queries and everything after them rows 0-1.
 LayerNorms can be stripped from the end of the stack for the norm probe.
 """
 
@@ -126,35 +128,39 @@ class Encoder:
         rng = self.streams.get(f"{self.name}/pass{pass_index}") if train_mode else None
         drop_p = c.dropout_p if train_mode else 0.0
 
-        def drop(x):
-            return ad.dropout(x, drop_p, rng) if drop_p > 0 else x
+        def drop(x, draw_shape=None):
+            return ad.dropout(x, drop_p, rng, draw_shape) if drop_p > 0 else x
 
         x = drop(ad.add(ad.embedding(p["tok_emb"], ids),
                         ad.getitem(p["pos_emb"], slice(0, L))))
         attn_bias = ((mask - 1.0) * _MASK_NEG)[:, None, None, :]
-        H, dk = c.num_heads, c.hidden_dim // c.num_heads
+        H, d, dk = c.num_heads, c.hidden_dim, c.hidden_dim // c.num_heads
         ln_kept = 2 * c.num_layers - c.layernorms_stripped
 
         def heads(t):
-            return ad.transpose(ad.reshape(t, (B, L, H, dk)), (0, 2, 1, 3))
+            return ad.transpose(ad.reshape(t, (B, -1, H, dk)), (0, 2, 1, 3))
 
         def proj(t, name):
             return ad.linear(t, p[f"{name}_w"], p[f"{name}_b"])
 
         def add_norm(x, out, name, ln_index):
             """Residual add of dropped-out ``out``, then LayerNorm ``name`` if kept."""
-            x = ad.add(x, drop(out))
+            x = ad.add(x, drop(out, (B, L, d)))
             if ln_index >= ln_kept:
                 return x
             return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"])
 
         for i in range(c.num_layers):
-            q, k, v = (heads(proj(x, f"layer{i}.{n}")) for n in ("q", "k", "v"))
+            # only row 0 of the last layer is read; 2 query rows round as L rows do
+            last = i == c.num_layers - 1
+            xq = ad.getitem(x, (slice(None), slice(0, 2))) if last else x
+            q = heads(proj(xq, f"layer{i}.q"))
+            k, v = (heads(proj(x, f"layer{i}.{n}")) for n in ("k", "v"))
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                               1.0 / math.sqrt(dk))
-            attn = drop(ad.softmax(scores, additive_mask=attn_bias))
-            ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, L, -1))
-            x = add_norm(x, proj(ctx, f"layer{i}.o"), f"layer{i}.ln1", 2 * i)
+            attn = drop(ad.softmax(scores, additive_mask=attn_bias), (B, H, L, L))
+            ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, -1, d))
+            x = add_norm(xq, proj(ctx, f"layer{i}.o"), f"layer{i}.ln1", 2 * i)
             h = ad.tanh(proj(x, f"layer{i}.ffn1"))
             x = add_norm(x, proj(h, f"layer{i}.ffn2"), f"layer{i}.ln2", 2 * i + 1)
 
@@ -163,10 +169,10 @@ class Encoder:
         return EncoderOutput(last_hidden=hL, pooler=hP)
 
 
-def _check_compatible(encoders, what):
-    """Encoders summed or trained together share hidden_dim, max_seq_len and
-    vocabulary."""
-    for field in ("hidden_dim", "max_seq_len"):
+def _check_compatible(encoders, what, fields=("hidden_dim", "max_seq_len")):
+    """Encoders summed or trained together share ``fields`` of their config
+    and their vocabulary."""
+    for field in fields:
         values = sorted({getattr(enc.config, field) for enc in encoders})
         if len(values) > 1:
             raise DataError(f"{what} differ in {field}: {values}")

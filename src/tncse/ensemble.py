@@ -64,7 +64,10 @@ def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
     ``teacher`` ensemble in the shared training loop; returns a DistillLog.
     The best-validated student weights (by validation Spearman, step 0
     included) are restored into ``student``, and ``probe_loss_best`` is the
-    probe loss of those weights."""
+    probe loss of those weights.  The teacher embeds the student's batches,
+    so the two must share max_seq_len; their hidden dims may differ."""
+    _check_compatible([*teacher.encoders, student], "distill teacher and student",
+                      ("max_seq_len",))
     max_len = student.config.max_seq_len
 
     def batch_loss(batch, train_mode):

@@ -35,8 +35,7 @@ def spearman(pred, gold):
         raise DataError("spearman undefined for fewer than 2 points")
     if np.all(pred == pred[0]) or np.all(gold == gold[0]):
         raise DataError("spearman undefined for a constant sequence")
-    rho = spearmanr(pred, gold).statistic
-    return float(rho)
+    return float(spearmanr(pred, gold).statistic)
 
 
 def cosine_matrix_rows(A, B):
@@ -162,9 +161,7 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
     def to_kv(self):
-        kv = {}
-        for name, rho in self.per_dataset.items():
-            kv[f"spearman.{name}"] = rho
+        kv = {f"spearman.{name}": rho for name, rho in self.per_dataset.items()}
         if self.per_dataset:
             kv["spearman.avg"] = self.average_rho
         if self.alignment is not None:

@@ -167,12 +167,15 @@ def _loss_cases():
     }
 
 
-def _attention_composite_case(trial):
+def _attention_composite_case(trial, num_layers=1, dropout_p=0.0):
     """FD-check the full encoder forward (attention composite included)
-    against a handful of its parameters."""
+    against a handful of its parameters.  With dropout on it runs in train
+    mode, each forward on a fresh stream, so every evaluation draws the same
+    masks."""
     rng = np.random.default_rng(5000 + trial)
     config = EncoderConfig(vocab_size=12, max_seq_len=6, hidden_dim=8,
-                           num_layers=1, num_heads=2, ffn_dim=12, dropout_p=0.0)
+                           num_layers=num_layers, num_heads=2, ffn_dim=12,
+                           dropout_p=dropout_p)
     enc = Encoder(config, seed=trial, name="g").astype(np.float64)
     # Re-draw the weights at a larger scale: at init-scale the attention
     # scores are ~0, softmax is near-uniform, and the true q/k gradients sit
@@ -184,15 +187,18 @@ def _attention_composite_case(trial):
     ids[:, 0] = 1
     ids[0, 4:] = 0   # padding
     weights = rng.standard_normal((2, 8))
-    names = ["layer0.q_w", "layer0.o_w", "layer0.ffn1_w", "layer0.ln1_g",
-             "pooler_w", "tok_emb"]
+    # one parameter per trial, in turn; no key bias, whose exact gradient is 0
+    names = [f"layer{num_layers - 1}.{n}" for n in ("q_w", "k_w", "v_w", "o_w", "ln1_g",
+                                                     "ffn1_w", "ffn2_w", "ln2_b")]
+    names += ["layer0.ffn1_b", "pooler_w", "tok_emb", "pos_emb"]
     name = names[trial % len(names)]
 
     def f(p):
         old = enc.params[name]
         enc.params[name] = p
         try:
-            out = enc.encode(ids, train_mode=False)
+            enc.streams = RngStreams(enc.seed)
+            out = enc.encode(ids, train_mode=dropout_p > 0)
             return ad.sum_(ad.mul(ad.add(out.last_hidden, out.pooler),
                                   Tensor(weights)))
         finally:
@@ -221,6 +227,8 @@ def run_gradient_suite(n_trials=20, rtol=1e-6):
         trials = ((f, make(np.random.default_rng(10_000 + 37 * trial)))
                   for trial in range(n_trials))
         results.append(_check_trials(name, trials, rtol))
-    trials = (_attention_composite_case(trial) for trial in range(n_trials))
-    results.append(_check_trials("encoder_attention_composite", trials, rtol))
+    for suffix, kw in (("", {}), ("_2layer", {"num_layers": 2}),
+                       ("_2layer_dropout", {"num_layers": 2, "dropout_p": 0.1})):
+        trials = (_attention_composite_case(trial, **kw) for trial in range(n_trials))
+        results.append(_check_trials(f"encoder_attention_composite{suffix}", trials, rtol))
     return results

@@ -162,12 +162,8 @@ def train_config(cfg, section, seed):
                        single_tn_weight=cfg["train.single_tn_weight"])
 
 
-def _encoder_seed(root_seed, which):
-    return root_seed * 7919 + which
-
-
 def new_encoder(cfg, ws, root_seed, which, name):
-    return Encoder(encoder_config(cfg, ws.vocab), _encoder_seed(root_seed, which),
+    return Encoder(encoder_config(cfg, ws.vocab), root_seed * 7919 + which,
                    name=name, vocab_hash=ws.vocab.content_hash())
 
 
@@ -210,10 +206,8 @@ def run_tncse(cfg, ws, prefix_i, prefix_ii, out_dir):
     enc_ii = load_encoder_checked(prefix_ii, ws)
     log = train_tncse(enc_i, enc_ii, ws.corpus, ws.sts_dev, ws.vocab,
                       train_config(cfg, "train", cfg["seed"]))
-    out_i = os.path.join(out_dir, "encoder_I")
-    out_ii = os.path.join(out_dir, "encoder_II")
-    ckpt.save_encoder(enc_i, out_i)
-    ckpt.save_encoder(enc_ii, out_ii)
+    for enc, name in ((enc_i, "encoder_I"), (enc_ii, "encoder_II")):
+        ckpt.save_encoder(enc, os.path.join(out_dir, name))
     ckpt.save_ensemble_manifest(["encoder_I", "encoder_II"],
                                 os.path.join(out_dir, "ensemble.manifest"))
     _write_text(os.path.join(out_dir, "trainlog.csv"), log.to_csv())

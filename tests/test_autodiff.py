@@ -34,6 +34,14 @@ class TestMatmul:
             with pytest.raises(ValueError, match=re.escape(f"{a_shape} @ {b_shape}")):
                 ad.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
 
+    def test_unequal_leading_dims_are_refused(self):
+        # the backward returns each operand's gradient at the product's
+        # leading dims, so broadcasting operands are refused up front
+        for a_shape, b_shape in (((2, 3, 4), (4, 5)), ((1, 3, 4), (2, 4, 5)),
+                                 ((2, 2, 3, 4), (2, 1, 4, 5))):
+            with pytest.raises(ValueError, match=re.escape(f"{a_shape} @ {b_shape}")):
+                ad.matmul(Tensor(np.zeros(a_shape)), Tensor(np.zeros(b_shape)))
+
 
 class TestLayerNorm:
     def test_constant_row_is_zeroed(self):
@@ -176,6 +184,23 @@ class TestDropout:
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
                 ad.dropout(Tensor([1.0]), p, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_full_shape_draw_is_the_leading_corner_of_a_full_dropout(self, dtype):
+        """A mask drawn at a full shape and sliced drops exactly what a
+        full-shape dropout drops in that corner, and leaves the stream where
+        the full-shape dropout leaves it."""
+        full = np.random.default_rng(3).standard_normal((3, 2, 7, 7)).astype(dtype)
+        corner = full[:, :, :2]
+        rng_full, rng_sliced = RngStreams(11).get("d"), RngStreams(11).get("d")
+        want = ad.dropout(Tensor(full), 0.3, rng_full).data[:, :, :2]
+        x = Tensor(corner.copy(), requires_grad=True)
+        got = ad.dropout(x, 0.3, rng_sliced, draw_shape=full.shape)
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got.data, want)
+        assert rng_sliced.random() == rng_full.random()
+        ad.sum_(got).backward()
+        np.testing.assert_array_equal(x.grad, (want != 0) / dtype(0.7))
 
 
 class TestEngineContracts:

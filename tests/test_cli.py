@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tncse import checkpoint as ckpt
+from tncse import ensemble
 from tncse import pipeline as pl
 from tncse.cli import main
 from tncse.encoder import Encoder
@@ -461,6 +462,23 @@ def test_cli_train_on_encoders_of_different_shapes_exits_3_with_one_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("data-error: "), err
     assert expected in err[0]
+
+
+def test_cli_distill_with_a_student_of_another_length_exits_3_with_one_line(
+        data_dir, pair_dir, tmp_path, capsys, monkeypatch):
+    def no_teacher_calls(*args, **kwargs):
+        raise AssertionError("the teacher ran before the length check")
+
+    monkeypatch.setattr(ensemble, "ensemble_embed", no_teacher_calls)
+    capsys.readouterr()
+    rc = main(["distill", "--out", str(tmp_path / "ds")] + data_args(data_dir)
+              + ["--set", f"distill.teacher={pair_dir}/ensemble.manifest",
+                 "--set", "encoder.max_seq_len=24", "--set", "encoder.hidden_dim=32",
+                 "--set", "distill.steps=2", "--set", "distill.eval_interval=1"])
+    assert rc == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["data-error: distill teacher and student differ in "
+                   "max_seq_len: [16, 24]"], err
 
 
 def test_cli_corrupt_sts_file_exits_3(data_dir, tmp_path, capsys):

@@ -1,10 +1,12 @@
 """Encoder forward pass: shapes, determinism, dropout-view behavior,
 pooling, and LayerNorm stripping."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from tncse.data import make_batch
+from tncse.data import CLS_ID, PAD_ID, SEP_ID, make_batch
 from tncse.encoder import Encoder, EncoderConfig, strip_layernorms
 from tncse.errors import ConfigError, DataError
 
@@ -170,3 +172,39 @@ def test_last_layernorm_is_stripped_first(small_vocab):
     mu, var = one.mean(-1, keepdims=True), one.var(-1, keepdims=True)
     renormed = (one - mu) / np.sqrt(var + 1e-5) * g + b
     np.testing.assert_allclose(renormed, full, rtol=1e-4, atol=1e-6)
+
+
+# -- golden outputs --------------------------------------------------------
+
+# SHA-256 of last_hidden and pooler for the fixed encoder below, recorded
+# when the last layer still ran every row: computing only the rows the output
+# reads must keep the float32 rounding and the dropout stream positions.  The
+# digests hold for one numpy/OpenBLAS build and CPU (numpy 2.4.6, OpenBLAS
+# 0.3.31, x86-64); another build may round a GEMM differently.
+GOLDEN_DIGESTS = {
+    "eval": ("15cfe0f4327ef9cbf3cc5e4fa44faaf5addf1cbb1cf3f80c494a224305b085fa",
+             "6f3a4e5b3f9a16800f819af0a1d2d358e4e103cb0e119b903cedee552235da2e"),
+    "pass0": ("d4722b6a02ce16aadb8e64e69cc66518f45d57bec0a5a2c0f5755356e1e3cc2c",
+              "2b89cb24e2f62f87b6ba7a90c7eb3b350163751638467be702c4b7678f61c584"),
+    "pass1": ("60a101d149c6e7abc426d5a3153bedf20708c93b9662c2d843e5787ba9aefebb",
+              "1dea258fc8e5bc2f24b536a3aaa6bcd155f48e412d60a5ffac74f7578115e537"),
+}
+
+
+def test_encode_outputs_match_golden_digests():
+    config = EncoderConfig(vocab_size=50, max_seq_len=16, hidden_dim=64,
+                           num_layers=2, num_heads=4, ffn_dim=256, dropout_p=0.1)
+    rng = np.random.default_rng(2024)
+    ids = rng.integers(4, 50, size=(8, 16))
+    ids[:, 0] = CLS_ID
+    for row, n in enumerate(rng.integers(4, 17, size=8)):
+        ids[row, n - 1] = SEP_ID
+        ids[row, n:] = PAD_ID
+    enc = Encoder(config, seed=17, name="I")
+    modes = {"eval": {}, "pass0": dict(train_mode=True, pass_index=0),
+             "pass1": dict(train_mode=True, pass_index=1)}
+    for mode, kw in modes.items():
+        out = enc.encode(ids, **kw)
+        got = tuple(hashlib.sha256(t.data.tobytes()).hexdigest()
+                    for t in (out.last_hidden, out.pooler))
+        assert got == GOLDEN_DIGESTS[mode], mode
