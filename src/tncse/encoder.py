@@ -169,10 +169,10 @@ class Encoder:
         return EncoderOutput(last_hidden=hL, pooler=hP)
 
 
-def _check_compatible(encoders, what, fields=("hidden_dim", "max_seq_len")):
-    """Encoders summed or trained together share ``fields`` of their config
-    and their vocabulary."""
-    for field in fields:
+def _check_compatible(encoders, what):
+    """Encoders summed or trained together share hidden_dim, max_seq_len and
+    their vocabulary."""
+    for field in ("hidden_dim", "max_seq_len"):
         values = sorted({getattr(enc.config, field) for enc in encoders})
         if len(values) > 1:
             raise DataError(f"{what} differ in {field}: {values}")

@@ -3,8 +3,7 @@ distillation.
 
 Distillation regresses the student's per-batch pairwise cosine-similarity
 matrix onto the frozen teacher's (off-diagonal MSE), so student and teacher
-may differ in hidden dimension.  It runs the shared training loop under a
-TrainConfig.
+may differ in hidden_dim and max_seq_len.  It runs in the shared _train loop.
 """
 
 from __future__ import annotations
@@ -15,10 +14,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .data import batch_iter, make_batch
-from .encoder import Encoder, _check_compatible
+from .encoder import Encoder, _check_compatible, _check_same_vocab
 from .evaluation import _normalize_rows
 from .losses import _unit_rows
-from .training import TrainConfig, TrainLog, _member_sums, _train
+from .training import TrainConfig, TrainLog, _member_sums, _train, ensemble_embed_fn
 
 
 class EnsembleModel:
@@ -64,26 +63,26 @@ def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
     ``teacher`` ensemble in the shared training loop; returns a DistillLog.
     The best-validated student weights (by validation Spearman, step 0
     included) are restored into ``student``, and ``probe_loss_best`` is the
-    probe loss of those weights.  The teacher embeds the student's batches,
-    so the two must share max_seq_len; their hidden dims may differ."""
-    _check_compatible([*teacher.encoders, student], "distill teacher and student",
-                      ("max_seq_len",))
-    max_len = student.config.max_seq_len
+    probe loss of those weights.  The teacher embeds each distinct sentence
+    once per run, at its own max_seq_len."""
+    _check_same_vocab([enc.vocab_hash for enc in (*teacher.encoders, student)],
+                      "distill teacher and student")
+    teacher_embed = ensemble_embed_fn(teacher.encoders, vocab)
 
-    def batch_loss(batch, train_mode):
-        t_emb = ensemble_embed(teacher, batch).astype(np.float64)
-        h = student.encode(batch, train_mode=train_mode, pass_index=0).last_hidden
+    def batch_loss(sentences, train_mode):
+        t_emb = teacher_embed(sentences).astype(np.float64)
+        h = student.encode(make_batch(vocab, sentences, student.config.max_seq_len),
+                           train_mode=train_mode, pass_index=0).last_hidden
         return _similarity_loss(h, t_emb)
 
     # fixed probe batch for noise-free before/after loss comparison
     probe_sentences = next(batch_iter(corpus, cfg.batch_size, cfg.seed, 999_983))
-    probe_batch = make_batch(vocab, probe_sentences, max_len)
 
     def probe_loss():
-        return float(batch_loss(probe_batch, train_mode=False).item())
+        return float(batch_loss(probe_sentences, train_mode=False).item())
 
     def step_fn(sentences):
-        return {"total": batch_loss(make_batch(vocab, sentences, max_len), train_mode=True)}
+        return {"total": batch_loss(sentences, train_mode=True)}
 
     probe_loss_step0 = probe_loss()
     tl = _train([student], corpus, sts_dev, vocab, cfg, step_fn)

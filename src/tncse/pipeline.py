@@ -238,15 +238,8 @@ def load_model(path_or_prefix, ws):
 
 def run_eval(cfg, ws, model: EnsembleModel):
     """STS Spearman, alignment and uniformity from one embedding of each
-    distinct sentence; a sentence's row does not depend on its batch."""
-    pairs = ws.sts_dev + (ws.sts_test or [])
-    sents = list(dict.fromkeys(s for p in pairs for s in (p.sentence_a, p.sentence_b)))
-    rows = ensemble_embed_fn(model.encoders, ws.vocab)(sents) if sents else None
-    index = {s: i for i, s in enumerate(sents)}
-
-    def embed(batch):
-        return rows[[index[s] for s in batch]]
-
+    distinct sentence."""
+    embed = ensemble_embed_fn(model.encoders, ws.vocab)
     report = EvalReport()
     report.per_dataset["dev"] = sts_eval(embed, ws.sts_dev)
     if ws.sts_test:

@@ -118,13 +118,20 @@ def _member_sums(encoders, batches):
 
 def ensemble_embed_fn(encoders, vocab):
     """Sum of member last-hidden CLS states in eval mode; the pooler is
-    bypassed."""
+    bypassed.  The returned function memoizes for its lifetime: a call
+    encodes only the distinct sentences it has not seen, in EMBED_BATCH
+    batches.  Exact while a row does not depend on its batch: at d <= 64 for
+    batches of 1-64; at d=128, ffn 512 for 8-64 only, as OpenBLAS 0.3.31 (one
+    thread) rounds the last layer's (2B, 512) @ (512, 128) rows apart below 16."""
     max_len = encoders[0].config.max_seq_len
+    memo = {}
 
     def f(sentences):
-        batches = (make_batch(vocab, sentences[start:start + EMBED_BATCH], max_len)
-                   for start in range(0, len(sentences), EMBED_BATCH))
-        return np.concatenate(_member_sums(encoders, batches), axis=0)
+        new = [s for s in dict.fromkeys(sentences) if s not in memo]
+        chunks = [new[i:i + EMBED_BATCH] for i in range(0, len(new), EMBED_BATCH)]
+        sums = _member_sums(encoders, (make_batch(vocab, c, max_len) for c in chunks))
+        memo.update(zip(new, (row for rows in sums for row in rows)))
+        return np.stack([memo[s] for s in sentences])
 
     return f
 
@@ -154,13 +161,13 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
     """
     params = [p for enc in encoders for p in enc.parameters()]
     opt = Adam(params, lr=cfg.learning_rate)
-    embed = ensemble_embed_fn(encoders, vocab)
     log = TrainLog()
     best_snap = None
 
     def evaluate(step):
         nonlocal best_snap
-        rho = sts_eval(embed, sts_dev)
+        # a fresh memo: Adam has moved the weights since the last validation
+        rho = sts_eval(ensemble_embed_fn(encoders, vocab), sts_dev)
         log.evals.append((step, rho))
         if rho > log.best_spearman:
             log.best_spearman = rho

@@ -1,6 +1,8 @@
 """Shared fixtures: a small deterministic corpus and matching vocab/encoder
 configs sized for fast unit tests."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,22 @@ def small_config(small_vocab):
 def small_encoder(small_config, small_vocab):
     return Encoder(small_config, seed=7, name="I",
                    vocab_hash=small_vocab.content_hash())
+
+
+@pytest.fixture
+def eval_rows(monkeypatch):
+    """Token-id rows (as tuples) that each encoder, keyed by name, encodes in
+    eval mode, in call order."""
+    rows = collections.defaultdict(list)
+    encode = Encoder.encode
+
+    def recording_encode(self, ids, train_mode=False, pass_index=0):
+        if not train_mode:
+            rows[self.name] += map(tuple, ids.tolist())
+        return encode(self, ids, train_mode, pass_index)
+
+    monkeypatch.setattr(Encoder, "encode", recording_encode)
+    return rows
 
 
 @pytest.fixture

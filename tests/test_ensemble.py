@@ -1,5 +1,7 @@
 """Sum-ensemble inference and teacher-to-student distillation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,35 @@ def test_distill_keeps_the_step0_student_when_no_eval_improves(
     assert _similarity_loss(h, t_emb).item() == log.probe_loss_best
     for k in before:
         np.testing.assert_array_equal(student.params[k].data, before[k])
+
+
+def test_distill_teacher_encodes_each_distinct_sentence_once_per_run(
+        small_config, small_vocab, small_corpus, small_dev, eval_rows):
+    """The frozen teacher keeps one memo for the whole run: each member
+    encodes each distinct sentence of the probe batch and of every training
+    batch once, though the second epoch repeats sentences of the first."""
+    teacher = EnsembleModel(members(small_config, small_vocab))
+    student = Encoder(small_config, seed=99, name="D",
+                      vocab_hash=small_vocab.content_hash())
+    cfg = TrainConfig(steps=20, eval_interval=20, batch_size=16)
+    distill(teacher, student, small_corpus, small_dev, small_vocab, cfg)
+
+    requested = next(batch_iter(small_corpus, cfg.batch_size, cfg.seed, 999_983))
+    batches = (b for epoch in itertools.count()
+               for b in batch_iter(small_corpus, cfg.batch_size, cfg.seed, epoch))
+    requested += [s for b in itertools.islice(batches, cfg.steps) for s in b]
+    distinct = list(dict.fromkeys(requested))
+    assert len(distinct) < len(requested)
+    ids = make_batch(small_vocab, distinct, small_config.max_seq_len)
+    for name in ("M0", "M1"):
+        assert sorted(eval_rows[name]) == sorted(map(tuple, ids.tolist()))
+
+
+def test_distill_refuses_a_student_of_another_vocabulary_before_the_teacher_runs(
+        small_config, small_vocab, small_corpus, small_dev, eval_rows):
+    teacher = EnsembleModel(members(small_config, small_vocab))
+    student = Encoder(small_config, seed=99, name="D", vocab_hash="deadbeef")
+    with pytest.raises(DataError, match="different vocabulary"):
+        distill(teacher, student, small_corpus, small_dev, small_vocab,
+                TrainConfig(steps=2, eval_interval=1, batch_size=16))
+    assert not eval_rows

@@ -6,11 +6,13 @@ import pytest
 
 from tncse import training
 from tncse.autodiff import Tensor
-from tncse.encoder import Encoder
+from tncse.data import build_vocab, make_batch, synth_corpus
+from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import DataError, NumericError
 from tncse.losses import LossConfig
-from tncse.training import (Adam, TrainConfig, TrainLog, ensemble_embed_fn,
-                            pretrain_single, train_single_tn, train_tncse)
+from tncse.training import (Adam, TrainConfig, TrainLog, _member_sums,
+                            ensemble_embed_fn, pretrain_single, train_single_tn,
+                            train_tncse)
 
 
 def cfg_small(**kw):
@@ -93,19 +95,87 @@ def test_ensemble_embed_fn_sums_members(small_vocab, small_config):
     np.testing.assert_array_equal(hab, ha + hb)
 
 
-def test_ensemble_embed_fn_row_does_not_depend_on_its_batch(small_corpus, small_vocab,
-                                                            small_config):
-    """Alone, in a batch of 7, or at position 65 (the second batch of 64):
-    a sentence's row is the same bit for bit, so callers may embed each
-    distinct sentence once and index the rows."""
-    embed = ensemble_embed_fn([Encoder(small_config, seed=1, name="I"),
-                               Encoder(small_config, seed=2, name="II")], small_vocab)
-    others = small_corpus[100:]
-    for sentence in small_corpus[:5]:
-        alone = embed([sentence])[0]
-        np.testing.assert_array_equal(embed(others[:3] + [sentence] + others[3:6])[3],
-                                      alone)
-        np.testing.assert_array_equal(embed(others[:65] + [sentence])[65], alone)
+# the default encoder shape, and the pretrain-wide benchmark's
+DEFAULT_SHAPE = dict(max_seq_len=16, hidden_dim=64, ffn_dim=256)
+WIDE_SHAPE = dict(max_seq_len=32, hidden_dim=128, ffn_dim=512)
+
+
+def pair_of_shape(vocab, shape):
+    config = EncoderConfig(vocab_size=len(vocab), num_layers=2, num_heads=4, **shape)
+    return [Encoder(config, seed=1, name="I"), Encoder(config, seed=2, name="II")]
+
+
+@pytest.fixture(scope="module")
+def default_pair_rows(small_corpus, small_vocab):
+    """A default-shape pair, 64 distinct sentences and their rows from one
+    64-row encode per member."""
+    members = pair_of_shape(small_vocab, DEFAULT_SHAPE)
+    sentences = list(dict.fromkeys(small_corpus))[:64]
+    batch = make_batch(small_vocab, sentences, DEFAULT_SHAPE["max_seq_len"])
+    return members, sentences, _member_sums(members, [batch])[0]
+
+
+@pytest.mark.parametrize("n", range(1, 65))
+def test_ensemble_embed_fn_row_does_not_depend_on_its_batch(n, small_vocab,
+                                                            default_pair_rows):
+    """At the default shape a sentence's row is the same bit for bit in a
+    batch of any size from 1 to 64 and at any position in it, so a memo may
+    serve it from an earlier call.  A fresh embedder starts with an empty
+    memo, so it encodes the n sentences as one batch."""
+    members, sentences, reference = default_pair_rows
+    rows = ensemble_embed_fn(members, small_vocab)(sentences[64 - n:])
+    np.testing.assert_array_equal(rows, reference[64 - n:])
+
+
+@pytest.mark.parametrize("shape", [DEFAULT_SHAPE, WIDE_SHAPE], ids=["d64", "d128"])
+def test_ensemble_embed_fn_with_a_repeat_equals_one_64_row_encode(shape):
+    """What the benchmark's ensemble-sum check relies on: 64 dev sentences
+    with one repeat, embedded as 63 distinct rows in one batch, equal the sum
+    of one 64-row encode per member bit for bit."""
+    corpus, dev, _ = synth_corpus(seed=1, n_pairs=64)
+    vocab = build_vocab(corpus)
+    members = pair_of_shape(vocab, shape)
+    sentences = [p.sentence_a for p in dev]
+    sentences[-1] = sentences[0]
+    assert len(set(sentences)) == 63
+    batch = make_batch(vocab, sentences, shape["max_seq_len"])
+    expected = sum(enc.encode(batch).last_hidden.data for enc in members)
+    np.testing.assert_array_equal(ensemble_embed_fn(members, vocab)(sentences), expected)
+
+
+def test_ensemble_embed_fn_memo_embeds_each_sentence_once(small_corpus, small_vocab,
+                                                         small_config, eval_rows):
+    embed = ensemble_embed_fn([Encoder(small_config, seed=1, name="I")], small_vocab)
+    first = embed(small_corpus[:40])
+    again = embed(small_corpus[20:60] + small_corpus[:20])
+    np.testing.assert_array_equal(again[:20], first[20:])
+    np.testing.assert_array_equal(again[40:], first[:20])
+    wanted = list(dict.fromkeys(small_corpus[:60]))
+    ids = make_batch(small_vocab, wanted, small_config.max_seq_len)
+    assert sorted(eval_rows["I"]) == sorted(map(tuple, ids.tolist()))
+
+
+def test_train_validation_embeds_each_distinct_dev_sentence_once(
+        small_corpus, small_dev, small_vocab, small_config, monkeypatch, eval_rows):
+    per_call = []
+    sts_eval = training.sts_eval
+
+    def recording_sts_eval(embed, dataset):
+        eval_rows.clear()
+        rho = sts_eval(embed, dataset)
+        per_call.append({name: sorted(rows) for name, rows in eval_rows.items()})
+        return rho
+
+    monkeypatch.setattr(training, "sts_eval", recording_sts_eval)
+    train_tncse(Encoder(small_config, seed=3, name="I"),
+                Encoder(small_config, seed=4, name="II"), small_corpus, small_dev,
+                small_vocab, cfg_small(steps=1, eval_interval=1))
+    wanted = list(dict.fromkeys(s for p in small_dev for s in (p.sentence_a, p.sentence_b)))
+    assert len(wanted) < 2 * len(small_dev)
+    ids = make_batch(small_vocab, wanted, small_config.max_seq_len)
+    expected = sorted(map(tuple, ids.tolist()))
+    # validation at step 0 and at the last step, each with a fresh memo
+    assert per_call == [{"I": expected, "II": expected}] * 2
 
 
 # -- pretraining -----------------------------------------------------------
