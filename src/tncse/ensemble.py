@@ -64,7 +64,7 @@ def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
     The best-validated student weights (by validation Spearman, step 0
     included) are restored into ``student``, and ``probe_loss_best`` is the
     probe loss of those weights.  The teacher embeds each distinct sentence
-    once per run, at its own max_seq_len."""
+    once per run, at its own max_seq_len, and holds its row for the run."""
     _check_same_vocab([enc.vocab_hash for enc in (*teacher.encoders, student)],
                       "distill teacher and student")
     teacher_embed = ensemble_embed_fn(teacher.encoders, vocab)

@@ -117,12 +117,12 @@ def _member_sums(encoders, batches):
 
 
 def ensemble_embed_fn(encoders, vocab):
-    """Sum of member last-hidden CLS states in eval mode; the pooler is
-    bypassed.  The returned function memoizes for its lifetime: a call
-    encodes only the distinct sentences it has not seen, in EMBED_BATCH
-    batches.  Exact while a row does not depend on its batch: at d <= 64 for
-    batches of 1-64; at d=128, ffn 512 for 8-64 only, as OpenBLAS 0.3.31 (one
-    thread) rounds the last layer's (2B, 512) @ (512, 128) rows apart below 16."""
+    """Sum of member last-hidden CLS states in eval mode, pooler bypassed.
+    The returned function memoizes for its lifetime, at about 4*d + 145 bytes
+    per distinct sentence, and encodes only the distinct sentences a call has
+    not seen, in EMBED_BATCH batches.  Exact while a row does not depend on its
+    batch: at d <= 64 for batches of 1-64; at d=128, ffn 512 for 8-64 only, as
+    OpenBLAS 0.3.31 (1 thread) rounds (2B, 512) @ (512, 128) rows apart below 16."""
     max_len = encoders[0].config.max_seq_len
     memo = {}
 

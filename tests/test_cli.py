@@ -19,7 +19,7 @@ from tncse.encoder import Encoder
 from tncse.ensemble import EnsembleModel
 from tncse.errors import CheckpointError, ConfigError, DataError, TncseError
 from tncse.evaluation import alignment, sts_eval, uniformity
-from tncse.training import ensemble_embed_fn
+from tncse.training import _member_sums
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -184,8 +184,14 @@ def test_run_eval_embeds_each_distinct_sentence_once(eval_setup, eval_rows):
 
 
 def test_run_eval_equals_the_per_call_metrics(eval_setup):
+    """The reference embeds each request as one batch, repeats included, with
+    no memo shared between requests."""
     ws, model = eval_setup
-    embed = ensemble_embed_fn(model.encoders, ws.vocab)
+    max_len = model.encoders[0].config.max_seq_len
+
+    def embed(sentences):
+        return _member_sums(model.encoders, [make_batch(ws.vocab, sentences, max_len)])[0]
+
     positives = [p for p in ws.sts_dev if p.gold_score >= 4.0]
     assert positives
     expected = {"spearman.dev": sts_eval(embed, ws.sts_dev)}

@@ -95,9 +95,12 @@ def test_ensemble_embed_fn_sums_members(small_vocab, small_config):
     np.testing.assert_array_equal(hab, ha + hb)
 
 
-# the default encoder shape, and the pretrain-wide benchmark's
+# the unit-test shape (small_config's), the default encoder shape, and the
+# pretrain-wide benchmark's
+SMALL_SHAPE = dict(max_seq_len=16, hidden_dim=32, ffn_dim=64)
 DEFAULT_SHAPE = dict(max_seq_len=16, hidden_dim=64, ffn_dim=256)
 WIDE_SHAPE = dict(max_seq_len=32, hidden_dim=128, ffn_dim=512)
+EXACT_SHAPES = pytest.mark.parametrize("shape", ["small", "default"])
 
 
 def pair_of_shape(vocab, shape):
@@ -106,25 +109,42 @@ def pair_of_shape(vocab, shape):
 
 
 @pytest.fixture(scope="module")
-def default_pair_rows(small_corpus, small_vocab):
-    """A default-shape pair, 64 distinct sentences and their rows from one
-    64-row encode per member."""
-    members = pair_of_shape(small_vocab, DEFAULT_SHAPE)
-    sentences = list(dict.fromkeys(small_corpus))[:64]
-    batch = make_batch(small_vocab, sentences, DEFAULT_SHAPE["max_seq_len"])
-    return members, sentences, _member_sums(members, [batch])[0]
+def pair_rows(small_corpus, small_vocab):
+    """Per shape at d <= 64: a pair, 100 distinct sentences, the rows of the
+    first 64 from one 64-row encode per member, and each row encoded alone."""
+    sentences = list(dict.fromkeys(small_corpus))[:100]
+    assert len(sentences) == 100
+    out = {}
+    for name, shape in (("small", SMALL_SHAPE), ("default", DEFAULT_SHAPE)):
+        members = pair_of_shape(small_vocab, shape)
+        batches = [make_batch(small_vocab, sentences[:64], shape["max_seq_len"])]
+        batches += [make_batch(small_vocab, [s], shape["max_seq_len"]) for s in sentences]
+        sums = _member_sums(members, batches)
+        out[name] = members, sentences, sums[0], np.concatenate(sums[1:])
+    return out
 
 
+@EXACT_SHAPES
 @pytest.mark.parametrize("n", range(1, 65))
-def test_ensemble_embed_fn_row_does_not_depend_on_its_batch(n, small_vocab,
-                                                            default_pair_rows):
-    """At the default shape a sentence's row is the same bit for bit in a
-    batch of any size from 1 to 64 and at any position in it, so a memo may
-    serve it from an earlier call.  A fresh embedder starts with an empty
-    memo, so it encodes the n sentences as one batch."""
-    members, sentences, reference = default_pair_rows
-    rows = ensemble_embed_fn(members, small_vocab)(sentences[64 - n:])
+def test_ensemble_embed_fn_row_does_not_depend_on_its_batch(n, shape, small_vocab,
+                                                            pair_rows):
+    """At d <= 64 a sentence's row is the same bit for bit in a batch of any
+    size from 1 to 64 and at any position in it, so a memo may serve it from
+    an earlier call.  A fresh embedder starts with an empty memo, so it
+    encodes the n sentences as one batch."""
+    members, sentences, reference, _ = pair_rows[shape]
+    rows = ensemble_embed_fn(members, small_vocab)(sentences[64 - n:64])
     np.testing.assert_array_equal(rows, reference[64 - n:])
+
+
+@EXACT_SHAPES
+def test_ensemble_embed_fn_rows_past_the_first_batch_equal_rows_alone(
+        shape, small_vocab, pair_rows):
+    """100 new sentences in one call are encoded as batches of 64 and 36;
+    every row equals the sentence encoded alone."""
+    members, sentences, _, alone = pair_rows[shape]
+    rows = ensemble_embed_fn(members, small_vocab)(sentences)
+    np.testing.assert_array_equal(rows, alone)
 
 
 @pytest.mark.parametrize("shape", [DEFAULT_SHAPE, WIDE_SHAPE], ids=["d64", "d128"])
