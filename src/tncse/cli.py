@@ -14,6 +14,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import __version__
 from . import pipeline as pl
 from .data import save_corpus, save_sts_tsv, synth_corpus
@@ -58,11 +60,6 @@ def _resolve(args):
 def _out_dir(args):
     if args.out:
         path = args.out
-        existing = path
-        while existing and not os.path.exists(existing):
-            existing = os.path.dirname(existing)
-        if existing and not os.path.isdir(existing):
-            raise ConfigError(f"output path {path}: {existing} is not a directory")
         if os.path.isdir(path) and os.listdir(path) and not args.force:
             raise ConfigError(f"output directory {path} is not empty "
                               f"(use --force to overwrite)")
@@ -74,75 +71,65 @@ def _out_dir(args):
         while os.path.exists(path):
             n += 1
             path = os.path.join(root, f"{args.command}-{stamp}-{n}")
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {path}: {exc.strerror}") from None
     return path
 
 
-def _finish(cfg, out_dir, extra):
-    pl.write_resolved_config(cfg, out_dir)
-    meta = {"command": extra.pop("command"), "seed": cfg["seed"],
-            "precision": "float32", "version": __version__}
-    meta.update(extra)
-    pl.write_metadata(os.path.join(out_dir, "run-metadata.txt"), meta)
+# Each command returns its own run-metadata entries and the text it prints.
 
-
-def _cmd_gen_data(args, cfg, out_dir):
+def _cmd_gen_data(cfg, out_dir):
     corpus, dev, test = synth_corpus(cfg["seed"])
     save_corpus(corpus, os.path.join(out_dir, "corpus.txt"))
     save_sts_tsv(dev, os.path.join(out_dir, "sts_dev.tsv"))
     save_sts_tsv(test, os.path.join(out_dir, "sts_test.tsv"))
-    _finish(cfg, out_dir, {"command": "gen-data", "sentences": len(corpus),
-                           "pairs": len(dev)})
-    print(f"wrote corpus ({len(corpus)} sentences) and STS sets to {out_dir}")
-    return 0
+    return ({"sentences": len(corpus), "pairs": len(dev)},
+            f"wrote corpus ({len(corpus)} sentences) and STS sets to {out_dir}\n")
 
 
-def _cmd_pretrain(args, cfg, out_dir):
+def _cmd_pretrain(cfg, out_dir):
     ws = pl.load_workspace(cfg)
     ws.vocab.save(os.path.join(out_dir, "vocab.txt"))
     prefix_i, prefix_ii = pl.run_pretrain_pair(cfg, ws, out_dir)
-    _finish(cfg, out_dir, {"command": "pretrain",
-                           "encoder_i": prefix_i, "encoder_ii": prefix_ii})
-    print(f"pretrained encoder pair saved under {out_dir}")
-    return 0
+    return ({"encoder_i": prefix_i, "encoder_ii": prefix_ii},
+            f"pretrained encoder pair saved under {out_dir}\n")
 
 
-def _cmd_train(args, cfg, out_dir):
+def _cmd_train(cfg, out_dir):
     ws = pl.load_workspace(cfg)
     if not cfg["train.encoder_i"] or not cfg["train.encoder_ii"]:
         raise ConfigError("train.encoder_i and train.encoder_ii checkpoint "
                           "prefixes are required")
     _, log = pl.run_tncse(cfg, ws, cfg["train.encoder_i"], cfg["train.encoder_ii"],
                           out_dir)
-    _finish(cfg, out_dir, {"command": "train", "best_step": log.best_step,
-                           "best_val_spearman": f"{log.best_spearman:.6f}"})
-    print(f"best validation Spearman {log.best_spearman:.4f} "
-          f"at step {log.best_step}; artifacts in {out_dir}")
-    return 0
+    return ({"best_step": log.best_step,
+             "best_val_spearman": f"{log.best_spearman:.6f}"},
+            f"best validation Spearman {log.best_spearman:.4f} "
+            f"at step {log.best_step}; artifacts in {out_dir}\n")
 
 
-def _cmd_train_single_tn(args, cfg, out_dir):
+def _cmd_train_single_tn(cfg, out_dir):
     ws = pl.load_workspace(cfg)
     _, log = pl.run_single_tn(cfg, ws, out_dir)
-    _finish(cfg, out_dir, {"command": "train-single-tn", "best_step": log.best_step,
-                           "best_val_spearman": f"{log.best_spearman:.6f}"})
-    print(f"best validation Spearman {log.best_spearman:.4f} at step {log.best_step}")
-    return 0
+    return ({"best_step": log.best_step,
+             "best_val_spearman": f"{log.best_spearman:.6f}"},
+            f"best validation Spearman {log.best_spearman:.4f} "
+            f"at step {log.best_step}\n")
 
 
-def _cmd_distill(args, cfg, out_dir):
+def _cmd_distill(cfg, out_dir):
     ws = pl.load_workspace(cfg)
     _, log = pl.run_distill(cfg, ws, out_dir)
-    _finish(cfg, out_dir, {"command": "distill",
-                           "probe_loss_step0": f"{log.probe_loss_step0:.6f}",
-                           "probe_loss_best": f"{log.probe_loss_best:.6f}",
-                           "spearman_untrained": f"{log.spearman_untrained:.6f}",
-                           "spearman_best": f"{log.spearman_best:.6f}"})
-    print(f"student Spearman {log.spearman_untrained:.4f} -> {log.spearman_best:.4f}")
-    return 0
+    return ({"probe_loss_step0": f"{log.probe_loss_step0:.6f}",
+             "probe_loss_best": f"{log.probe_loss_best:.6f}",
+             "spearman_untrained": f"{log.spearman_untrained:.6f}",
+             "spearman_best": f"{log.spearman_best:.6f}"},
+            f"student Spearman {log.spearman_untrained:.4f} -> {log.spearman_best:.4f}\n")
 
 
-def _cmd_eval(args, cfg, out_dir):
+def _cmd_eval(cfg, out_dir):
     ws = pl.load_workspace(cfg)
     if not cfg["eval.checkpoint"]:
         raise ConfigError("eval.checkpoint is required")
@@ -150,50 +137,36 @@ def _cmd_eval(args, cfg, out_dir):
     report = pl.run_eval(cfg, ws, model)
     pl._write_text(os.path.join(out_dir, "report.txt"), report.to_text())
     pl.write_metadata(os.path.join(out_dir, "report.kv"), report.to_kv())
-    _finish(cfg, out_dir, {"command": "eval"})
-    print(report.to_text(), end="")
-    return 0
+    return {}, report.to_text()
 
 
-def _cmd_norm_probe(args, cfg, out_dir):
+def _cmd_norm_probe(cfg, out_dir):
     ws = pl.load_workspace(cfg)
     rows = pl.run_norm_probe(cfg, ws, out_dir)
-    _finish(cfg, out_dir, {"command": "norm-probe", "rows": len(rows)})
-    for r in rows:
-        print(f"stripped={r.stripped} mean|hL|={r.mean_hl:.3f} cv|hL|={r.cv_hl:.4f} "
-              f"mean|hP|={r.mean_hp:.3f} cv|hP|={r.cv_hp:.4f}")
-    return 0
+    return {"rows": len(rows)}, "".join(
+        f"stripped={r.stripped} mean|hL|={r.mean_hl:.3f} cv|hL|={r.cv_hl:.4f} "
+        f"mean|hP|={r.mean_hp:.3f} cv|hP|={r.cv_hp:.4f}\n" for r in rows)
 
 
-def _cmd_ablate(args, cfg, out_dir):
+def _cmd_ablate(cfg, out_dir):
     ws = pl.load_workspace(cfg)
     rows = pl.run_ablation(cfg, ws, out_dir)
-    _finish(cfg, out_dir, {"command": "ablate", "rows": len(rows)})
-    for label, rho in rows:
-        print(f"{label:20s} {rho:.4f}")
-    return 0
+    return {"rows": len(rows)}, "".join(f"{label:20s} {rho:.4f}\n" for label, rho in rows)
 
 
-def _cmd_significance(args, cfg, out_dir):
+def _cmd_significance(cfg, out_dir):
     ws = pl.load_workspace(cfg)
     rows, summary = pl.run_significance(cfg, ws, out_dir)
-    _finish(cfg, out_dir, {"command": "significance", **summary})
-    for seed, rho in rows:
-        print(f"seed {seed}: {rho:.4f}")
-    print(f"mean {summary['mean']:.4f} std {summary['std']:.4f}")
-    return 0
+    return summary, ("".join(f"seed {seed}: {rho:.4f}\n" for seed, rho in rows)
+                     + f"mean {summary['mean']:.4f} std {summary['std']:.4f}\n")
 
 
-def _cmd_grad_check(args, cfg, out_dir):
+def _cmd_grad_check(cfg, out_dir):
     results = run_gradient_suite()
-    ok = all(r.passed for r in results)
     text = "".join(f"{'pass' if r.passed else 'FAIL'} {r.name} "
                    f"worst_rel_err={r.worst_error:.3e} {r.detail}\n" for r in results)
-    print(text, end="")
     pl._write_text(os.path.join(out_dir, "grad_check.txt"), text)
-    _finish(cfg, out_dir, {"command": "grad-check",
-                           "checks": len(results), "all_passed": ok})
-    return 0 if ok else EXIT_CODES["numeric-error"]
+    return {"checks": len(results), "all_passed": all(r.passed for r in results)}, text
 
 
 _COMMANDS = {
@@ -211,14 +184,24 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    """Run one command, write its run records and print its text."""
     args = _parse_args(argv)
     try:
-        cfg = _resolve(args)
-        out_dir = _out_dir(args)
-        return _COMMANDS[args.command](args, cfg, out_dir)
+        # the loss and validation checks name a non-finite value themselves
+        with np.errstate(all="ignore"):
+            cfg = _resolve(args)
+            out_dir = _out_dir(args)
+            extra, message = _COMMANDS[args.command](cfg, out_dir)
+        pl.write_resolved_config(cfg, out_dir)
+        meta = {"command": args.command, "seed": cfg["seed"],
+                "precision": "float32", "version": __version__, **extra}
+        pl.write_metadata(os.path.join(out_dir, "run-metadata.txt"), meta)
     except TncseError as exc:
         print(f"{exc.status}: {exc}", file=sys.stderr)
         return EXIT_CODES.get(exc.status, 1)
+    print(message, end="")
+    # a failed gradient check exits 5 once its report and records are written
+    return 0 if extra.get("all_passed", True) else EXIT_CODES["numeric-error"]
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tncse import __version__, cli
 from tncse import checkpoint as ckpt
 from tncse import pipeline as pl
 from tncse.cli import main
@@ -275,6 +276,56 @@ def test_gen_data_writes_corpus_sts_and_run_records(data_dir):
     assert "command gen-data" in meta and "seed 1" in meta
 
 
+# two steps, validating after each, in every training section
+SMALL_BUDGETS = [f"{section}.{key}={value}"
+                 for section in ("pretrain", "train", "distill")
+                 for key, value in (("steps", 2), ("eval_interval", 1))]
+
+
+@pytest.mark.parametrize("command, settings, keys", [
+    ("gen-data", [], ["sentences", "pairs"]),
+    ("pretrain", [], ["encoder_i", "encoder_ii"]),
+    ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II"],
+     ["best_step", "best_val_spearman"]),
+    ("train-single-tn", [], ["best_step", "best_val_spearman"]),
+    ("distill", ["distill.teacher={pair}/ensemble.manifest"],
+     ["probe_loss_step0", "probe_loss_best", "spearman_untrained", "spearman_best"]),
+    ("eval", ["eval.checkpoint={pair}/ensemble.manifest"], []),
+    ("norm-probe", ["probe.checkpoint={pair}/encoder_I"], ["rows"]),
+    ("ablate", [], ["rows"]),
+    ("significance", [], ["mean", "std", "min", "max"]),
+    ("grad-check", [], ["checks", "all_passed"]),
+], ids=lambda v: v if isinstance(v, str) else "")
+def test_every_command_writes_its_run_records(data_dir, pair_dir, tmp_path, capsys,
+                                              command, settings, keys):
+    out = tmp_path / "out"
+    argv = [command, "--out", str(out), "--seed", "4"] + data_args(data_dir)
+    for s in SMALL_BUDGETS + settings:
+        argv += ["--set", s.format(pair=pair_dir)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.strip()
+    assert (out / "resolved-config.txt").read_text().startswith("data.corpus = ")
+    lines = (out / "run-metadata.txt").read_text().splitlines()
+    assert lines[:4] == [f"command {command}", "seed 4", "precision float32",
+                         f"version {__version__}"]
+    assert [line.split(" ", 1)[0] for line in lines[4:]] == keys
+
+
+def test_a_failed_gradient_check_exits_5_after_writing_its_records(
+        monkeypatch, tmp_path, capsys):
+    failed = SimpleNamespace(passed=False, name="broken", worst_error=1.0, detail="")
+    monkeypatch.setattr(cli, "run_gradient_suite", lambda: [failed])
+    out = tmp_path / "grad"
+    assert main(["grad-check", "--out", str(out)]) == 5
+    text = "FAIL broken worst_rel_err=1.000e+00 \n"
+    assert capsys.readouterr().out == text
+    assert (out / "grad_check.txt").read_text() == text
+    assert (out / "run-metadata.txt").read_text().splitlines()[-2:] == [
+        "checks 1", "all_passed False"]
+    assert (out / "resolved-config.txt").exists()
+
+
 def test_gen_data_is_reproducible(tmp_path, data_dir):
     out2 = tmp_path / "again"
     assert main(["gen-data", "--out", str(out2), "--seed", "1"]) == 0
@@ -339,6 +390,7 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     ("pretrain", ["data.corpus={pair}"]),
     ("gen-data", "out is a file"),
     ("gen-data", "out is below a file"),
+    ("gen-data", "out name is too long"),
     ("gen-data", "config is not UTF-8"),
 ], ids=lambda v: v if isinstance(v, str) else v[-1].replace("{pair}/", ""))
 def test_cli_config_mistakes_exit_2_with_one_line(data_dir, pair_dir, tmp_path,
@@ -349,6 +401,8 @@ def test_cli_config_mistakes_exit_2_with_one_line(data_dir, pair_dir, tmp_path,
         config = tmp_path / "cfg.txt"
         config.write_bytes(b"seed = \xff\n")
         extra = ["--config", str(config)]
+    elif settings == "out name is too long":
+        out = tmp_path / ("x" * 300)
     elif isinstance(settings, str):
         out.write_text("x")
         if settings == "out is below a file":
@@ -360,6 +414,21 @@ def test_cli_config_mistakes_exit_2_with_one_line(data_dir, pair_dir, tmp_path,
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config-error: "), err
+
+
+def test_cli_non_finite_loss_exits_5_with_one_line(data_dir, tmp_path):
+    """numpy's overflow warnings do not precede the message.  A subprocess
+    sees them on stderr; pytest's warning capture would hide them."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    argv = (["pretrain", "--out", str(tmp_path / "pre")] + data_args(data_dir)
+            + ["--set", "pretrain.lr=1e30", "--set", "pretrain.steps=4",
+               "--set", "pretrain.eval_interval=2"])
+    proc = subprocess.run([sys.executable, "-m", "tncse.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 5
+    assert proc.stderr.splitlines() == [
+        "numeric-error: pretrain run I failed: non-finite loss term nce_i at step 2"]
 
 
 def test_cli_missing_checkpoint_exits_4(data_dir, tmp_path, capsys):

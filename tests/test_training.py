@@ -243,10 +243,21 @@ def test_pretrain_augmentation_changes_the_trajectory(small_corpus, small_dev,
 
 def test_training_aborts_on_non_finite_loss(small_corpus, small_dev,
                                             small_vocab, small_config):
+    """Step-0 validation and step 1 see finite weights; step 1's update scales
+    them by about 1e30, so step 2's forward pass overflows."""
+    enc = Encoder(small_config, seed=3, name="I")
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="non-finite loss term nce_i at step 2"):
+            pretrain_single(enc, small_corpus, small_dev, small_vocab,
+                            cfg_small(learning_rate=1e30))
+
+
+def test_training_aborts_on_non_finite_weights_at_step_0_validation(
+        small_corpus, small_dev, small_vocab, small_config):
     enc = Encoder(small_config, seed=3, name="I")
     enc.params["pooler_w"].data[:] = np.nan  # poison a parameter
     enc.params["tok_emb"].data[:] = np.nan
-    with pytest.raises((NumericError, Exception)):
+    with pytest.raises(NumericError, match="non-finite embedding"):
         pretrain_single(enc, small_corpus, small_dev, small_vocab, cfg_small())
 
 
