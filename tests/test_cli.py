@@ -282,7 +282,8 @@ SMALL_BUDGETS = [f"{section}.{key}={value}"
                  for key, value in (("steps", 2), ("eval_interval", 1))]
 
 
-@pytest.mark.parametrize("command, settings, keys", [
+# each command, its settings and the run-metadata keys it adds after version
+COMMAND_RECORDS = [
     ("gen-data", [], ["sentences", "pairs"]),
     ("pretrain", [], ["encoder_i", "encoder_ii"]),
     ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II"],
@@ -295,7 +296,11 @@ SMALL_BUDGETS = [f"{section}.{key}={value}"
     ("ablate", [], ["rows"]),
     ("significance", [], ["mean", "std", "min", "max"]),
     ("grad-check", [], ["checks", "all_passed"]),
-], ids=lambda v: v if isinstance(v, str) else "")
+]
+
+
+@pytest.mark.parametrize("command, settings, keys", COMMAND_RECORDS,
+                         ids=[command for command, _, _ in COMMAND_RECORDS])
 def test_every_command_writes_its_run_records(data_dir, pair_dir, tmp_path, capsys,
                                               command, settings, keys):
     out = tmp_path / "out"
