@@ -36,7 +36,7 @@ enc_ii = Encoder(ec, seed=args.seed * 7919 + 2, name="II",
                  vocab_hash=vocab.content_hash())
 
 pre_cfg = TrainConfig(seed=args.seed, steps=args.pretrain_steps,
-                      eval_interval=25, learning_rate=1e-3, augment_p=0.5)
+                      eval_interval=25, learning_rate=1e-3)
 for enc, seed in ((enc_i, args.seed), (enc_ii, args.seed + 1)):
     log = pretrain_single(enc, corpus, dev, vocab,
                           TrainConfig(**{**pre_cfg.__dict__, "seed": seed}),

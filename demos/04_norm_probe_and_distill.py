@@ -30,7 +30,7 @@ for i, name in ((1, "I"), (2, "II")):
                   vocab_hash=vocab.content_hash())
     pretrain_single(enc, corpus, dev, vocab,
                     TrainConfig(seed=seed + i - 1, steps=100, eval_interval=25,
-                                learning_rate=1e-3, augment_p=0.5),
+                                learning_rate=1e-3),
                     augment_table=load_synonyms())
     encoders.append(enc)
 train_tncse(*encoders, corpus, dev, vocab,

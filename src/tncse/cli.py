@@ -2,9 +2,9 @@
 experiments.
 
 Every command resolves its config (defaults <- --config file <- --set
-overrides <- --seed), runs in a dedicated output directory, and writes a
-resolved-config snapshot plus a flat run-metadata file.  Exit classes:
-success / config-error / data-error / checkpoint-error / numeric-error.
+overrides <- --seed) and runs in a dedicated output directory: a resolved-config
+snapshot goes there before the run, a flat run-metadata file after a success.
+Exit classes: success / config-error / data-error / checkpoint-error / numeric-error.
 """
 
 from __future__ import annotations
@@ -191,8 +191,8 @@ def main(argv=None):
         with np.errstate(all="ignore"):
             cfg = _resolve(args)
             out_dir = _out_dir(args)
+            pl.write_resolved_config(cfg, out_dir)
             extra, message = _COMMANDS[args.command](cfg, out_dir)
-        pl.write_resolved_config(cfg, out_dir)
         meta = {"command": args.command, "seed": cfg["seed"],
                 "precision": "float32", "version": __version__, **extra}
         pl.write_metadata(os.path.join(out_dir, "run-metadata.txt"), meta)

@@ -84,6 +84,8 @@ def batch_iter(corpus, batch_size, seed, epoch):
     is kept."""
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
+    if not corpus:
+        raise DataError("cannot batch an empty corpus")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
     order = rng.permutation(len(corpus))
     for start in range(0, len(corpus), batch_size):

@@ -39,8 +39,8 @@ class EncoderConfig:
         if self.num_layers < 1 or self.num_heads < 1:
             raise ConfigError(f"num_layers and num_heads must be >= 1, got "
                               f"{self.num_layers} and {self.num_heads}")
-        if self.hidden_dim < 1 or self.ffn_dim < 1:
-            raise ConfigError(f"hidden_dim and ffn_dim must be >= 1, got "
+        if self.hidden_dim < 2 or self.ffn_dim < 1:  # LayerNorm needs two features
+            raise ConfigError(f"need hidden_dim >= 2 and ffn_dim >= 1, got "
                               f"{self.hidden_dim} and {self.ffn_dim}")
         if self.max_seq_len < 2:
             raise ConfigError(f"max_seq_len must be >= 2 to hold [CLS] and [SEP], "

@@ -38,12 +38,10 @@ DEFAULTS = {
     "pretrain.lr": 1e-3,
     "pretrain.batch_size": 32,
     "pretrain.eval_interval": 25,
-    "pretrain.augment_p": 0.5,
     "train.steps": 300,
     "train.lr": 1e-4,
     "train.batch_size": 32,
     "train.eval_interval": 50,
-    "train.single_tn_weight": 0.3,
     "train.encoder_i": "",
     "train.encoder_ii": "",
     "loss.tau": 0.05,
@@ -55,7 +53,6 @@ DEFAULTS = {
     "distill.eval_interval": 50,
     "eval.checkpoint": "",
     "probe.checkpoint": "",
-    "probe.strip_counts": "",
 }
 
 
@@ -157,9 +154,7 @@ def train_config(cfg, section, seed):
                        steps=cfg[f"{section}.steps"],
                        learning_rate=cfg[f"{section}.lr"],
                        eval_interval=cfg[f"{section}.eval_interval"],
-                       loss=loss_config(cfg),
-                       augment_p=cfg["pretrain.augment_p"],
-                       single_tn_weight=cfg["train.single_tn_weight"])
+                       loss=loss_config(cfg))
 
 
 def new_encoder(cfg, ws, root_seed, which, name):
@@ -276,9 +271,9 @@ def run_ablation(cfg, ws, out_dir):
     return rows
 
 
-def run_significance(cfg, ws, out_dir, seeds=(1, 2, 3, 4, 5)):
-    """Full pipeline per seed; ``(seed, rho)`` rows plus a mean/std/min/max
-    summary."""
+def run_significance(cfg, ws, out_dir):
+    """Full pipeline for each of seeds 1-5; ``(seed, rho)`` rows plus a
+    mean/std/min/max summary."""
 
     def one_seed(seed):
         run_dir = os.path.join(out_dir, f"seed_{seed}")
@@ -288,6 +283,7 @@ def run_significance(cfg, ws, out_dir, seeds=(1, 2, 3, 4, 5)):
         _, log = run_tncse(seed_cfg, ws, prefix_i, prefix_ii, run_dir)
         return float(log.best_spearman)
 
+    seeds = range(1, 6)
     rhos = _map_runs("significance", one_seed, [(f"seed {s}", (s,)) for s in seeds])
     rows = list(zip(seeds, rhos))
     values = np.array(rhos)
@@ -326,12 +322,6 @@ def run_norm_probe(cfg, ws, out_dir):
         raise ConfigError("probe.checkpoint is required")
     enc = load_encoder_checked(cfg["probe.checkpoint"], ws)
     sents = list(dict.fromkeys(ws.corpus))[:PROBE_SENTENCES]
-    raw = cfg["probe.strip_counts"]
-    try:
-        strip_counts = ([int(s) for s in raw.split(",")] if raw
-                        else list(range(0, 2 * enc.config.num_layers + 1)))
-    except ValueError:
-        raise ConfigError(f"probe.strip_counts: cannot parse {raw!r}") from None
-    rows = norm_probe(enc, sents, strip_counts, ws.vocab)
+    rows = norm_probe(enc, sents, range(2 * enc.config.num_layers + 1), ws.vocab)
     _write_text(os.path.join(out_dir, "norm_probe.csv"), probe_csv(rows))
     return rows

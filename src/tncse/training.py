@@ -21,6 +21,11 @@ from .encoder import Encoder, _check_compatible
 from .errors import ConfigError, NumericError
 from .evaluation import EMBED_BATCH, sts_eval
 
+AUGMENT_P = 0.5  # synonym-substitution probability of the second pretraining view
+# weight of the norm-constraint term in the single-encoder variant;
+# full weight destabilizes a from-scratch tiny model
+SINGLE_TN_WEIGHT = 0.3
+
 
 class Adam:
     """Adam with betas (0.9, 0.999) and eps 1e-8; zeroes gradients after each step."""
@@ -58,11 +63,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     eval_interval: int = 50
     loss: L.LossConfig = field(default_factory=L.LossConfig)
-    augment_p: float = 0.5
-    # weight of the norm-constraint term in the single-encoder variant;
-    # full weight destabilizes a from-scratch tiny model
-    single_tn_weight: float = 0.3
-    restore_best: bool = True
 
     def __post_init__(self):
         if not self.steps >= self.eval_interval >= 1:
@@ -70,14 +70,9 @@ class TrainConfig:
                               f"{self.steps} / {self.eval_interval}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0.0 <= self.augment_p <= 1.0:
-            raise ConfigError(f"augment_p must be in [0, 1], got {self.augment_p}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, "
                               f"got {self.learning_rate}")
-        if not 0.0 <= self.single_tn_weight < math.inf:
-            raise ConfigError(f"single_tn_weight must be finite and >= 0, "
-                              f"got {self.single_tn_weight}")
 
 
 @dataclass
@@ -157,7 +152,7 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
 
     Validation runs at step 0, every ``cfg.eval_interval`` steps and at the
     last step; the best-validated weights, step 0 included, are restored on
-    return unless ``cfg.restore_best`` is false.
+    return.
     """
     params = [p for enc in encoders for p in enc.parameters()]
     opt = Adam(params, lr=cfg.learning_rate)
@@ -193,11 +188,10 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
                 break
         epoch += 1
 
-    if cfg.restore_best and best_snap is not None:
-        for enc, snap in zip(encoders, best_snap):
-            for k, v in snap.items():
-                enc.params[k].data = v.copy()
-                enc.params[k].grad = None
+    for enc, snap in zip(encoders, best_snap):
+        for k, v in snap.items():
+            enc.params[k].data = v.copy()
+            enc.params[k].grad = None
     return log
 
 
@@ -211,7 +205,7 @@ def _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table, view_lo
     def step_fn(sentences):
         ids = make_batch(vocab, sentences, max_len)
         if augment_table:
-            view2 = [synonym_substitute(s, augment_table, aug_rng, p=cfg.augment_p)
+            view2 = [synonym_substitute(s, augment_table, aug_rng, p=AUGMENT_P)
                      for s in sentences]
             ids2 = make_batch(vocab, view2, max_len)
         else:
@@ -263,7 +257,7 @@ def train_single_tn(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
                               out.last_hidden, out_plus.last_hidden)
         # the own-pair norm term is logged in the ictn column
         return {"nce_i": nce, "ictn": tn,
-                "total": nce + ad.scale(tn, cfg.single_tn_weight)}
+                "total": nce + ad.scale(tn, SINGLE_TN_WEIGHT)}
 
     return _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table,
                            view_loss)

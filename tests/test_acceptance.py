@@ -171,8 +171,7 @@ def test_single_encoder_norm_constraint_non_degrading(cfg_ws):
     with criterion(5, "single-encoder norm constraint", budget_s=900):
         for seed in (1, 2, 3):
             tc = TrainConfig(seed=seed, batch_size=32, steps=200,
-                             eval_interval=25, learning_rate=1e-3,
-                             augment_p=0.5)
+                             eval_interval=25, learning_rate=1e-3)
             base = Encoder(pl.encoder_config(cfg, ws.vocab), seed=seed * 101,
                            name="B", vocab_hash=ws.vocab.content_hash())
             con = Encoder(pl.encoder_config(cfg, ws.vocab), seed=seed * 101,

@@ -128,15 +128,20 @@ def test_single_line_manifest_mutation_fails_cleanly_or_loads(tmp_path, mutation
     loaded.encode(np.array([[1, 5, 7, 2, 0, 0]]))
 
 
-def test_manifest_with_zero_layers_is_a_checkpoint_error(tmp_path):
+@pytest.mark.parametrize("line, bad, match", [
+    ("config num_layers 1", "config num_layers 0", "num_layers"),
+    # LayerNorm needs two features
+    ("config hidden_dim 8", "config hidden_dim 1", "need hidden_dim >= 2"),
+])
+def test_manifest_with_a_bad_config_value_is_a_checkpoint_error(tmp_path, line, bad,
+                                                                match):
     prefix = str(tmp_path / "enc")
     save_encoder(Encoder(TINY, seed=3, name="I"), prefix)
     manifest = Path(prefix + ".manifest")
     text = manifest.read_text(encoding="utf-8")
-    assert "config num_layers 1\n" in text
-    manifest.write_text(text.replace("config num_layers 1\n", "config num_layers 0\n"),
-                        encoding="utf-8")
-    with pytest.raises(CheckpointError, match="bad config: num_layers"):
+    assert line + "\n" in text
+    manifest.write_text(text.replace(line + "\n", bad + "\n"), encoding="utf-8")
+    with pytest.raises(CheckpointError, match=f"bad config: {match}"):
         load_encoder(prefix)
 
 

@@ -228,16 +228,15 @@ def fake_dual_runs(monkeypatch):
 
 
 def test_run_significance_rows_summary_and_csv(fake_dual_runs, tmp_path):
-    rows, summary = pl.run_significance(pl.resolve_config(), None, str(tmp_path),
-                                        seeds=(1, 2, 3))
-    assert rows == [(1, 0.1), (2, 0.2), (3, 0.3)]
-    assert summary["mean"] == pytest.approx(0.2)
+    rows, summary = pl.run_significance(pl.resolve_config(), None, str(tmp_path))
+    assert rows == [(1, 0.1), (2, 0.2), (3, 0.3), (4, 0.4), (5, 0.5)]
+    assert summary["mean"] == pytest.approx(0.3)
     assert summary["min"] == pytest.approx(0.1)
-    assert summary["max"] == pytest.approx(0.3)
-    assert summary["std"] == pytest.approx(np.std([0.1, 0.2, 0.3]))
+    assert summary["max"] == pytest.approx(0.5)
+    assert summary["std"] == pytest.approx(np.std([0.1, 0.2, 0.3, 0.4, 0.5]))
     assert (tmp_path / "significance.csv").read_text() == (
-        "seed,val_spearman\n1,0.100000\n2,0.200000\n3,0.300000\n"
-        "mean,0.200000\nstd,0.081650\nmin,0.100000\nmax,0.300000\n")
+        "seed,val_spearman\n1,0.100000\n2,0.200000\n3,0.300000\n4,0.400000\n"
+        "5,0.500000\nmean,0.300000\nstd,0.141421\nmin,0.100000\nmax,0.500000\n")
 
 
 # a TncseError keeps its class, and so its CLI exit status; any other
@@ -252,7 +251,7 @@ def test_run_significance_names_a_failed_seed(fake_dual_runs, tmp_path, raised,
     fake_dual_runs[(2, cfg["loss.terms"])] = raised("exploded")
     with pytest.raises(expected,
                        match="significance run seed 2 failed: exploded") as info:
-        pl.run_significance(cfg, None, str(tmp_path), seeds=(1, 2))
+        pl.run_significance(cfg, None, str(tmp_path))
     assert type(info.value) is expected
 
 
@@ -367,22 +366,20 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
                "loss.terms="]),
     ("distill", ["distill.teacher={pair}/ensemble.manifest", "distill.steps=10"]),
     ("distill", ["distill.teacher={pair}/ensemble.manifest", "distill.eval_interval=0"]),
-    ("norm-probe", ["probe.checkpoint={pair}/encoder_I", "probe.strip_counts=9"]),
-    ("norm-probe", ["probe.checkpoint={pair}/encoder_I", "probe.strip_counts=a"]),
     ("eval", ["eval.checkpoint={pair}/encoder_I", "data.sts_dev={pair}/missing.tsv"]),
     ("eval", ["eval.checkpoint={pair}/encoder_I", "data.sts_test={pair}/missing.tsv"]),
     ("pretrain", ["encoder.num_heads=0"]),
     ("pretrain", ["encoder.num_layers=0"]),
     ("pretrain", ["encoder.hidden_dim=0"]),
+    ("pretrain", ["encoder.num_heads=1", "encoder.hidden_dim=1"]),
+    ("train-single-tn", ["encoder.hidden_dim=1", "encoder.num_heads=1"]),
     ("pretrain", ["encoder.max_seq_len=1"]),
     ("pretrain", ["encoder.dropout_p=1.5"]),
-    ("pretrain", ["pretrain.augment_p=2"]),
     ("gen-data", ["seed=-1"]),
     ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II",
                "train.lr=-1"]),
     ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II",
                "train.lr=nan"]),
-    ("train-single-tn", ["train.single_tn_weight=-0.3"]),
     ("pretrain", ["loss.tau=nan"]),
     ("pretrain", ["loss.tau=inf"]),
     # keys that no longer exist
@@ -392,6 +389,9 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     ("gen-data", ["loss.norm_eps=0"]),
     ("gen-data", ["distill.objective=regression"]),
     ("gen-data", ["probe.sentences=50"]),
+    ("gen-data", ["pretrain.augment_p=0.5"]),
+    ("gen-data", ["train.single_tn_weight=0.3"]),
+    ("gen-data", ["probe.strip_counts=0,4"]),
     ("pretrain", ["data.corpus={pair}"]),
     ("gen-data", "out is a file"),
     ("gen-data", "out is below a file"),
@@ -421,12 +421,14 @@ def test_cli_config_mistakes_exit_2_with_one_line(data_dir, pair_dir, tmp_path,
     assert len(err) == 1 and err[0].startswith("config-error: "), err
 
 
-def test_cli_non_finite_loss_exits_5_with_one_line(data_dir, tmp_path):
+def test_cli_non_finite_loss_exits_5_with_one_line(data_dir, tmp_path, capsys):
     """numpy's overflow warnings do not precede the message.  A subprocess
-    sees them on stderr; pytest's warning capture would hide them."""
+    sees them on stderr; pytest's warning capture would hide them.  The failed
+    run records its config but no run metadata, and its directory is not empty."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    argv = (["pretrain", "--out", str(tmp_path / "pre")] + data_args(data_dir)
+    out = tmp_path / "pre"
+    argv = (["pretrain", "--out", str(out)] + data_args(data_dir)
             + ["--set", "pretrain.lr=1e30", "--set", "pretrain.steps=4",
                "--set", "pretrain.eval_interval=2"])
     proc = subprocess.run([sys.executable, "-m", "tncse.cli"] + argv, env=env,
@@ -434,6 +436,10 @@ def test_cli_non_finite_loss_exits_5_with_one_line(data_dir, tmp_path):
     assert proc.returncode == 5
     assert proc.stderr.splitlines() == [
         "numeric-error: pretrain run I failed: non-finite loss term nce_i at step 2"]
+    assert "pretrain.lr = 1e+30" in (out / "resolved-config.txt").read_text().splitlines()
+    assert not (out / "run-metadata.txt").exists()
+    assert main(argv) == 2
+    assert "use --force" in capsys.readouterr().err
 
 
 def test_cli_missing_checkpoint_exits_4(data_dir, tmp_path, capsys):
@@ -629,9 +635,10 @@ def test_cli_short_training_pipeline_end_to_end(data_dir, tmp_path, capsys):
     probe = tmp_path / "probe"
     assert main(["norm-probe", "--out", str(probe)] + args
                 + ["--set", f"probe.checkpoint={dual}/encoder_I"]) == 0
-    csv = (probe / "norm_probe.csv").read_text()
-    assert csv.splitlines()[0].startswith("stripped,")
-    assert len(csv.splitlines()) == 2 + 2 * pl.DEFAULTS["encoder.num_layers"]
+    csv = (probe / "norm_probe.csv").read_text().splitlines()
+    assert csv[0].startswith("stripped,")
+    assert [int(line.split(",")[0]) for line in csv[1:]] == list(
+        range(0, 2 * pl.DEFAULTS["encoder.num_layers"] + 1))
 
 
 def test_cli_vocab_mismatch_between_data_and_checkpoint_exits_3(

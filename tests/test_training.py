@@ -233,7 +233,7 @@ def test_pretrain_augmentation_changes_the_trajectory(small_corpus, small_dev,
     def run(table):
         enc = Encoder(small_config, seed=3, name="I")
         return pretrain_single(enc, small_corpus, small_dev, small_vocab,
-                               cfg_small(augment_p=1.0), augment_table=table)
+                               cfg_small(), augment_table=table)
 
     plain = run(None)
     augmented = run(synonyms)
@@ -261,14 +261,32 @@ def test_training_aborts_on_non_finite_weights_at_step_0_validation(
         pretrain_single(enc, small_corpus, small_dev, small_vocab, cfg_small())
 
 
+def test_training_on_an_empty_corpus_is_a_data_error(small_dev, small_vocab,
+                                                     small_config):
+    from tncse.ensemble import EnsembleModel, distill
+    teacher = EnsembleModel([Encoder(small_config, seed=5)])
+    for train in (pretrain_single, lambda enc, *a: distill(teacher, enc, *a)):
+        with pytest.raises(DataError, match="cannot batch an empty corpus"):
+            train(Encoder(small_config, seed=3), [], small_dev, small_vocab,
+                  cfg_small())
+
+
 # -- dual training reduction -----------------------------------------------
 
+@pytest.fixture
+def rising_validation(monkeypatch):
+    """Each validation scores higher than the last, so every run restores
+    the weights of its last step."""
+    scores = iter(range(1, 1_000_000))
+    monkeypatch.setattr(training, "sts_eval", lambda *a: float(next(scores)))
+
+
 def test_dual_nce_only_reduces_to_independent_pretraining(
-        small_corpus, small_dev, small_vocab, small_config):
+        small_corpus, small_dev, small_vocab, small_config, rising_validation):
     """With only the per-encoder contrastive term enabled, joint training
     must update each encoder exactly as its solo pretraining run would
     (shared data order, no cross-encoder gradient flow)."""
-    cfg = cfg_small(steps=4, eval_interval=4, restore_best=False,
+    cfg = cfg_small(steps=4, eval_interval=4,
                     loss=LossConfig(enabled_terms=frozenset({"NCE"})))
 
     enc_i = Encoder(small_config, seed=3, name="I")
@@ -287,8 +305,8 @@ def test_dual_nce_only_reduces_to_independent_pretraining(
 
 
 def test_dual_training_with_cross_terms_diverges_from_solo(
-        small_corpus, small_dev, small_vocab, small_config):
-    cfg = cfg_small(steps=4, eval_interval=4, restore_best=False)
+        small_corpus, small_dev, small_vocab, small_config, rising_validation):
+    cfg = cfg_small(steps=4, eval_interval=4)
     enc_i = Encoder(small_config, seed=3, name="I")
     enc_ii = Encoder(small_config, seed=4, name="II")
     train_tncse(enc_i, enc_ii, small_corpus, small_dev, small_vocab, cfg)
@@ -315,8 +333,7 @@ def test_train_tncse_checks_vocabularies_before_validation(
 def test_restore_best_rewinds_parameters(small_corpus, small_dev, small_vocab,
                                          small_config):
     enc = Encoder(small_config, seed=3, name="I")
-    log = pretrain_single(enc, small_corpus, small_dev, small_vocab,
-                          cfg_small(restore_best=True))
+    log = pretrain_single(enc, small_corpus, small_dev, small_vocab, cfg_small())
     embed = ensemble_embed_fn([enc], small_vocab)
     from tncse.evaluation import sts_eval
     rho = sts_eval(embed, small_dev)
