@@ -204,9 +204,15 @@ def transpose(a, axes):
 def getitem(a, key):
     a = as_tensor(a)
 
+    basic = all(isinstance(k, (slice, int, np.integer))
+                for k in (key if isinstance(key, tuple) else (key,)))
+
     def bw(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:  # picks each element at most once; an index array may repeat
+            full[key] = g
+        else:
+            np.add.at(full, key, g)
         return (full,)
 
     return _node(a.data[key], (a,), bw)
@@ -294,13 +300,17 @@ def _last_axis_max(z):
 
 
 def softmax(a, additive_mask=None):
-    """Softmax over the last axis; ``additive_mask`` is added to the logits."""
+    """Softmax over the last axis; ``additive_mask`` is added to the logits.
+    The row sum runs over the row zero-padded to a multiple of 8: numpy's sum
+    at 8k keys, which trailing zero ``exp`` values do not regroup up to 128."""
     a = as_tensor(a)
     z = a.data
     if additive_mask is not None:
         z = z + additive_mask
-    e = np.exp(z - _last_axis_max(z))
-    out = e / e.sum(axis=-1, keepdims=True)
+    w = z.shape[-1]
+    padded = np.zeros(z.shape[:-1] + (w + -w % 8,), dtype=z.dtype)
+    e = np.exp(z - _last_axis_max(z), out=padded[..., :w])
+    out = e / padded.sum(axis=-1, keepdims=True)
 
     def bw(g):
         gs = g * out

@@ -100,7 +100,7 @@ def load_synonyms():
     return dict(line.split("\t") for line in text.splitlines() if line.strip())
 
 
-def synonym_substitute(sentence, table, rng, p=0.7):
+def synonym_substitute(sentence, table, rng, p):
     """Replace each substitutable token with its synonym with probability p."""
     out = []
     for tok in sentence.split():

@@ -6,6 +6,11 @@ the last hidden state and a single tanh feedforward pooler projects it.
 The last layer computes only the rows the pooled output reads: its keys and
 values span the sequence, its queries and everything after them rows 0-1.
 LayerNorms can be stripped from the end of the stack for the norm probe.
+
+A batch is a (batch, max_seq_len) id array.  ``encode`` drops its trailing
+all-PAD columns down to a multiple of 4, the key widths at which OpenBLAS
+0.3.31 rounds ``q @ kᵀ`` (dk=32) alike, and draws dropout masks at full width,
+so every output but a lone sentence's at d=128 equals the untrimmed one.
 """
 
 from __future__ import annotations
@@ -123,18 +128,22 @@ class Encoder:
                             f"(size {c.vocab_size})")
         p = self.params
         dtype = p["tok_emb"].dtype
-        mask = (ids != PAD_ID).astype(dtype)
         B, L = ids.shape
+        filled = ids != PAD_ID
+        cols = np.flatnonzero(filled.any(axis=0))
+        # drop trailing all-PAD columns down to a multiple of 4 (see module doc)
+        W = min(L, 4 * (int(cols[-1]) // 4 + 1)) if cols.size else L
+        ids, mask = ids[:, :W], filled[:, :W].astype(dtype)
         rng = self.streams.get(f"{self.name}/pass{pass_index}") if train_mode else None
         drop_p = c.dropout_p if train_mode else 0.0
+        H, d, dk = c.num_heads, c.hidden_dim, c.hidden_dim // c.num_heads
 
-        def drop(x, draw_shape=None):
+        def drop(x, draw_shape):
             return ad.dropout(x, drop_p, rng, draw_shape) if drop_p > 0 else x
 
         x = drop(ad.add(ad.embedding(p["tok_emb"], ids),
-                        ad.getitem(p["pos_emb"], slice(0, L))))
+                        ad.getitem(p["pos_emb"], slice(0, W))), (B, L, d))
         attn_bias = ((mask - 1.0) * _MASK_NEG)[:, None, None, :]
-        H, d, dk = c.num_heads, c.hidden_dim, c.hidden_dim // c.num_heads
         ln_kept = 2 * c.num_layers - c.layernorms_stripped
 
         def heads(t):
@@ -151,7 +160,7 @@ class Encoder:
             return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"])
 
         for i in range(c.num_layers):
-            # only row 0 of the last layer is read; 2 query rows round as L rows do
+            # only row 0 of the last layer is read; 2 query rows round as W rows do
             last = i == c.num_layers - 1
             xq = ad.getitem(x, (slice(None), slice(0, 2))) if last else x
             q = heads(proj(xq, f"layer{i}.q"))

@@ -102,8 +102,28 @@ class TestExactForward:
         mask = np.where(rng.random((2, 1, width)) < 0.3, -1e9, 0.0).astype(dtype)
         z = a + mask
         e = np.exp(z - z.max(axis=-1, keepdims=True))
-        np.testing.assert_array_equal(ad.softmax(Tensor(a), additive_mask=mask).data,
-                                      e / e.sum(axis=-1, keepdims=True))
+        # the row sum runs over the row zero-padded to a multiple of 8
+        padded = np.concatenate([e, np.zeros((2, 3, -width % 8), dtype)], axis=-1)
+        got = ad.softmax(Tensor(a), additive_mask=mask).data
+        np.testing.assert_array_equal(got, e / padded.sum(axis=-1, keepdims=True))
+        if width % 8 == 0:
+            np.testing.assert_array_equal(got, e / e.sum(axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_ignores_trailing_masked_keys(self, dtype):
+        """A row with trailing -1e9 keys, as an untrimmed padded batch has,
+        equals the softmax of the row without them bit for bit."""
+        rng = np.random.default_rng(13)
+        for width in range(1, 34):
+            a = (4.0 * rng.standard_normal((2, 3, width))).astype(dtype)
+            want = ad.softmax(Tensor(a)).data
+            for extra in (1, 3, 4, 7, 8, 13, 31):
+                tail = (4.0 * rng.standard_normal((2, 3, extra))).astype(dtype)
+                mask = np.concatenate([np.zeros(width), np.full(extra, -1e9)]).astype(dtype)
+                got = ad.softmax(Tensor(np.concatenate([a, tail], axis=-1)),
+                                 additive_mask=mask).data
+                np.testing.assert_array_equal(got[..., :width], want)
+                assert not got[..., width:].any()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_layer_norm_equals_the_np_var_formula(self, dtype):

@@ -1,5 +1,5 @@
 """Encoder forward pass: shapes, determinism, dropout-view behavior,
-pooling, and LayerNorm stripping."""
+pooling, LayerNorm stripping and the padding trim."""
 
 import hashlib
 
@@ -9,6 +9,7 @@ import pytest
 from tncse.data import CLS_ID, PAD_ID, SEP_ID, make_batch
 from tncse.encoder import Encoder, EncoderConfig, strip_layernorms
 from tncse.errors import ConfigError, DataError
+from test_training import DEFAULT_SHAPE, SMALL_SHAPE, WIDE_SHAPE
 
 
 def enc_of(vocab, **kw):
@@ -208,3 +209,31 @@ def test_encode_outputs_match_golden_digests():
         got = tuple(hashlib.sha256(t.data.tobytes()).hexdigest()
                     for t in (out.last_hidden, out.pooler))
         assert got == GOLDEN_DIGESTS[mode], mode
+
+
+# -- padding trim ----------------------------------------------------------
+
+TRIM_SHAPES = {"small": SMALL_SHAPE, "default": DEFAULT_SHAPE, "wide": WIDE_SHAPE}
+
+
+@pytest.mark.parametrize("mode", [{}, dict(train_mode=True, pass_index=1)],
+                         ids=["eval", "train"])
+@pytest.mark.parametrize("shape", list(TRIM_SHAPES))
+def test_row_does_not_depend_on_the_batch_padded_width(shape, mode, small_corpus,
+                                                       small_vocab):
+    """``encode`` trims 64 corpus sentences to their longest row; with a
+    (max_seq_len - 2)-word sentence in the last row the batch keeps its full
+    width, and every other row stays the same bit for bit."""
+    L = TRIM_SHAPES[shape]["max_seq_len"]
+    sentences = list(dict.fromkeys(small_corpus))[:64]
+    long_sentence = " ".join(" ".join(sentences).split()[:L - 2])
+    trimmed = make_batch(small_vocab, sentences, L)
+    full = make_batch(small_vocab, sentences[:63] + [long_sentence], L)
+    assert (trimmed[:, L - 4:] == PAD_ID).all() and full[-1, -1] == SEP_ID
+    config = EncoderConfig(vocab_size=len(small_vocab), num_layers=2, num_heads=4,
+                           **TRIM_SHAPES[shape])
+    # a fresh encoder each, so both train-mode encodes start their stream alike
+    a, b = (Encoder(config, seed=7, name="I").encode(ids, **mode)
+            for ids in (trimmed, full))
+    for got, want in ((a.last_hidden, b.last_hidden), (a.pooler, b.pooler)):
+        np.testing.assert_array_equal(got.data[:63], want.data[:63])
