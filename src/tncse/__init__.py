@@ -15,7 +15,7 @@ from .autodiff import RngStreams, Tensor
 from .data import (StsPair, Vocab, batch_iter, build_vocab, load_corpus,
                    load_sts_tsv, load_synonyms, make_batch, synonym_substitute,
                    synth_corpus, tokenize)
-from .encoder import Encoder, EncoderConfig, EncoderOutput, strip_layernorms
+from .encoder import Encoder, EncoderConfig, EncoderOutput
 from .ensemble import EnsembleModel, distill, ensemble_embed
 from .errors import (CheckpointError, ConfigError, DataError, NumericError,
                      TncseError)

@@ -249,13 +249,19 @@ def matmul(a, b):
 
 
 def linear(x, w, b):
-    """``x @ w + b``, equal to ``np.matmul(x, w) + b`` bit for bit, with the
-    leading dims of ``x`` folded into one 2-D GEMM forward and backward."""
+    """``x @ w + b`` with the leading dims of ``x`` folded into one 2-D GEMM
+    forward and backward.  A GEMM of fewer than 16 rows runs on a copy
+    zero-padded to 16 rows, as OpenBLAS 0.3.31 rounds such short products
+    apart from the same rows of a taller one; so a row of the output is the
+    same bit for bit at any row count, and from 16 rows up it equals
+    ``np.matmul(x, w) + b``.  The backward runs on the real rows."""
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.data.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ValueError(f"linear shape mismatch: {x.shape} @ {w.shape} + {b.shape}")
     x2 = x.data.reshape(-1, x.shape[-1])
-    out = (x2 @ w.data + b.data).reshape(*x.shape[:-1], w.shape[1])
+    m = x2.shape[0]
+    xp = x2 if m >= 16 else np.pad(x2, ((0, 16 - m), (0, 0)))
+    out = ((xp @ w.data)[:m] + b.data).reshape(*x.shape[:-1], w.shape[1])
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
@@ -344,13 +350,12 @@ def layer_norm(x, gamma, beta):
     return _node(out, (x, gamma, beta), bw)
 
 
-def dropout(x, p, rng, draw_shape=None):
+def dropout(x, p, rng):
     """Inverted dropout driven by a named, seeded generator stream.
 
     The survivor mask is drawn from ``rng`` and captured by the backward
     closure, so replaying with the stream at the same position reproduces
-    the forward output exactly.  A mask drawn at ``draw_shape`` applies its
-    leading corner, leaving the stream where a full-shape dropout would.
+    the forward output exactly.
     """
     x = as_tensor(x)
     if not 0.0 <= p < 1.0:
@@ -358,7 +363,7 @@ def dropout(x, p, rng, draw_shape=None):
     if p == 0.0:
         return x
     # keep is 0 or 1, so x * (keep * s) rounds as x * keep * s does
-    keep = rng.random(draw_shape or x.shape)[tuple(map(slice, x.shape))] >= p
+    keep = rng.random(x.shape) >= p
     scaled_keep = keep.astype(x.dtype) * (1.0 / (1.0 - p))
     return _node(x.data * scaled_keep, (x,), lambda g: (g * scaled_keep,))
 

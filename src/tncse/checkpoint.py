@@ -25,7 +25,7 @@ from .encoder import Encoder, EncoderConfig, _param_shapes
 from .errors import CheckpointError
 
 MAGIC = "TNCSE1"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 # field -> type in EncoderConfig's declaration order, which the manifest keeps
 _CONFIG_FIELDS = typing.get_type_hints(EncoderConfig)
@@ -109,13 +109,14 @@ def load_encoder(prefix: str) -> Encoder:
         except ValueError as exc:
             raise CheckpointError(f"{manifest_path}:{lineno}: cannot parse "
                                   f"{line!r} ({exc})") from None
+        # checked once read, so an older manifest's other lines cannot mask it
+        if header.get("format-version", str(FORMAT_VERSION)) != str(FORMAT_VERSION):
+            raise CheckpointError(f"{manifest_path}: unsupported format-version "
+                                  f"{header['format-version']!r}")
     missing = [k for k in _HEADER_FIELDS if k not in header]
     missing += [f"config {k}" for k in _CONFIG_FIELDS if k not in config_kv]
     if missing:
         raise CheckpointError(f"{manifest_path}: no {missing[0]} line")
-    if header["format-version"] != str(FORMAT_VERSION):
-        raise CheckpointError(f"{manifest_path}: unsupported format-version "
-                              f"{header['format-version']!r}")
     if header["seed"] < 0:  # would load, then fail once training draws dropout masks
         raise CheckpointError(f"{manifest_path}: seed {header['seed']} must be >= 0")
     try:

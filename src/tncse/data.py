@@ -80,15 +80,15 @@ def make_batch(vocab, sentences, max_seq_len):
 
 
 def batch_iter(corpus, batch_size, seed, epoch):
-    """Deterministically shuffled lists of sentences; the short final batch
-    is kept."""
-    if batch_size < 1:
-        raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    if not corpus:
-        raise DataError("cannot batch an empty corpus")
+    """Deterministically shuffled lists of sentences; a short final batch is
+    kept unless it holds one sentence, which no contrastive loss learns from."""
+    if batch_size < 2:
+        raise DataError(f"batch_size must be >= 2, got {batch_size}")
+    if len(corpus) < 2:
+        raise DataError(f"need a corpus of at least 2 sentences to batch, got {len(corpus)}")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
     order = rng.permutation(len(corpus))
-    for start in range(0, len(corpus), batch_size):
+    for start in range(0, len(corpus) - 1, batch_size):
         yield [corpus[i] for i in order[start:start + batch_size]]
 
 

@@ -9,13 +9,12 @@ LayerNorms can be stripped from the end of the stack for the norm probe.
 
 A batch is a (batch, max_seq_len) id array.  ``encode`` drops its trailing
 all-PAD columns down to a multiple of 4, the key widths at which OpenBLAS
-0.3.31 rounds ``q @ kᵀ`` (dk=32) alike, and draws dropout masks at full width,
-so every output but a lone sentence's at d=128 equals the untrimmed one.
+0.3.31 rounds ``q @ kᵀ`` (dk=32) alike, so every eval-mode output equals the
+untrimmed one.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -38,7 +37,6 @@ class EncoderConfig:
     num_heads: int = 4
     ffn_dim: int = 256
     dropout_p: float = 0.1
-    layernorms_stripped: int = 0
 
     def __post_init__(self):
         if self.num_layers < 1 or self.num_heads < 1:
@@ -55,8 +53,6 @@ class EncoderConfig:
         if self.hidden_dim % self.num_heads != 0:
             raise ConfigError(f"hidden_dim {self.hidden_dim} not divisible by "
                               f"num_heads {self.num_heads}")
-        if not 0 <= self.layernorms_stripped <= 2 * self.num_layers:
-            raise ConfigError(f"layernorms_stripped must be in [0, {2 * self.num_layers}]")
 
 
 @dataclass
@@ -118,9 +114,13 @@ class Encoder:
 
     # -- forward -----------------------------------------------------------
 
-    def encode(self, ids, train_mode: bool = False,
-               pass_index: int = 0) -> EncoderOutput:
+    def encode(self, ids, train_mode: bool = False, pass_index: int = 0,
+               layernorms_stripped: int = 0) -> EncoderOutput:
+        """Pooled outputs; the last ``layernorms_stripped`` LayerNorms are skipped."""
         c = self.config
+        if not 0 <= layernorms_stripped <= 2 * c.num_layers:
+            raise ValueError(f"layernorms_stripped must be in [0, {2 * c.num_layers}], "
+                             f"got {layernorms_stripped}")
         if ids.shape[1] != c.max_seq_len:
             raise DataError(f"batch seq len {ids.shape[1]} != max_seq_len {c.max_seq_len}")
         if ids.max() >= c.vocab_size:
@@ -138,13 +138,10 @@ class Encoder:
         drop_p = c.dropout_p if train_mode else 0.0
         H, d, dk = c.num_heads, c.hidden_dim, c.hidden_dim // c.num_heads
 
-        def drop(x, draw_shape):
-            return ad.dropout(x, drop_p, rng, draw_shape) if drop_p > 0 else x
-
-        x = drop(ad.add(ad.embedding(p["tok_emb"], ids),
-                        ad.getitem(p["pos_emb"], slice(0, W))), (B, L, d))
+        x = ad.dropout(ad.add(ad.embedding(p["tok_emb"], ids),
+                              ad.getitem(p["pos_emb"], slice(0, W))), drop_p, rng)
         attn_bias = ((mask - 1.0) * _MASK_NEG)[:, None, None, :]
-        ln_kept = 2 * c.num_layers - c.layernorms_stripped
+        ln_kept = 2 * c.num_layers - layernorms_stripped
 
         def heads(t):
             return ad.transpose(ad.reshape(t, (B, -1, H, dk)), (0, 2, 1, 3))
@@ -154,7 +151,7 @@ class Encoder:
 
         def add_norm(x, out, name, ln_index):
             """Residual add of dropped-out ``out``, then LayerNorm ``name`` if kept."""
-            x = ad.add(x, drop(out, (B, L, d)))
+            x = ad.add(x, ad.dropout(out, drop_p, rng))
             if ln_index >= ln_kept:
                 return x
             return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"])
@@ -167,7 +164,7 @@ class Encoder:
             k, v = (heads(proj(x, f"layer{i}.{n}")) for n in ("k", "v"))
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                               1.0 / math.sqrt(dk))
-            attn = drop(ad.softmax(scores, additive_mask=attn_bias), (B, H, L, L))
+            attn = ad.dropout(ad.softmax(scores, additive_mask=attn_bias), drop_p, rng)
             ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, -1, d))
             x = add_norm(xq, proj(ctx, f"layer{i}.o"), f"layer{i}.ln1", 2 * i)
             h = ad.tanh(proj(x, f"layer{i}.ffn1"))
@@ -193,9 +190,3 @@ def _check_same_vocab(hashes, what):
     if len({h for h in hashes if h is not None}) > 1:
         raise DataError(f"{what} were built over different vocabulary hashes")
 
-
-def strip_layernorms(enc: Encoder, n: int) -> Encoder:
-    """Encoder sharing ``enc``'s parameters with the last ``n`` LayerNorms
-    replaced by identity."""
-    config = dataclasses.replace(enc.config, layernorms_stripped=n)
-    return Encoder(config, enc.seed, enc.name, enc.vocab_hash, enc.params)

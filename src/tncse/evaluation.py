@@ -14,7 +14,6 @@ from scipy.spatial.distance import pdist
 from scipy.stats import spearmanr
 
 from .data import make_batch
-from .encoder import strip_layernorms
 from .errors import DataError, NumericError
 
 ALIGNMENT_ALPHA = 2
@@ -121,12 +120,11 @@ def norm_probe(encoder, sentences, strip_counts, vocab):
         raise DataError(f"norm probe needs at least {PROBE_SENTENCES} distinct sentences")
     rows = []
     for n in strip_counts:
-        enc = strip_layernorms(encoder, n)
         hl_norms, hp_norms = [], []
         for start in range(0, len(sentences), EMBED_BATCH):
             ids = make_batch(vocab, sentences[start:start + EMBED_BATCH],
                              encoder.config.max_seq_len)
-            out = enc.encode(ids, train_mode=False)
+            out = encoder.encode(ids, layernorms_stripped=n)
             hl_norms.append(np.linalg.norm(out.last_hidden.data, axis=1))
             hp_norms.append(np.linalg.norm(out.pooler.data, axis=1))
         hl = np.concatenate(hl_norms)

@@ -102,11 +102,14 @@ def _primitive_cases():
                            lambda r: [rnd(r, 2, 3, 4), rnd(r, 2, 4, 3)]),
         "matmul_batched_4d": (lambda a, b: ad.sum_(ad.matmul(a, b)),
                               lambda r: [rnd(r, 2, 3, 4, 3), rnd(r, 2, 3, 3, 2)]),
-        # as the projections call it (3-D input) and as the pooler does (2-D)
+        # as the projections call it (3-D input) and as the pooler does (2-D),
+        # both below linear's 16-row floor, and at 16 rows, which run unpadded
         "linear": (lambda x, w, b: weighted(ad.linear(x, w, b), (2, 3, 5)),
                    lambda r: [rnd(r, 2, 3, 4), rnd(r, 4, 5), rnd(r, 5)]),
         "linear_2d": (lambda x, w, b: weighted(ad.linear(x, w, b), (3, 5)),
                       lambda r: [rnd(r, 3, 4), rnd(r, 4, 5), rnd(r, 5)]),
+        "linear_16_rows": (lambda x, w, b: weighted(ad.linear(x, w, b), (4, 4, 5)),
+                           lambda r: [rnd(r, 4, 4, 3), rnd(r, 3, 5), rnd(r, 5)]),
         "tanh": (lambda a: ad.sum_(ad.tanh(a)), lambda r: [rnd(r, 3, 4)]),
         "exp": (lambda a: ad.sum_(ad.exp(a)), lambda r: [rnd(r, 3, 4)]),
         "log": (lambda a: ad.sum_(ad.log(a)), lambda r: [0.5 + r.random((3, 4))]),

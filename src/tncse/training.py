@@ -43,15 +43,18 @@ class Adam:
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if g is None:
                 continue
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            mhat = self._m[i] / b1t
-            vhat = self._v[i] / b2t
-            p.data = p.data - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            # in place, in the operation order of the textbook update (same rounding)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            denom = np.sqrt(v / b2t)
+            denom += self.eps
+            p.data -= self.lr * (m / b1t) / denom
             p.grad = None
 
 
@@ -68,8 +71,8 @@ class TrainConfig:
         if not self.steps >= self.eval_interval >= 1:
             raise ConfigError(f"need steps >= eval_interval >= 1, got "
                               f"{self.steps} / {self.eval_interval}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.batch_size < 2:  # a one-sentence batch has no negatives
+            raise ConfigError(f"batch_size must be >= 2, got {self.batch_size}")
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be finite and > 0, "
                               f"got {self.learning_rate}")
@@ -115,10 +118,8 @@ def ensemble_embed_fn(encoders, vocab):
     """Sum of member last-hidden CLS states in eval mode, pooler bypassed.
     The returned function memoizes for its lifetime, at about 4*d + 145 bytes
     per distinct sentence, and encodes only the distinct sentences a call has
-    not seen, in EMBED_BATCH batches.  Exact while a row depends neither on
-    its batch's padded width, which ``encode`` trims, nor on its size: at d <= 64
-    for batches of 1-64; at d=128, ffn 512 for 8-64 only, as OpenBLAS 0.3.31
-    (1 thread) rounds (2B, 512) @ (512, 128) rows apart below 16."""
+    not seen, in EMBED_BATCH batches.  Exact, as an eval-mode row depends
+    neither on its batch's padded width nor on its size (``autodiff.linear``)."""
     max_len = encoders[0].config.max_seq_len
     memo = {}
 

@@ -75,6 +75,27 @@ def test_load_rejects_unsupported_version(small_encoder, tmp_path, version):
         load_encoder(prefix)
 
 
+def as_format_version_2(prefix):
+    """Rewrite a saved manifest as format-version 2 wrote it: that version
+    also carried the strip count, as ``config layernorms_stripped 0`` after
+    ``config dropout_p``, over the same blob."""
+    manifest = Path(prefix + ".manifest")
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    lines[1] = "format-version 2"
+    at = next(i for i, line in enumerate(lines) if line.startswith("config dropout_p "))
+    lines.insert(at + 1, "config layernorms_stripped 0")
+    manifest.write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+
+
+def test_load_rejects_a_format_version_2_manifest(small_encoder, tmp_path):
+    prefix = str(tmp_path / "enc")
+    save_encoder(small_encoder, prefix)
+    as_format_version_2(prefix)
+    with pytest.raises(CheckpointError) as err:
+        load_encoder(prefix)
+    assert str(err.value) == f"{prefix}.manifest: unsupported format-version '2'"
+
+
 def test_load_rejects_truncated_blob(small_encoder, tmp_path):
     prefix = str(tmp_path / "enc")
     save_encoder(small_encoder, prefix)
@@ -95,8 +116,8 @@ def test_load_rejects_trailing_blob_bytes(small_encoder, tmp_path):
 
 TINY = EncoderConfig(vocab_size=12, max_seq_len=6, hidden_dim=8, num_layers=1,
                      num_heads=2, ffn_dim=12)
-# magic, 5 header lines, 8 config lines and 20 tensor lines
-TINY_MANIFEST_LINES = 34
+# magic, 5 header lines, 7 config lines and 20 tensor lines
+TINY_MANIFEST_LINES = 33
 MUTATIONS = {
     "delete": lambda line: None,
     "halve": lambda line: line[: len(line) // 2],

@@ -21,6 +21,7 @@ from tncse.ensemble import EnsembleModel
 from tncse.errors import CheckpointError, ConfigError, DataError, TncseError
 from tncse.evaluation import alignment, sts_eval, uniformity
 from tncse.training import _member_sums
+from test_checkpoint import as_format_version_2
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -361,6 +362,14 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     ("pretrain", ["encoder.num_heads=3"]),
     ("pretrain", ["pretrain.steps=0"]),
     ("pretrain", ["pretrain.batch_size=0"]),
+    # a one-sentence batch trains nothing: InfoNCE has no negatives, the
+    # distill loss no off-diagonal pair
+    ("pretrain", ["pretrain.batch_size=1"]),
+    ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II",
+               "train.batch_size=1"]),
+    pytest.param("train-single-tn", ["pretrain.batch_size=1"],
+                 id="train-single-tn-pretrain.batch_size=1"),
+    ("distill", ["distill.teacher={pair}/ensemble.manifest", "distill.batch_size=1"]),
     ("pretrain", ["loss.tau=0"]),
     ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II",
                "loss.terms="]),
@@ -463,6 +472,18 @@ def test_cli_eval_on_a_broken_manifest_exits_4_with_one_line(data_dir, pair_dir,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("checkpoint-error: "), err
     assert "pooler_w" in err[0]
+
+
+def test_cli_eval_on_a_format_version_2_manifest_exits_4_with_one_line(
+        data_dir, pair_dir, tmp_path, capsys):
+    as_format_version_2(str(pair_dir / "encoder_I"))
+    capsys.readouterr()
+    rc = main(["eval", "--out", str(tmp_path / "ev")] + data_args(data_dir)
+              + ["--set", f"eval.checkpoint={pair_dir}/ensemble.manifest"])
+    assert rc == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"checkpoint-error: {pair_dir}/encoder_I.manifest: "
+                   "unsupported format-version '2'"], err
 
 
 def test_cli_train_from_a_manifest_with_a_negative_seed_exits_4_with_one_line(

@@ -137,6 +137,17 @@ def test_batch_iter_is_a_permutation_and_keeps_short_tail():
     assert sorted(s for b in batches for s in b) == sorted(corpus)
 
 
+@pytest.mark.parametrize("n", [9, 5, 2, 3])
+def test_batch_iter_never_yields_a_one_sentence_batch(n):
+    """A final batch of one sentence is dropped; every other sentence of the
+    epoch is batched once."""
+    corpus = [f"s{i}" for i in range(n)]
+    batches = list(batch_iter(corpus, batch_size=4, seed=3, epoch=0))
+    sizes = [len(b) for b in batches]
+    assert min(sizes) >= 2 and sum(sizes) == n - (n % 4 == 1)
+    assert len({s for b in batches for s in b}) == sum(sizes)
+
+
 def test_batch_iter_deterministic_per_seed_epoch():
     corpus = [f"s{i}" for i in range(20)]
     a = list(batch_iter(corpus, 8, seed=5, epoch=2))
@@ -147,8 +158,9 @@ def test_batch_iter_deterministic_per_seed_epoch():
 
 
 def test_batch_iter_rejects_bad_batch_size():
-    with pytest.raises(DataError):
-        next(batch_iter(["a"], 0, seed=1, epoch=0))
+    for size in (0, 1):
+        with pytest.raises(DataError, match="batch_size must be >= 2"):
+            next(batch_iter(["a", "b"], size, seed=1, epoch=0))
 
 
 # -- synonyms --------------------------------------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tncse.data import CLS_ID, PAD_ID, SEP_ID, make_batch
-from tncse.encoder import Encoder, EncoderConfig, strip_layernorms
+from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import ConfigError, DataError
 from test_training import DEFAULT_SHAPE, SMALL_SHAPE, WIDE_SHAPE
 
@@ -31,11 +31,6 @@ def test_config_rejects_indivisible_heads():
 def test_config_rejects_fewer_than_one_layer_or_head(field):
     with pytest.raises(ConfigError, match=f"{field}.* must be >= 1"):
         EncoderConfig(vocab_size=10, **{field: 0})
-
-
-def test_config_rejects_strip_count_out_of_range():
-    with pytest.raises(ValueError):
-        EncoderConfig(vocab_size=10, num_layers=2, layernorms_stripped=5)
 
 
 # -- forward shapes and determinism ---------------------------------------
@@ -129,18 +124,19 @@ def test_encode_rejects_out_of_vocab_ids(small_vocab):
 
 # -- LayerNorm stripping ---------------------------------------------------
 
-def test_strip_layernorms_shares_parameters(small_vocab):
+def test_strip_count_lasts_one_call(small_vocab):
     enc = enc_of(small_vocab)
-    stripped = strip_layernorms(enc, 2)
-    assert stripped.params is enc.params
-    assert stripped.config.layernorms_stripped == 2
+    batch = make_batch(small_vocab, ["the quick dog runs"], 16)
+    before = enc.encode(batch).last_hidden.data
+    enc.encode(batch, layernorms_stripped=2)
+    np.testing.assert_array_equal(enc.encode(batch).last_hidden.data, before)
 
 
-def test_strip_layernorms_changes_output(small_vocab):
+def test_strip_changes_output(small_vocab):
     enc = enc_of(small_vocab)
     batch = make_batch(small_vocab, ["the quick dog runs"], 16)
     base = enc.encode(batch).last_hidden.data
-    stripped = strip_layernorms(enc, 2 * enc.config.num_layers).encode(batch)
+    stripped = enc.encode(batch, layernorms_stripped=2 * enc.config.num_layers)
     assert not np.allclose(base, stripped.last_hidden.data)
 
 
@@ -148,14 +144,16 @@ def test_strip_zero_is_identity_behavior(small_vocab):
     enc = enc_of(small_vocab)
     batch = make_batch(small_vocab, ["the quick dog runs"], 16)
     a = enc.encode(batch).last_hidden.data
-    b = strip_layernorms(enc, 0).encode(batch).last_hidden.data
+    b = enc.encode(batch, layernorms_stripped=0).last_hidden.data
     np.testing.assert_array_equal(a, b)
 
 
-def test_strip_layernorms_rejects_out_of_range(small_vocab):
-    enc = enc_of(small_vocab)
-    with pytest.raises(ValueError):
-        strip_layernorms(enc, 5)
+@pytest.mark.parametrize("n", [-1, 5])
+def test_strip_rejects_out_of_range(small_vocab, n):
+    enc = enc_of(small_vocab)  # 2 layers: 4 LayerNorms
+    batch = make_batch(small_vocab, ["a cat"], 16)
+    with pytest.raises(ValueError, match=r"layernorms_stripped must be in \[0, 4\]"):
+        enc.encode(batch, layernorms_stripped=n)
 
 
 def test_last_layernorm_is_stripped_first(small_vocab):
@@ -164,7 +162,7 @@ def test_last_layernorm_is_stripped_first(small_vocab):
     enc = enc_of(small_vocab, dropout_p=0.0)
     batch = make_batch(small_vocab, ["the quick dog runs"], 16)
     full = enc.encode(batch).last_hidden.data
-    one = strip_layernorms(enc, 1).encode(batch).last_hidden.data
+    one = enc.encode(batch, layernorms_stripped=1).last_hidden.data
     # re-applying the final LayerNorm by hand to the stripped output must
     # recover the full-stack output
     g = enc.params[f"layer{enc.config.num_layers - 1}.ln2_g"].data
@@ -177,18 +175,18 @@ def test_last_layernorm_is_stripped_first(small_vocab):
 
 # -- golden outputs --------------------------------------------------------
 
-# SHA-256 of last_hidden and pooler for the fixed encoder below, recorded
-# when the last layer still ran every row: computing only the rows the output
-# reads must keep the float32 rounding and the dropout stream positions.  The
+# SHA-256 of last_hidden and pooler for the fixed encoder below.  The eval
+# digests were recorded when the last layer still ran every row, the train
+# pass digests since dropout draws its masks at the shape they apply to.  The
 # digests hold for one numpy/OpenBLAS build and CPU (numpy 2.4.6, OpenBLAS
 # 0.3.31, x86-64); another build may round a GEMM differently.
 GOLDEN_DIGESTS = {
     "eval": ("15cfe0f4327ef9cbf3cc5e4fa44faaf5addf1cbb1cf3f80c494a224305b085fa",
              "6f3a4e5b3f9a16800f819af0a1d2d358e4e103cb0e119b903cedee552235da2e"),
-    "pass0": ("d4722b6a02ce16aadb8e64e69cc66518f45d57bec0a5a2c0f5755356e1e3cc2c",
-              "2b89cb24e2f62f87b6ba7a90c7eb3b350163751638467be702c4b7678f61c584"),
-    "pass1": ("60a101d149c6e7abc426d5a3153bedf20708c93b9662c2d843e5787ba9aefebb",
-              "1dea258fc8e5bc2f24b536a3aaa6bcd155f48e412d60a5ffac74f7578115e537"),
+    "pass0": ("1d35b02942e19a753f83e62660a8c26d203ced4742f75b66e11768eb67efbae1",
+              "fafe1eed46af9c6ad073af14752426ecc4a53628e9de3cd346fc38b07ae05d5d"),
+    "pass1": ("d0d63907ba648536c3a6157dfd995c8437af28b1cea30e999a5a5ce71bd95250",
+              "606e11a86d03d950e2aa0cb7a8bb6338cc89920c4ed311bd85f5dc04da1c728d"),
 }
 
 
@@ -216,14 +214,12 @@ def test_encode_outputs_match_golden_digests():
 TRIM_SHAPES = {"small": SMALL_SHAPE, "default": DEFAULT_SHAPE, "wide": WIDE_SHAPE}
 
 
-@pytest.mark.parametrize("mode", [{}, dict(train_mode=True, pass_index=1)],
-                         ids=["eval", "train"])
 @pytest.mark.parametrize("shape", list(TRIM_SHAPES))
-def test_row_does_not_depend_on_the_batch_padded_width(shape, mode, small_corpus,
+def test_row_does_not_depend_on_the_batch_padded_width(shape, small_corpus,
                                                        small_vocab):
     """``encode`` trims 64 corpus sentences to their longest row; with a
     (max_seq_len - 2)-word sentence in the last row the batch keeps its full
-    width, and every other row stays the same bit for bit."""
+    width, and every other eval-mode row stays the same bit for bit."""
     L = TRIM_SHAPES[shape]["max_seq_len"]
     sentences = list(dict.fromkeys(small_corpus))[:64]
     long_sentence = " ".join(" ".join(sentences).split()[:L - 2])
@@ -232,8 +228,7 @@ def test_row_does_not_depend_on_the_batch_padded_width(shape, mode, small_corpus
     assert (trimmed[:, L - 4:] == PAD_ID).all() and full[-1, -1] == SEP_ID
     config = EncoderConfig(vocab_size=len(small_vocab), num_layers=2, num_heads=4,
                            **TRIM_SHAPES[shape])
-    # a fresh encoder each, so both train-mode encodes start their stream alike
-    a, b = (Encoder(config, seed=7, name="I").encode(ids, **mode)
-            for ids in (trimmed, full))
+    enc = Encoder(config, seed=7, name="I")
+    a, b = (enc.encode(ids) for ids in (trimmed, full))
     for got, want in ((a.last_hidden, b.last_hidden), (a.pooler, b.pooler)):
         np.testing.assert_array_equal(got.data[:63], want.data[:63])

@@ -8,7 +8,7 @@ from tncse import training
 from tncse.autodiff import Tensor
 from tncse.data import build_vocab, make_batch, synth_corpus
 from tncse.encoder import Encoder, EncoderConfig
-from tncse.errors import DataError, NumericError
+from tncse.errors import ConfigError, DataError, NumericError
 from tncse.losses import LossConfig
 from tncse.training import (Adam, TrainConfig, TrainLog, _member_sums,
                             ensemble_embed_fn, pretrain_single, train_single_tn,
@@ -54,6 +54,32 @@ def test_adam_two_steps_match_reference_implementation():
     np.testing.assert_allclose(p.data, [x], rtol=1e-12)
 
 
+def test_adam_in_place_equals_the_out_of_place_update():
+    """30 steps of the in-place update give the textbook update's float32
+    weights bit for bit."""
+    rng = np.random.default_rng(4)
+    shapes = [(8, 16), (16,), (3, 5)]
+    params = [Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+              for s in shapes]
+    ref = [p.data.copy() for p in params]
+    m = [np.zeros_like(x) for x in ref]
+    v = [np.zeros_like(x) for x in ref]
+    opt = Adam(params, lr=1e-2)
+    b1, b2, eps = Adam.beta1, Adam.beta2, Adam.eps
+    for t in range(1, 31):
+        for i, p in enumerate(params):
+            g = rng.standard_normal(p.shape).astype(np.float32)
+            p.grad = g.copy()
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            mhat, vhat = m[i] / (1.0 - b1 ** t), v[i] / (1.0 - b2 ** t)
+            ref[i] = ref[i] - 1e-2 * mhat / (np.sqrt(vhat) + eps)
+        opt.step()
+    for p, want in zip(params, ref):
+        assert p.data.dtype == np.float32
+        np.testing.assert_array_equal(p.data, want)
+
+
 def test_adam_skips_parameters_without_gradients():
     p = Tensor(np.array([1.0]), requires_grad=True)
     Adam([p], lr=0.1).step()
@@ -69,6 +95,13 @@ def test_train_config_rejects_bad_step_schedule():
         TrainConfig(steps=5, eval_interval=0)
     with pytest.raises(ValueError):
         TrainConfig(steps=0)
+
+
+def test_train_config_refuses_a_batch_of_one_sentence():
+    """InfoNCE has no negatives in a one-sentence batch: its loss and
+    gradient are exactly 0."""
+    with pytest.raises(ConfigError, match="batch_size must be >= 2, got 1"):
+        TrainConfig(batch_size=1)
 
 
 def test_train_log_csv_header_and_rows():
@@ -100,7 +133,7 @@ def test_ensemble_embed_fn_sums_members(small_vocab, small_config):
 SMALL_SHAPE = dict(max_seq_len=16, hidden_dim=32, ffn_dim=64)
 DEFAULT_SHAPE = dict(max_seq_len=16, hidden_dim=64, ffn_dim=256)
 WIDE_SHAPE = dict(max_seq_len=32, hidden_dim=128, ffn_dim=512)
-EXACT_SHAPES = pytest.mark.parametrize("shape", ["small", "default"])
+EXACT_SHAPES = pytest.mark.parametrize("shape", ["small", "default", "wide"])
 
 
 def pair_of_shape(vocab, shape):
@@ -110,12 +143,13 @@ def pair_of_shape(vocab, shape):
 
 @pytest.fixture(scope="module")
 def pair_rows(small_corpus, small_vocab):
-    """Per shape at d <= 64: a pair, 100 distinct sentences, the rows of the
-    first 64 from one 64-row encode per member, and each row encoded alone."""
+    """Per shape: a pair, 100 distinct sentences, the rows of the first 64
+    from one 64-row encode per member, and each row encoded alone."""
     sentences = list(dict.fromkeys(small_corpus))[:100]
     assert len(sentences) == 100
     out = {}
-    for name, shape in (("small", SMALL_SHAPE), ("default", DEFAULT_SHAPE)):
+    for name, shape in (("small", SMALL_SHAPE), ("default", DEFAULT_SHAPE),
+                        ("wide", WIDE_SHAPE)):
         members = pair_of_shape(small_vocab, shape)
         batches = [make_batch(small_vocab, sentences[:64], shape["max_seq_len"])]
         batches += [make_batch(small_vocab, [s], shape["max_seq_len"]) for s in sentences]
@@ -128,9 +162,9 @@ def pair_rows(small_corpus, small_vocab):
 @pytest.mark.parametrize("n", range(1, 65))
 def test_ensemble_embed_fn_row_does_not_depend_on_its_batch(n, shape, small_vocab,
                                                             pair_rows):
-    """At d <= 64 a sentence's row is the same bit for bit in a batch of any
-    size from 1 to 64 and at any position in it, so a memo may serve it from
-    an earlier call.  A fresh embedder starts with an empty memo, so it
+    """A sentence's row is the same bit for bit in a batch of any size from 1
+    to 64 and at any position in it, so a memo may serve it from an earlier
+    call.  A fresh embedder starts with an empty memo, so it
     encodes the n sentences as one batch."""
     members, sentences, reference, _ = pair_rows[shape]
     rows = ensemble_embed_fn(members, small_vocab)(sentences[64 - n:64])
@@ -261,14 +295,15 @@ def test_training_aborts_on_non_finite_weights_at_step_0_validation(
         pretrain_single(enc, small_corpus, small_dev, small_vocab, cfg_small())
 
 
-def test_training_on_an_empty_corpus_is_a_data_error(small_dev, small_vocab,
-                                                     small_config):
+def test_training_on_a_corpus_of_fewer_than_2_sentences_is_a_data_error(
+        small_dev, small_vocab, small_config):
     from tncse.ensemble import EnsembleModel, distill
     teacher = EnsembleModel([Encoder(small_config, seed=5)])
     for train in (pretrain_single, lambda enc, *a: distill(teacher, enc, *a)):
-        with pytest.raises(DataError, match="cannot batch an empty corpus"):
-            train(Encoder(small_config, seed=3), [], small_dev, small_vocab,
-                  cfg_small())
+        for corpus in ([], ["a cat"]):
+            with pytest.raises(DataError, match=f"2 sentences to batch, got {len(corpus)}"):
+                train(Encoder(small_config, seed=3), corpus, small_dev, small_vocab,
+                      cfg_small())
 
 
 # -- dual training reduction -----------------------------------------------
