@@ -6,9 +6,10 @@ SHA-256, config fields, and a tensor directory (name, shape, byte offset),
 plus a binary blob (``<prefix>.bin``) of little-endian float32 values,
 row-major, in manifest order.  Saving writes the blob first and the manifest
 last, each through a temp file, so the manifest commits the checkpoint.
-Ensemble manifests list member checkpoint prefixes.  Loading checks every
-line, the tensor set and shapes against the config, the exact blob length and
-the blob's SHA-256; any mismatch is a CheckpointError.
+Ensemble manifests list member checkpoint prefixes.  Either kind is named
+by its prefix or by ``<prefix>.manifest``.  Loading checks every line, the
+tensor set and shapes against the config, the exact blob length and the
+blob's SHA-256; any mismatch is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .encoder import Encoder, EncoderConfig, _param_shapes
 from .errors import CheckpointError
 
 MAGIC = "TNCSE1"
+ENSEMBLE_KIND = "kind ensemble"
 FORMAT_VERSION = 3
 
 # field -> type in EncoderConfig's declaration order, which the manifest keeps
@@ -70,9 +72,11 @@ def _read_bytes(path, what):
         raise CheckpointError(f"cannot read {what} {path}: {exc.strerror}") from None
 
 
-def _read_manifest(path, what):
-    """The lines of a manifest whose first line is the magic string."""
-    raw = _read_bytes(path, what)
+def _read_manifest(name):
+    """``(prefix, path, lines)`` of the manifest a prefix or ``.manifest`` path names."""
+    prefix = name.removesuffix(".manifest")
+    path = prefix + ".manifest"
+    raw = _read_bytes(path, "manifest")
     try:
         lines = raw.decode("utf-8").splitlines()
     except UnicodeDecodeError:
@@ -80,7 +84,7 @@ def _read_manifest(path, what):
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: bad magic "
                               f"(expected {MAGIC!r}, got {lines[0] if lines else ''!r})")
-    return lines
+    return prefix, path, lines
 
 
 def _parse_manifest_line(line, header, config_kv, tensors):
@@ -99,9 +103,11 @@ def _parse_manifest_line(line, header, config_kv, tensors):
         raise ValueError("unknown line")
 
 
-def load_encoder(prefix: str) -> Encoder:
-    manifest_path = prefix + ".manifest"
-    lines = _read_manifest(manifest_path, "manifest")
+def load_encoder(path: str) -> Encoder:
+    """The encoder checkpoint named by its prefix or its ``.manifest`` path."""
+    prefix, manifest_path, lines = _read_manifest(path)
+    if lines[1:2] == [ENSEMBLE_KIND]:
+        raise CheckpointError(f"{manifest_path}: an ensemble manifest, not one encoder")
     header, config_kv, tensors = {}, {}, {}
     for lineno, line in enumerate(lines[1:], start=2):
         try:
@@ -166,21 +172,24 @@ def checkpoint_hash(prefix: str) -> str:
 
 
 def save_ensemble_manifest(member_prefixes, path):
-    lines = [MAGIC, "kind ensemble"] + [f"member {p}" for p in member_prefixes]
+    lines = [MAGIC, ENSEMBLE_KIND] + [f"member {p}" for p in member_prefixes]
     _write_replacing(path, ("\n".join(lines) + "\n").encode())
 
 
-def load_ensemble_manifest(path):
-    lines = _read_manifest(path, "ensemble manifest")
+def model_members(path: str) -> list:
+    """Member checkpoint prefixes of the model ``path`` names: ``[prefix]`` for an
+    encoder, else the ensemble's members, resolved against its directory."""
+    prefix, manifest_path, lines = _read_manifest(path)
+    if lines[1:2] != [ENSEMBLE_KIND]:
+        return [prefix]
+    base = os.path.dirname(os.path.abspath(manifest_path))
     members = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(lines[2:], start=3):
         parts = line.split(None, 1)
-        if not parts or parts == ["kind", "ensemble"]:
-            continue
-        if parts[0] != "member" or len(parts) != 2:
-            raise CheckpointError(f"{path}:{lineno}: cannot parse {line!r}")
-        members.append(parts[1])
+        if parts[:1] == ["member"] and len(parts) == 2:
+            members.append(os.path.join(base, parts[1]))  # an absolute one stays
+        elif parts:
+            raise CheckpointError(f"{manifest_path}:{lineno}: cannot parse {line!r}")
     if not members:
-        raise CheckpointError(f"{path}: ensemble manifest lists no members")
-    base = os.path.dirname(os.path.abspath(path))
-    return [m if os.path.isabs(m) else os.path.join(base, m) for m in members]
+        raise CheckpointError(f"{manifest_path}: ensemble manifest lists no members")
+    return members

@@ -79,13 +79,17 @@ def make_batch(vocab, sentences, max_seq_len):
     return np.stack([tokenize(vocab, s, max_seq_len) for s in sentences])
 
 
+def _check_batchable(corpus):
+    if len(corpus) < 2:
+        raise DataError(f"need a corpus of at least 2 sentences to batch, got {len(corpus)}")
+
+
 def batch_iter(corpus, batch_size, seed, epoch):
     """Deterministically shuffled lists of sentences; a short final batch is
     kept unless it holds one sentence, which no contrastive loss learns from."""
     if batch_size < 2:
         raise DataError(f"batch_size must be >= 2, got {batch_size}")
-    if len(corpus) < 2:
-        raise DataError(f"need a corpus of at least 2 sentences to batch, got {len(corpus)}")
+    _check_batchable(corpus)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(epoch)]))
     order = rng.permutation(len(corpus))
     for start in range(0, len(corpus) - 1, batch_size):

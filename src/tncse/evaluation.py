@@ -7,7 +7,7 @@ alpha = 2 and t = 2; embeddings are L2-normalized internally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 from scipy.spatial.distance import pdist
@@ -127,15 +127,8 @@ def norm_probe(encoder, sentences, strip_counts, vocab):
             out = encoder.encode(ids, layernorms_stripped=n)
             hl_norms.append(np.linalg.norm(out.last_hidden.data, axis=1))
             hp_norms.append(np.linalg.norm(out.pooler.data, axis=1))
-        hl = np.concatenate(hl_norms)
-        hp = np.concatenate(hp_norms)
-        rows.append(ProbeRow(
-            stripped=int(n),
-            mean_hl=float(hl.mean()), std_hl=float(hl.std()),
-            cv_hl=float(hl.std() / hl.mean()),
-            mean_hp=float(hp.mean()), std_hp=float(hp.std()),
-            cv_hp=float(hp.std() / hp.mean()),
-        ))
+        stats = [(x.mean(), x.std()) for x in map(np.concatenate, (hl_norms, hp_norms))]
+        rows.append(ProbeRow(int(n), *(float(v) for m, s in stats for v in (m, s, s / m))))
     return rows
 
 
@@ -170,8 +163,6 @@ class EvalReport:
 
 
 def probe_csv(rows):
-    lines = ["stripped,mean_hl,std_hl,cv_hl,mean_hp,std_hp,cv_hp"]
-    for r in rows:
-        lines.append(f"{r.stripped},{r.mean_hl},{r.std_hl},{r.cv_hl},"
-                     f"{r.mean_hp},{r.std_hp},{r.cv_hp}")
+    lines = [",".join(f.name for f in fields(ProbeRow))]
+    lines += [",".join(map(str, astuple(r))) for r in rows]
     return "\n".join(lines) + "\n"

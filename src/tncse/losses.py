@@ -9,6 +9,7 @@ minimized exactly at k = t = 1.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +52,12 @@ def l_tn(h, h_plus):
     h, h_plus = as_tensor(h), as_tensor(h_plus)
     _check_nonzero_rows(h, "h")
     _check_nonzero_rows(h_plus, "h_plus")
-    num = ad.l2_norm(h - h_plus)
-    den = ad.l2_norm(h) + ad.l2_norm(h_plus)
-    return ad.div(num, den)
+    return _tn_ratio(h, h_plus)
+
+
+def _tn_ratio(h, h_plus, axis=None, eps=0.0):
+    num = ad.l2_norm(h - h_plus, axis=axis, eps=eps)
+    return ad.div(num, ad.l2_norm(h, axis=axis) + ad.l2_norm(h_plus, axis=axis))
 
 
 def l_tn_kt(k, t):
@@ -97,9 +101,7 @@ def l_tn_modulated(hP_i, hP_j_plus, hL_I, hL_II):
     _check_nonzero_rows(hP_j_plus, "positive pooler output")
     sim = ad.rowwise_cosine(as_tensor(hL_I), as_tensor(hL_II))
     mod = -ad.log(ad.clip(sim, SIM_CLAMP_EPS, 1.0))
-    num = ad.l2_norm(hP_i - hP_j_plus, axis=-1, eps=NORM_EPS)
-    den = ad.l2_norm(hP_i, axis=-1) + ad.l2_norm(hP_j_plus, axis=-1)
-    return ad.mean(ad.mul(mod, ad.div(num, den)))
+    return ad.mean(ad.mul(mod, _tn_ratio(hP_i, hP_j_plus, axis=-1, eps=NORM_EPS)))
 
 
 def ictn(views):
@@ -135,6 +137,4 @@ def total_loss(views, cfg: LossConfig) -> dict:
 
 def ablation_grid():
     """The 7 non-empty loss subsets, in table order."""
-    return [frozenset({"NCE"}), frozenset({"ICNCE"}), frozenset({"ICTN"}),
-            frozenset({"NCE", "ICNCE"}), frozenset({"NCE", "ICTN"}),
-            frozenset({"ICNCE", "ICTN"}), frozenset({"NCE", "ICNCE", "ICTN"})]
+    return [frozenset(c) for n in (1, 2, 3) for c in itertools.combinations(TERMS, n)]

@@ -16,7 +16,7 @@ from . import checkpoint as ckpt
 from .data import build_vocab, load_corpus, load_sts_tsv, load_synonyms
 from .encoder import Encoder, EncoderConfig, _check_same_vocab
 from .ensemble import EnsembleModel, distill
-from .errors import CheckpointError, ConfigError, TncseError
+from .errors import ConfigError, TncseError
 from .evaluation import (PROBE_SENTENCES, EvalReport, alignment, norm_probe,
                          probe_csv, sts_eval, uniformity)
 from .losses import LossConfig, ablation_grid
@@ -76,7 +76,8 @@ def parse_config_file(path):
 
 
 def resolve_config(file_kv=None, overrides=None, seed=None):
-    """Merge defaults <- config file <- --set overrides <- --seed."""
+    """Merge defaults <- config file <- --set overrides <- --seed, then check
+    every setting value, so a bad one fails before a command writes or trains."""
     cfg = dict(DEFAULTS)
     for source in (file_kv or {}, overrides or {}):
         for key, raw in source.items():
@@ -90,6 +91,9 @@ def resolve_config(file_kv=None, overrides=None, seed=None):
         cfg["seed"] = int(seed)
     if cfg["seed"] < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
+    encoder_config(cfg, ())
+    for section in ("pretrain", "train", "distill"):
+        train_config(cfg, section, cfg["seed"])
     return cfg
 
 
@@ -217,18 +221,9 @@ def load_encoder_checked(prefix, ws):
 
 
 def load_model(path_or_prefix, ws):
-    """Load an encoder checkpoint or an ensemble manifest, named by its
-    prefix or by its ``.manifest`` path."""
-    manifest = path_or_prefix
-    if not (manifest.endswith(".manifest") and os.path.exists(manifest)):
-        manifest = path_or_prefix + ".manifest"
-    if not os.path.exists(manifest):
-        raise CheckpointError(f"no checkpoint at {path_or_prefix}")
-    if b"kind ensemble" in ckpt._read_bytes(manifest, "manifest")[:64]:
-        members = ckpt.load_ensemble_manifest(manifest)
-    else:
-        members = [manifest[:-len(".manifest")]]
-    return EnsembleModel([load_encoder_checked(m, ws) for m in members])
+    """The encoder or ensemble that a prefix or a ``.manifest`` path names."""
+    return EnsembleModel([load_encoder_checked(m, ws)
+                          for m in ckpt.model_members(path_or_prefix)])
 
 
 def run_eval(cfg, ws, model: EnsembleModel):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses as L
-from .data import batch_iter, make_batch, synonym_substitute
+from .data import _check_batchable, batch_iter, make_batch, synonym_substitute
 from .encoder import Encoder, _check_compatible
 from .errors import ConfigError, NumericError
 from .evaluation import EMBED_BATCH, sts_eval
@@ -156,6 +156,7 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
     last step; the best-validated weights, step 0 included, are restored on
     return.
     """
+    _check_batchable(corpus)  # before step-0 validation, which batch_iter follows
     params = [p for enc in encoders for p in enc.parameters()]
     opt = Adam(params, lr=cfg.learning_rate)
     log = TrainLog()

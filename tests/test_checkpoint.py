@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tncse.checkpoint import (FORMAT_VERSION, checkpoint_hash, load_encoder,
-                              load_ensemble_manifest, save_encoder,
-                              save_ensemble_manifest)
+                              model_members, save_encoder, save_ensemble_manifest)
 from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import CheckpointError
 
@@ -256,7 +255,7 @@ def test_ensemble_manifest_roundtrip_resolves_relative_members(tmp_path):
     save_ensemble_manifest(["encoder_I", "encoder_II"], path)
     assert Path(path).read_bytes() == (b"TNCSE1\nkind ensemble\n"
                                        b"member encoder_I\nmember encoder_II\n")
-    members = load_ensemble_manifest(path)
+    members = model_members(path)
     assert members == [str(tmp_path / "encoder_I"), str(tmp_path / "encoder_II")]
 
 
@@ -273,26 +272,51 @@ def test_interrupted_ensemble_manifest_save_keeps_the_old_one(tmp_path, monkeypa
         save_ensemble_manifest(["other_I", "other_II", "other_III"], path)
     monkeypatch.undo()
     assert Path(path).read_bytes() == before
-    assert load_ensemble_manifest(path) == [str(tmp_path / "encoder_I"),
+    assert model_members(path) == [str(tmp_path / "encoder_I"),
                                             str(tmp_path / "encoder_II")]
 
 
 def test_ensemble_manifest_keeps_absolute_members(tmp_path):
     path = str(tmp_path / "ens.manifest")
     save_ensemble_manifest(["/abs/enc"], path)
-    assert load_ensemble_manifest(path) == ["/abs/enc"]
+    assert model_members(path) == ["/abs/enc"]
 
 
 def test_ensemble_manifest_rejects_empty_and_bad_magic(tmp_path):
     path = tmp_path / "bad.manifest"
     path.write_text("TNCSE1\nkind ensemble\n")
     with pytest.raises(CheckpointError, match="no members"):
-        load_ensemble_manifest(str(path))
+        model_members(str(path))
     path.write_text("TNCSE1\nkind ensemble\nmember\n")
     with pytest.raises(CheckpointError, match=":3:"):
-        load_ensemble_manifest(str(path))
+        model_members(str(path))
     path.write_text("WRONG\nmember x\n")
     with pytest.raises(CheckpointError, match="magic"):
-        load_ensemble_manifest(str(path))
-    with pytest.raises(CheckpointError, match="no ensemble manifest"):
-        load_ensemble_manifest(str(tmp_path / "missing.manifest"))
+        model_members(str(path))
+    with pytest.raises(CheckpointError, match="no manifest at .*missing.manifest$"):
+        model_members(str(tmp_path / "missing.manifest"))
+
+
+def test_a_checkpoint_is_named_by_its_prefix_or_its_manifest_path(small_encoder,
+                                                                  tmp_path):
+    prefix = str(tmp_path / "enc")
+    save_encoder(small_encoder, prefix)
+    for spelling in (prefix, prefix + ".manifest"):
+        assert model_members(spelling) == [prefix]
+        loaded = load_encoder(spelling)
+        for k in small_encoder.params:
+            np.testing.assert_array_equal(loaded.params[k].data,
+                                          small_encoder.params[k].data)
+    ensemble = str(tmp_path / "ens")
+    save_ensemble_manifest(["enc"], ensemble + ".manifest")
+    for spelling in (ensemble, ensemble + ".manifest"):
+        assert model_members(spelling) == [prefix]
+
+
+def test_load_encoder_refuses_an_ensemble_manifest(tmp_path):
+    path = str(tmp_path / "ens.manifest")
+    save_ensemble_manifest(["encoder_I", "encoder_II"], path)
+    for spelling in (path, path.removesuffix(".manifest")):
+        with pytest.raises(CheckpointError) as info:
+            load_encoder(spelling)
+        assert str(info.value) == f"{path}: an ensemble manifest, not one encoder"

@@ -158,6 +158,23 @@ def test_load_model_resolves_prefix_and_manifest_spellings(data_dir, pair_dir):
         pl.load_model(str(pair_dir / "missing.manifest"), ws)
 
 
+def test_load_model_opens_an_ensemble_manifest_once(data_dir, pair_dir, monkeypatch):
+    cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",
+                             "data.sts_dev": f"{data_dir}/sts_dev.tsv"})
+    ws = pl.load_workspace(cfg)
+    opened, real_open = [], open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    model = pl.load_model(str(pair_dir / "ensemble.manifest"), ws)
+    monkeypatch.undo()
+    assert len(model.encoders) == 2
+    assert opened.count(str(pair_dir / "ensemble.manifest")) == 1
+
+
 # -- evaluation requests ---------------------------------------------------
 
 @pytest.fixture(params=["dev+test", "dev"])
@@ -317,6 +334,46 @@ def test_every_command_writes_its_run_records(data_dir, pair_dir, tmp_path, caps
     assert [line.split(" ", 1)[0] for line in lines[4:]] == keys
 
 
+# each command that reads a checkpoint key, and the checkpoints it names
+NAMED_CHECKPOINTS = [
+    ("train", {"train.encoder_i": "encoder_I", "train.encoder_ii": "encoder_II"}),
+    ("eval", {"eval.checkpoint": "encoder_I"}),
+    ("eval", {"eval.checkpoint": "ensemble"}),
+    ("distill", {"distill.teacher": "encoder_I"}),
+    ("distill", {"distill.teacher": "ensemble"}),
+    ("norm-probe", {"probe.checkpoint": "encoder_I"}),
+]
+
+
+@pytest.mark.parametrize("suffix", ["", ".manifest"], ids=["prefix", "manifest-path"])
+@pytest.mark.parametrize("command, names", NAMED_CHECKPOINTS,
+                         ids=[f"{c}-{'-'.join(n.values())}" for c, n in NAMED_CHECKPOINTS])
+def test_every_checkpoint_key_takes_a_prefix_or_a_manifest_path(
+        data_dir, pair_dir, tmp_path, capsys, command, names, suffix):
+    argv = [command, "--out", str(tmp_path / "out")] + data_args(data_dir)
+    for s in SMALL_BUDGETS + [f"{key}={pair_dir}/{name}{suffix}"
+                              for key, name in names.items()]:
+        argv += ["--set", s]
+    assert main(argv) == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suffix", ["", ".manifest"], ids=["prefix", "manifest-path"])
+@pytest.mark.parametrize("command, settings", [
+    ("norm-probe", ["probe.checkpoint={ensemble}"]),
+    ("train", ["train.encoder_i={ensemble}", "train.encoder_ii={pair}/encoder_II"]),
+], ids=["norm-probe", "train"])
+def test_an_ensemble_named_where_one_encoder_is_expected_exits_4_with_one_line(
+        data_dir, pair_dir, tmp_path, capsys, command, settings, suffix):
+    argv = [command, "--out", str(tmp_path / "out")] + data_args(data_dir)
+    for s in SMALL_BUDGETS + settings:
+        argv += ["--set", s.format(pair=pair_dir, ensemble=f"{pair_dir}/ensemble{suffix}")]
+    capsys.readouterr()
+    assert main(argv) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        f"checkpoint-error: {pair_dir}/ensemble.manifest: an ensemble manifest, "
+        "not one encoder"]
+
+
 def test_a_failed_gradient_check_exits_5_after_writing_its_records(
         monkeypatch, tmp_path, capsys):
     failed = SimpleNamespace(passed=False, name="broken", worst_error=1.0, detail="")
@@ -370,6 +427,9 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     pytest.param("train-single-tn", ["pretrain.batch_size=1"],
                  id="train-single-tn-pretrain.batch_size=1"),
     ("distill", ["distill.teacher={pair}/ensemble.manifest", "distill.batch_size=1"]),
+    ("ablate", ["train.batch_size=1"]),
+    pytest.param("train", ["train.encoder_i={pair}/missing", "train.encoder_ii={pair}/missing",
+                           "train.batch_size=1"], id="train-missing-checkpoints-batch_size=1"),
     ("pretrain", ["loss.tau=0"]),
     ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II",
                "loss.terms="]),
@@ -428,6 +488,10 @@ def test_cli_config_mistakes_exit_2_with_one_line(data_dir, pair_dir, tmp_path,
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config-error: "), err
+    if not isinstance(settings, str) and settings[-1].endswith("batch_size=1"):
+        # found before the output directory is made or a run starts
+        assert err == ["config-error: batch_size must be >= 2, got 1"]
+        assert not out.exists()
 
 
 def test_cli_non_finite_loss_exits_5_with_one_line(data_dir, tmp_path, capsys):
@@ -507,7 +571,7 @@ def test_cli_train_from_a_manifest_with_a_negative_seed_exits_4_with_one_line(
 @pytest.mark.parametrize("directory, checkpoint", [
     ("encoder_II.manifest", "ensemble.manifest"),
     ("encoder_II.bin", "ensemble.manifest"),
-    ("encoder_II.manifest", "encoder_II"),   # the ensemble-or-encoder sniff
+    ("encoder_II.manifest", "encoder_II"),   # read by model_members first
 ])
 def test_cli_eval_on_a_checkpoint_file_that_is_a_directory_exits_4_with_one_line(
         data_dir, pair_dir, tmp_path, capsys, directory, checkpoint):

@@ -225,3 +225,9 @@ class TestTotalLoss:
         assert len(subsets) == 7
         assert frozenset({"NCE", "ICNCE", "ICTN"}) in subsets
 
+    def test_ablation_grid_table_order(self):
+        assert L.ablation_grid() == [
+            frozenset({"NCE"}), frozenset({"ICNCE"}), frozenset({"ICTN"}),
+            frozenset({"NCE", "ICNCE"}), frozenset({"NCE", "ICTN"}),
+            frozenset({"ICNCE", "ICTN"}), frozenset({"NCE", "ICNCE", "ICTN"})]
+

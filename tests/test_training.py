@@ -306,6 +306,19 @@ def test_training_on_a_corpus_of_fewer_than_2_sentences_is_a_data_error(
                       cfg_small())
 
 
+def test_a_one_sentence_corpus_fails_before_step_0_validation(
+        small_dev, small_vocab, small_config, monkeypatch):
+    calls = []
+    monkeypatch.setattr(training, "sts_eval", lambda *a: calls.append(a) or 0.5)
+    trainers = (lambda *a: pretrain_single(Encoder(small_config, seed=3), *a),
+                lambda *a: train_tncse(Encoder(small_config, seed=3, name="I"),
+                                       Encoder(small_config, seed=4, name="II"), *a))
+    for train in trainers:
+        with pytest.raises(DataError, match="2 sentences to batch, got 1"):
+            train(["a cat"], small_dev, small_vocab, cfg_small())
+    assert calls == []
+
+
 # -- dual training reduction -----------------------------------------------
 
 @pytest.fixture
