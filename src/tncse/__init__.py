@@ -1,5 +1,6 @@
 """Norm-constrained contrastive sentence embeddings at desk scale."""
 
+import ctypes
 import os
 
 # One BLAS thread unless the caller chose a count; this has to run before
@@ -10,6 +11,28 @@ import os
 # busy process stalls every such GEMM (a distill step took 60-73 ms instead
 # of 24).  The thread count does not change any result.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+
+def _keep_heap_resident():
+    """Keep the memory a step frees in the process, unless the caller tuned
+    malloc: by default glibc gives the freed heap top, and every array of
+    128 KiB or more, back to the kernel, and the next step faults it in again
+    (about 3k minor faults per wide pretraining step).  No result depends on
+    it.  Returns whether glibc's ``mallopt`` took the thresholds."""
+    if any(v in os.environ for v in ("MALLOC_TRIM_THRESHOLD_",
+                                     "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_")):
+        return False
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+    return bool(mallopt(M_TRIM_THRESHOLD, 64 << 20)
+                and mallopt(M_MMAP_THRESHOLD, 32 << 20))
+
+
+_heap_resident = _keep_heap_resident()
 
 from .autodiff import RngStreams, Tensor
 from .data import (StsPair, Vocab, batch_iter, build_vocab, load_corpus,

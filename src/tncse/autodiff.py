@@ -3,7 +3,10 @@
 Values are numpy arrays wrapped in :class:`Tensor`; every primitive records
 its inputs and a backward closure, and ``backward()`` walks the graph in
 reverse topological order.  Training runs in float32; gradient checking
-re-runs the same graph in float64 (see :mod:`tncse.gradsuite`).
+re-runs the same graph in float64 (see :mod:`tncse.gradsuite`).  Some
+kernels finish in place on an array they just allocated, never on an input
+or a saved array; that keeps numpy's result dtype only while a graph holds
+one float width throughout, as every graph here does.
 """
 
 from __future__ import annotations
@@ -73,9 +76,8 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                if node.grad is None:
-                    node.grad = np.zeros_like(node.data)
-                node.grad = node.grad + g
+                # a copy: a backward may hand one array to several parents
+                node.grad = g.copy() if node.grad is None else node.grad + g
             if node._backward_fn is None:
                 continue
             for parent, pg in zip(node._parents, node._backward_fn(g)):
@@ -159,7 +161,14 @@ def scale(a, c):
 def tanh(a):
     a = as_tensor(a)
     out = np.tanh(a.data)
-    return _node(out, (a,), lambda g: (g * (1.0 - out * out),))
+
+    def bw(g):
+        d = out * out
+        np.subtract(1.0, d, out=d)
+        d *= g
+        return (d,)
+
+    return _node(out, (a,), bw)
 
 
 def exp(a):
@@ -261,13 +270,14 @@ def linear(x, w, b):
     x2 = x.data.reshape(-1, x.shape[-1])
     m = x2.shape[0]
     xp = x2 if m >= 16 else np.pad(x2, ((0, 16 - m), (0, 0)))
-    out = ((xp @ w.data)[:m] + b.data).reshape(*x.shape[:-1], w.shape[1])
+    out = (xp @ w.data)[:m]
+    out += b.data
 
     def bw(g):
         g2 = g.reshape(-1, g.shape[-1])
         return ((g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0))
 
-    return _node(out, (x, w, b), bw)
+    return _node(out.reshape(*x.shape[:-1], w.shape[1]), (x, w, b), bw)
 
 
 def embedding(table, ids):
@@ -320,7 +330,9 @@ def softmax(a, additive_mask=None):
 
     def bw(g):
         gs = g * out
-        return (gs - out * gs.sum(axis=-1, keepdims=True),)
+        dz = out * gs.sum(axis=-1, keepdims=True)
+        np.subtract(gs, dz, out=dz)
+        return (dz,)
 
     return _node(out, (a,), bw)
 
@@ -332,19 +344,23 @@ def layer_norm(x, gamma, beta):
     d = x.shape[-1]
     if d < 2:
         raise ValueError(f"layer_norm needs a feature dimension >= 2, got {d}")
-    # centered once, for the variance (as np.var computes it) and for xhat
-    xc = x.data - x.data.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
-    xhat = xc * inv
-    out = gamma.data * xhat + beta.data
+    # centered once, for the variance (as np.var computes it), then scaled
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xhat * xhat).mean(axis=-1, keepdims=True) + 1e-5)
+    xhat *= inv
+    out = gamma.data * xhat
+    out += beta.data
 
     def bw(g):
         red = tuple(range(g.ndim - 1))
         dgamma = (g * xhat).sum(axis=red)
         dbeta = g.sum(axis=red)
-        gh = g * gamma.data
-        dx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        dx = g * gamma.data
+        # inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gamma
+        proj = (dx * xhat).mean(axis=-1, keepdims=True)
+        dx -= dx.mean(axis=-1, keepdims=True)
+        dx -= xhat * proj
+        dx *= inv
         return (dx, dgamma, dbeta)
 
     return _node(out, (x, gamma, beta), bw)
@@ -364,7 +380,8 @@ def dropout(x, p, rng):
         return x
     # keep is 0 or 1, so x * (keep * s) rounds as x * keep * s does
     keep = rng.random(x.shape) >= p
-    scaled_keep = keep.astype(x.dtype) * (1.0 / (1.0 - p))
+    scaled_keep = keep.astype(x.dtype)
+    scaled_keep *= 1.0 / (1.0 - p)
     return _node(x.data * scaled_keep, (x,), lambda g: (g * scaled_keep,))
 
 

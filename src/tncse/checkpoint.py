@@ -161,13 +161,14 @@ def load_encoder(path: str) -> Encoder:
 
 
 def checkpoint_hash(prefix: str) -> str:
-    """SHA-256 over manifest + blob bytes: a fingerprint for comparing runs.
-    Loading checks the blob against the manifest's ``blob-sha256`` line, not
-    against this hash."""
+    """SHA-256 over manifest + blob bytes of the checkpoint a prefix or
+    ``.manifest`` path names: a fingerprint for comparing runs.  Loading
+    checks the blob against the manifest's ``blob-sha256`` line, not against
+    this hash."""
+    prefix = prefix.removesuffix(".manifest")
     h = hashlib.sha256()
-    for suffix in (".manifest", ".bin"):
-        with open(prefix + suffix, "rb") as f:
-            h.update(f.read())
+    for suffix, what in ((".manifest", "manifest"), (".bin", "weight blob")):
+        h.update(_read_bytes(prefix + suffix, what))
     return h.hexdigest()
 
 

@@ -265,6 +265,50 @@ class TestEngineContracts:
         ad.sum_(ad.mul(h, h)).backward()
         assert np.all(np.isfinite(x.grad))
 
+    def test_leaves_fed_one_gradient_array_get_their_own_copies(self):
+        # add hands the same g to both parents
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        b = Tensor(np.ones((2, 3)), requires_grad=True)
+        ad.sum_(ad.add(a, b)).backward()
+        assert not np.shares_memory(a.grad, b.grad)
+        a.grad += 1.0
+        np.testing.assert_array_equal(b.grad, np.ones((2, 3)))
+
+
+# kernels that finish in place on arrays they allocate: (function, input shapes)
+IN_PLACE_KERNELS = {
+    "linear": (ad.linear, [(32, 16, 8), (8, 12), (12,)]),
+    "linear_short": (ad.linear, [(3, 8), (8, 12), (12,)]),  # padded to 16 rows
+    "layer_norm": (ad.layer_norm, [(4, 5, 8), (8,), (8,)]),
+    "softmax": (lambda a, m: ad.softmax(a, additive_mask=m.data),
+                [(2, 3, 5, 5), (2, 1, 1, 5)]),
+    "tanh": (ad.tanh, [(4, 5, 8)]),
+    "dropout": (lambda x: ad.dropout(x, 0.25, np.random.default_rng(5)), [(4, 5, 8)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IN_PLACE_KERNELS))
+def test_in_place_kernels_leave_inputs_and_saved_arrays_alone(name):
+    """The forward leaves its inputs as they were, and a backward closure
+    called twice returns equal arrays, so neither pass writes into an array
+    that the graph keeps."""
+    fn, shapes = IN_PLACE_KERNELS[name]
+    rng = np.random.default_rng(3)
+    arrays = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*tensors)
+    out_data = out.data.copy()
+    for t, a in zip(tensors, arrays):
+        np.testing.assert_array_equal(t.data, a)
+    g = rng.standard_normal(out.shape).astype(np.float32)
+    first = [pg.copy() for pg in out._backward_fn(g.copy())]
+    second = out._backward_fn(g.copy())
+    for a, b in zip(first, second, strict=True):
+        np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(out.data, out_data)
+    for t, a in zip(tensors, arrays):
+        np.testing.assert_array_equal(t.data, a)
+
 
 GRADIENT_CASES = {**_primitive_cases(), **_loss_cases()}
 

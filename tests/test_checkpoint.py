@@ -1,7 +1,9 @@
 """Checkpoint format: roundtrip fidelity, corruption detection, hashing,
 and ensemble manifests."""
 
+import hashlib
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +242,25 @@ def test_checkpoint_hash_is_stable_and_tamper_sensitive(small_encoder, tmp_path)
     blob[0] ^= 0xFF
     Path(prefix + ".bin").write_bytes(bytes(blob))
     assert checkpoint_hash(prefix) != h1
+
+
+def test_checkpoint_hash_takes_a_prefix_or_a_manifest_path(small_encoder, tmp_path):
+    prefix = str(tmp_path / "enc")
+    save_encoder(small_encoder, prefix)
+    expected = hashlib.sha256(Path(prefix + ".manifest").read_bytes()
+                              + Path(prefix + ".bin").read_bytes()).hexdigest()
+    assert checkpoint_hash(prefix) == expected
+    assert checkpoint_hash(prefix + ".manifest") == expected
+
+
+@pytest.mark.parametrize("name", ["enc", "enc.manifest"])
+@pytest.mark.parametrize("missing, what", [(".bin", "weight blob"), (".manifest", "manifest")])
+def test_checkpoint_hash_names_a_missing_file(small_encoder, tmp_path, name, missing, what):
+    save_encoder(small_encoder, str(tmp_path / "enc"))
+    (tmp_path / ("enc" + missing)).unlink()
+    with pytest.raises(CheckpointError,
+                       match=f"no {what} at .*enc{re.escape(missing)}$"):
+        checkpoint_hash(str(tmp_path / name))
 
 
 def test_save_is_deterministic(small_encoder, tmp_path):

@@ -1,9 +1,14 @@
 """Training loops: optimizer oracle, determinism, best-checkpoint
 restoration and loss-term reduction identities."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import tncse
 from tncse import training
 from tncse.autodiff import Tensor
 from tncse.data import build_vocab, make_batch, synth_corpus
@@ -13,6 +18,8 @@ from tncse.losses import LossConfig
 from tncse.training import (Adam, TrainConfig, TrainLog, _member_sums,
                             ensemble_embed_fn, pretrain_single, train_single_tn,
                             train_tncse)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def cfg_small(**kw):
@@ -425,3 +432,52 @@ def test_step_records_hold_exactly_the_trainers_terms(
         assert all(isinstance(v, float) for r in log.step_records
                    for k, v in r.items() if k != "step")
 
+
+
+
+# a fresh interpreter: earlier steps in this one raise glibc's adaptive
+# mmap threshold and would hide the faults the test looks for
+FAULT_PROBE = """
+import resource
+import tncse
+from tncse.data import build_vocab, make_batch, synth_corpus
+from tncse.encoder import Encoder, EncoderConfig
+from tncse.losses import LossConfig, total_loss
+from tncse.training import Adam
+
+corpus = synth_corpus(seed=1, n_sentences=256, n_pairs=32)[0]
+vocab = build_vocab(corpus)
+config = EncoderConfig(vocab_size=len(vocab))
+encoders = [Encoder(config, seed=1, name="I"), Encoder(config, seed=2, name="II")]
+opt = Adam([p for enc in encoders for p in enc.parameters()])
+ids = make_batch(vocab, corpus[:32], config.max_seq_len)
+
+def step():
+    views = [enc.encode(ids, train_mode=True, pass_index=k)
+             for enc in encoders for k in (0, 1)]
+    total_loss(views, LossConfig())["total"].backward()
+    opt.step()
+
+for _ in range(3):
+    step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    step()
+print(tncse._heap_resident, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not tncse._heap_resident,
+                    reason="needs Linux and glibc's mallopt, not overridden by MALLOC_*_")
+def test_warm_dual_steps_run_without_page_faults():
+    """Once warm, a default-shape dual step reuses the heap its predecessor
+    freed; glibc, left to trim and unmap freed memory, faults 1-4k pages
+    back in per step."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    resident, faults = proc.stdout.split()
+    assert resident == "True"
+    assert int(faults) <= 5 * 40, f"{faults} minor page faults in 5 warm dual steps"
