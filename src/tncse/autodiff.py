@@ -366,21 +366,23 @@ def layer_norm(x, gamma, beta):
     return _node(out, (x, gamma, beta), bw)
 
 
-def dropout(x, p, rng):
-    """Inverted dropout driven by a named, seeded generator stream.
+def dropout(x, p, rngs):
+    """Inverted dropout driven by a tuple of named, seeded generator streams.
 
-    The survivor mask is drawn from ``rng`` and captured by the backward
-    closure, so replaying with the stream at the same position reproduces
-    the forward output exactly.
+    Stream k draws the survivor mask of the k-th equal block of the leading
+    axis at that block's shape; the mask is captured by the backward closure,
+    so replaying with the streams at the same position reproduces the output.
     """
     x = as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return x
+    u = np.empty(x.shape)
+    for rng, block in zip(rngs, u.reshape(len(rngs), -1, *u.shape[1:])):
+        rng.random(out=block)
     # keep is 0 or 1, so x * (keep * s) rounds as x * keep * s does
-    keep = rng.random(x.shape) >= p
-    scaled_keep = keep.astype(x.dtype)
+    scaled_keep = (u >= p).astype(x.dtype)
     scaled_keep *= 1.0 / (1.0 - p)
     return _node(x.data * scaled_keep, (x,), lambda g: (g * scaled_keep,))
 
@@ -410,7 +412,7 @@ class RngStreams:
     """Named, independently-seeded numpy generator streams.
 
     Each name maps deterministically to its own stream, so e.g. the
-    (encoder, pass-index) dropout streams decorrelate but replay exactly
+    (encoder, view) dropout streams decorrelate but replay exactly
     from the root seed.
     """
 

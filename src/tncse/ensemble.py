@@ -72,7 +72,7 @@ def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
     def batch_loss(sentences, train_mode):
         t_emb = teacher_embed(sentences).astype(np.float64)
         h = student.encode(make_batch(vocab, sentences, student.config.max_seq_len),
-                           train_mode=train_mode, pass_index=0).last_hidden
+                           train_mode=train_mode).last_hidden
         return _similarity_loss(h, t_emb)
 
     # fixed probe batch for noise-free before/after loss comparison

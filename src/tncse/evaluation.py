@@ -118,12 +118,12 @@ def norm_probe(encoder, sentences, strip_counts, vocab):
     """
     if len(set(sentences)) < PROBE_SENTENCES:
         raise DataError(f"norm probe needs at least {PROBE_SENTENCES} distinct sentences")
+    batches = [make_batch(vocab, sentences[i:i + EMBED_BATCH], encoder.config.max_seq_len)
+               for i in range(0, len(sentences), EMBED_BATCH)]
     rows = []
     for n in strip_counts:
         hl_norms, hp_norms = [], []
-        for start in range(0, len(sentences), EMBED_BATCH):
-            ids = make_batch(vocab, sentences[start:start + EMBED_BATCH],
-                             encoder.config.max_seq_len)
+        for ids in batches:
             out = encoder.encode(ids, layernorms_stripped=n)
             hl_norms.append(np.linalg.norm(out.last_hidden.data, axis=1))
             hp_norms.append(np.linalg.norm(out.pooler.data, axis=1))

@@ -200,23 +200,19 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
 
 
 def _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table, view_loss):
-    """Train one encoder on two dropout passes per batch, the second one
-    optionally synonym-augmented; ``view_loss(out, out_plus)`` returns the
-    step's loss terms."""
+    """Train one encoder on two dropout views per batch, stacked into one
+    ``encode`` call, the second view optionally synonym-augmented (one token
+    per token); ``view_loss(out, out_plus)`` returns the step's loss terms."""
     aug_rng = encoder.streams.get(f"{encoder.name}/augment") if augment_table else None
     max_len = encoder.config.max_seq_len
 
     def step_fn(sentences):
-        ids = make_batch(vocab, sentences, max_len)
+        view2 = sentences
         if augment_table:
             view2 = [synonym_substitute(s, augment_table, aug_rng, p=AUGMENT_P)
                      for s in sentences]
-            ids2 = make_batch(vocab, view2, max_len)
-        else:
-            ids2 = ids
-        out = encoder.encode(ids, train_mode=True, pass_index=0)
-        out_plus = encoder.encode(ids2, train_mode=True, pass_index=1)
-        return view_loss(out, out_plus)
+        ids = make_batch(vocab, sentences + view2, max_len)
+        return view_loss(*encoder.encode(ids, train_mode=True, views=2).split(2))
 
     return _train([encoder], corpus, sts_dev, vocab, cfg, step_fn)
 
@@ -242,9 +238,9 @@ def train_tncse(enc_i: Encoder, enc_ii: Encoder, corpus, sts_dev, vocab,
     max_len = enc_i.config.max_seq_len
 
     def step_fn(sentences):
-        ids = make_batch(vocab, sentences, max_len)
-        views = [enc.encode(ids, train_mode=True, pass_index=k)
-                 for enc in (enc_i, enc_ii) for k in (0, 1)]
+        ids = np.tile(make_batch(vocab, sentences, max_len), (2, 1))
+        views = [v for enc in (enc_i, enc_ii)
+                 for v in enc.encode(ids, train_mode=True, views=2).split(2)]
         return L.total_loss(views, cfg.loss)
 
     return _train([enc_i, enc_ii], corpus, sts_dev, vocab, cfg, step_fn)

@@ -52,14 +52,14 @@ def small_encoder(small_config, small_vocab):
 @pytest.fixture
 def eval_rows(monkeypatch):
     """Token-id rows (as tuples) that each encoder, keyed by name, encodes in
-    eval mode, in call order."""
+    eval mode, in call order.  Every other argument passes through as given."""
     rows = collections.defaultdict(list)
     encode = Encoder.encode
 
-    def recording_encode(self, ids, train_mode=False, pass_index=0):
+    def recording_encode(self, ids, train_mode=False, **kwargs):
         if not train_mode:
             rows[self.name] += map(tuple, ids.tolist())
-        return encode(self, ids, train_mode, pass_index)
+        return encode(self, ids, train_mode, **kwargs)
 
     monkeypatch.setattr(Encoder, "encode", recording_encode)
     return rows

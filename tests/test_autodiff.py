@@ -158,7 +158,7 @@ class TestExactForward:
         x = Tensor(rng.standard_normal((32, 16, 64)).astype(np.float32),
                    requires_grad=True)
         g = rng.standard_normal(x.shape).astype(np.float32)
-        out = ad.dropout(x, p, RngStreams(9).get("d"))
+        out = ad.dropout(x, p, (RngStreams(9).get("d"),))
         ad.sum_(ad.mul(out, Tensor(g))).backward()
         keep = (RngStreams(9).get("d").random(x.shape) >= p).astype(np.float32)
         s = 1.0 / (1.0 - p)
@@ -199,33 +199,59 @@ class TestNormAndCosine:
 class TestDropout:
     def test_p_zero_is_identity(self):
         x = Tensor(np.arange(6.0))
-        out = ad.dropout(x, 0.0, np.random.default_rng(0))
+        out = ad.dropout(x, 0.0, (np.random.default_rng(0),))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_fixed_seed_replays_identically(self):
         x = Tensor(np.ones((4, 8)))
-        a = ad.dropout(x, 0.3, RngStreams(42).get("s")).data
-        b = ad.dropout(x, 0.3, RngStreams(42).get("s")).data
+        a = ad.dropout(x, 0.3, (RngStreams(42).get("s"),)).data
+        b = ad.dropout(x, 0.3, (RngStreams(42).get("s"),)).data
         np.testing.assert_array_equal(a, b)
 
     def test_mean_preserving(self):
         # Monte-Carlo: E[dropout(x)] == x
         x = Tensor(np.ones(100_000))
-        out = ad.dropout(x, 0.1, np.random.default_rng(7))
+        out = ad.dropout(x, 0.1, (np.random.default_rng(7),))
         assert abs(out.data.mean() - 1.0) < 0.02
 
     def test_invalid_p_rejected(self):
         for p in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                ad.dropout(Tensor([1.0]), p, np.random.default_rng(0))
+                ad.dropout(Tensor([1.0]), p, (np.random.default_rng(0),))
 
-    def test_draws_one_uniform_per_element(self):
-        """dropout leaves its stream where ``rng.random(x.shape)`` leaves it."""
-        x = Tensor(np.ones((3, 2, 7)))
-        rng, ref = RngStreams(11).get("d"), RngStreams(11).get("d")
-        ad.dropout(x, 0.3, rng)
-        ref.random(x.shape)
-        assert rng.random() == ref.random()
+    def test_leading_axis_must_split_into_one_block_per_stream(self):
+        rngs = (np.random.default_rng(0), np.random.default_rng(1))
+        with pytest.raises(ValueError):
+            ad.dropout(Tensor(np.ones((3, 4))), 0.3, rngs)
+
+    @pytest.mark.parametrize("n_streams", [1, 2, 3])
+    def test_draws_one_uniform_per_element(self, n_streams):
+        """Each stream draws one uniform per element of its block: dropout
+        leaves it where ``rng.random(block_shape)`` leaves it."""
+        x = Tensor(np.ones((6, 2, 7)))
+        names = [f"d{k}" for k in range(n_streams)]
+        rngs = tuple(RngStreams(11).get(n) for n in names)
+        refs = [RngStreams(11).get(n) for n in names]
+        ad.dropout(x, 0.3, rngs)
+        for rng, ref in zip(rngs, refs):
+            ref.random((6 // n_streams, 2, 7))
+            assert rng.random() == ref.random()
+
+    def test_stacked_streams_mask_each_block_as_a_lone_call(self):
+        """Stream k's block of a stacked call equals a one-stream call on the
+        block alone, forward and backward."""
+        rng = np.random.default_rng(4)
+        blocks = [rng.standard_normal((3, 5, 8)).astype(np.float32) for _ in range(2)]
+        g = rng.standard_normal((6, 5, 8)).astype(np.float32)
+        x = Tensor(np.concatenate(blocks), requires_grad=True)
+        out = ad.dropout(x, 0.3, (RngStreams(2).get("a"), RngStreams(2).get("b")))
+        ad.sum_(ad.mul(out, Tensor(g))).backward()
+        for k, name in enumerate("ab"):
+            xk = Tensor(blocks[k], requires_grad=True)
+            lone = ad.dropout(xk, 0.3, (RngStreams(2).get(name),))
+            ad.sum_(ad.mul(lone, Tensor(g[3 * k:3 * k + 3]))).backward()
+            np.testing.assert_array_equal(out.data[3 * k:3 * k + 3], lone.data)
+            np.testing.assert_array_equal(x.grad[3 * k:3 * k + 3], xk.grad)
 
 
 class TestEngineContracts:
@@ -241,7 +267,7 @@ class TestEngineContracts:
             streams = RngStreams(3)
             x = Tensor(np.linspace(-1, 1, 24).reshape(4, 6))
             h = ad.tanh(ad.matmul(x, Tensor(np.ones((6, 6)))))
-            h = ad.dropout(h, 0.2, streams.get("d"))
+            h = ad.dropout(h, 0.2, (streams.get("d"),))
             return ad.softmax(h).data
         np.testing.assert_array_equal(run(), run())
 
@@ -283,7 +309,7 @@ IN_PLACE_KERNELS = {
     "softmax": (lambda a, m: ad.softmax(a, additive_mask=m.data),
                 [(2, 3, 5, 5), (2, 1, 1, 5)]),
     "tanh": (ad.tanh, [(4, 5, 8)]),
-    "dropout": (lambda x: ad.dropout(x, 0.25, np.random.default_rng(5)), [(4, 5, 8)]),
+    "dropout": (lambda x: ad.dropout(x, 0.25, (np.random.default_rng(5),)), [(4, 5, 8)]),
 }
 
 

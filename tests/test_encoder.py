@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tncse.data import CLS_ID, PAD_ID, SEP_ID, make_batch
+from tncse.data import CLS_ID, PAD_ID, SEP_ID, make_batch, synonym_substitute
 from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import ConfigError, DataError
 from test_training import DEFAULT_SHAPE, SMALL_SHAPE, WIDE_SHAPE
@@ -75,34 +75,69 @@ def test_identical_seeds_give_identical_parameters(small_vocab):
 
 # -- dropout views ---------------------------------------------------------
 
-def test_train_mode_passes_differ(small_vocab):
+def lone_view(enc, ids, k):
+    """View ``k`` of a stacked train-mode call, run alone: a one-view pass of
+    a copy of ``enc`` whose ``pass0`` stream is a fresh ``pass{k}`` stream."""
+    solo = Encoder(enc.config, enc.seed, enc.name, params=enc.params)
+    solo.streams._gens[f"{enc.name}/pass0"] = solo.streams.get(f"{enc.name}/pass{k}")
+    return solo.encode(ids, train_mode=True)
+
+
+def test_train_mode_views_differ(small_vocab):
     enc = enc_of(small_vocab)
-    batch = make_batch(small_vocab, ["the quick dog runs"], 16)
-    h0 = enc.encode(batch, train_mode=True, pass_index=0).last_hidden.data
-    h1 = enc.encode(batch, train_mode=True, pass_index=1).last_hidden.data
+    batch = make_batch(small_vocab, ["the quick dog runs"] * 2, 16)
+    h0, h1 = (v.last_hidden.data for v in
+              enc.encode(batch, train_mode=True, views=2).split(2))
     assert not np.array_equal(h0, h1)
 
 
 def test_reset_rng_replays_dropout_masks(small_vocab):
     """A fresh encoder with the same seed replays the same dropout masks."""
     batch = make_batch(small_vocab, ["the quick dog runs"], 16)
-    h_first, h_replay = (enc_of(small_vocab).encode(batch, train_mode=True,
-                                                    pass_index=0).last_hidden.data
+    h_first, h_replay = (enc_of(small_vocab).encode(batch, train_mode=True).last_hidden.data
                          for _ in range(2))
     np.testing.assert_array_equal(h_first, h_replay)
 
 
-def test_dual_step_passes_produce_four_distinct_views(small_vocab):
-    """The four passes of a dual training step: I and I+, II and II+."""
+def test_dual_step_views_are_four_distinct_views(small_vocab):
+    """The four views of a dual training step: I and I+, II and II+."""
     enc_i = enc_of(small_vocab)
     enc_ii = Encoder(enc_i.config, seed=8, name="II",
                      vocab_hash=small_vocab.content_hash())
-    batch = make_batch(small_vocab, ["the quick dog runs", "a cat"], 16)
-    views = [enc.encode(batch, train_mode=True, pass_index=k).last_hidden.data
-             for enc in (enc_i, enc_ii) for k in (0, 1)]
+    batch = make_batch(small_vocab, ["the quick dog runs", "a cat"] * 2, 16)
+    views = [v.last_hidden.data for enc in (enc_i, enc_ii)
+             for v in enc.encode(batch, train_mode=True, views=2).split(2)]
     for i in range(4):
         for j in range(i + 1, 4):
             assert not np.array_equal(views[i], views[j])
+
+
+def test_stacked_views_equal_lone_views_on_augmented_batches(small_corpus,
+                                                             small_vocab, synonyms):
+    """A pretraining step's stacked call, its second view synonym-augmented,
+    gives each view's outputs bit for bit as that view run alone."""
+    rng = np.random.default_rng(3)
+    for start in range(0, 96, 32):
+        enc = enc_of(small_vocab, max_seq_len=32, hidden_dim=64, ffn_dim=256)
+        sentences = small_corpus[start:start + 32]
+        augmented = [synonym_substitute(s, synonyms, rng, p=0.5) for s in sentences]
+        ids = make_batch(small_vocab, sentences + augmented, 32)
+        stacked = enc.encode(ids, train_mode=True, views=2).split(2)
+        for k, view in enumerate(stacked):
+            lone = lone_view(enc, ids[32 * k:32 * k + 32], k)
+            for got, want in ((view.last_hidden, lone.last_hidden),
+                              (view.pooler, lone.pooler)):
+                np.testing.assert_array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_encode_rejects_rows_that_do_not_split_into_views(small_vocab, train_mode):
+    enc = enc_of(small_vocab)
+    batch = make_batch(small_vocab, ["a cat", "the dog", "a bird"], 16)
+    with pytest.raises(ValueError, match="3 rows do not split into 2 views"):
+        enc.encode(batch, train_mode=train_mode, views=2)
+    with pytest.raises(ValueError, match="into 0 views"):
+        enc.encode(batch, train_mode=train_mode, views=0)
 
 
 # -- input validation ------------------------------------------------------
@@ -177,7 +212,9 @@ def test_last_layernorm_is_stripped_first(small_vocab):
 
 # SHA-256 of last_hidden and pooler for the fixed encoder below.  The eval
 # digests were recorded when the last layer still ran every row, the train
-# pass digests since dropout draws its masks at the shape they apply to.  The
+# pass digests since dropout draws its masks at the shape they apply to, as
+# separate one-view passes; "pass0" and "pass1" are the two halves of one
+# 2-view call on the batch stacked on itself, which equal those passes.  The
 # digests hold for one numpy/OpenBLAS build and CPU (numpy 2.4.6, OpenBLAS
 # 0.3.31, x86-64); another build may round a GEMM differently.
 GOLDEN_DIGESTS = {
@@ -190,7 +227,7 @@ GOLDEN_DIGESTS = {
 }
 
 
-def test_encode_outputs_match_golden_digests():
+def golden_encoder_and_batch():
     config = EncoderConfig(vocab_size=50, max_seq_len=16, hidden_dim=64,
                            num_layers=2, num_heads=4, ffn_dim=256, dropout_p=0.1)
     rng = np.random.default_rng(2024)
@@ -199,14 +236,30 @@ def test_encode_outputs_match_golden_digests():
     for row, n in enumerate(rng.integers(4, 17, size=8)):
         ids[row, n - 1] = SEP_ID
         ids[row, n:] = PAD_ID
-    enc = Encoder(config, seed=17, name="I")
-    modes = {"eval": {}, "pass0": dict(train_mode=True, pass_index=0),
-             "pass1": dict(train_mode=True, pass_index=1)}
-    for mode, kw in modes.items():
-        out = enc.encode(ids, **kw)
+    return Encoder(config, seed=17, name="I"), ids
+
+
+def test_encode_outputs_match_golden_digests():
+    enc, ids = golden_encoder_and_batch()
+    outs = {"eval": enc.encode(ids)}
+    stacked = enc.encode(np.concatenate([ids, ids]), train_mode=True, views=2)
+    outs["pass0"], outs["pass1"] = stacked.split(2)
+    for mode, out in outs.items():
         got = tuple(hashlib.sha256(t.data.tobytes()).hexdigest()
                     for t in (out.last_hidden, out.pooler))
         assert got == GOLDEN_DIGESTS[mode], mode
+
+
+def test_two_views_of_one_sentence_equal_lone_views():
+    """At B=1 a 2-view call runs 2 rows, under ``linear``'s 16-row floor,
+    and each view still equals its lone pass bit for bit."""
+    enc, ids = golden_encoder_and_batch()
+    row = ids[:1]
+    stacked = enc.encode(np.concatenate([row, row]), train_mode=True, views=2)
+    for k, view in enumerate(stacked.split(2)):
+        lone = lone_view(enc, row, k)
+        np.testing.assert_array_equal(view.last_hidden.data, lone.last_hidden.data)
+        np.testing.assert_array_equal(view.pooler.data, lone.pooler.data)
 
 
 # -- padding trim ----------------------------------------------------------

@@ -450,11 +450,11 @@ vocab = build_vocab(corpus)
 config = EncoderConfig(vocab_size=len(vocab))
 encoders = [Encoder(config, seed=1, name="I"), Encoder(config, seed=2, name="II")]
 opt = Adam([p for enc in encoders for p in enc.parameters()])
-ids = make_batch(vocab, corpus[:32], config.max_seq_len)
+ids = make_batch(vocab, corpus[:32] * 2, config.max_seq_len)
 
 def step():
-    views = [enc.encode(ids, train_mode=True, pass_index=k)
-             for enc in encoders for k in (0, 1)]
+    views = [v for enc in encoders
+             for v in enc.encode(ids, train_mode=True, views=2).split(2)]
     total_loss(views, LossConfig())["total"].backward()
     opt.step()
 
