@@ -330,9 +330,7 @@ def softmax(a, additive_mask=None):
 
     def bw(g):
         gs = g * out
-        dz = out * gs.sum(axis=-1, keepdims=True)
-        np.subtract(gs, dz, out=dz)
-        return (dz,)
+        return (gs - out * gs.sum(axis=-1, keepdims=True),)
 
     return _node(out, (a,), bw)
 
@@ -366,23 +364,18 @@ def layer_norm(x, gamma, beta):
     return _node(out, (x, gamma, beta), bw)
 
 
-def dropout(x, p, rngs):
-    """Inverted dropout driven by a tuple of named, seeded generator streams.
-
-    Stream k draws the survivor mask of the k-th equal block of the leading
-    axis at that block's shape; the mask is captured by the backward closure,
-    so replaying with the streams at the same position reproduces the output.
-    """
+def dropout(x, p, rng):
+    """Inverted dropout driven by a named, seeded generator stream: one
+    uniform per element of ``x``; the mask is captured by the backward
+    closure, so replaying with the stream at the same position reproduces
+    the output."""
     x = as_tensor(x)
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    u = np.empty(x.shape)
-    for rng, block in zip(rngs, u.reshape(len(rngs), -1, *u.shape[1:])):
-        rng.random(out=block)
     # keep is 0 or 1, so x * (keep * s) rounds as x * keep * s does
-    scaled_keep = (u >= p).astype(x.dtype)
+    scaled_keep = (rng.random(x.shape) >= p).astype(x.dtype)
     scaled_keep *= 1.0 / (1.0 - p)
     return _node(x.data * scaled_keep, (x,), lambda g: (g * scaled_keep,))
 
@@ -412,7 +405,7 @@ class RngStreams:
     """Named, independently-seeded numpy generator streams.
 
     Each name maps deterministically to its own stream, so e.g. the
-    (encoder, view) dropout streams decorrelate but replay exactly
+    dropout streams of two encoders decorrelate but replay exactly
     from the root seed.
     """
 

@@ -22,6 +22,7 @@ import typing
 import numpy as np
 
 from .autodiff import Tensor
+from .data import write_file
 from .encoder import Encoder, EncoderConfig, _param_shapes
 from .errors import CheckpointError
 
@@ -33,13 +34,6 @@ FORMAT_VERSION = 3
 _CONFIG_FIELDS = typing.get_type_hints(EncoderConfig)
 _HEADER_FIELDS = {"format-version": str, "seed": int, "name": str, "vocab-hash": str,
                   "blob-sha256": str}
-
-
-def _write_replacing(path, data: bytes):
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(data)
-    os.replace(tmp, path)
 
 
 def save_encoder(enc: Encoder, prefix: str):
@@ -57,8 +51,8 @@ def save_encoder(enc: Encoder, prefix: str):
              f"name {enc.name}", f"vocab-hash {enc.vocab_hash or '-'}",
              f"blob-sha256 {hashlib.sha256(blob).hexdigest()}"]
     lines += [f"config {field} {getattr(enc.config, field)}" for field in _CONFIG_FIELDS]
-    _write_replacing(prefix + ".bin", blob)
-    _write_replacing(prefix + ".manifest", ("\n".join(lines + tensor_lines) + "\n").encode())
+    write_file(prefix + ".bin", blob)
+    write_file(prefix + ".manifest", "\n".join(lines + tensor_lines) + "\n")
 
 
 def _read_bytes(path, what):
@@ -174,7 +168,7 @@ def checkpoint_hash(prefix: str) -> str:
 
 def save_ensemble_manifest(member_prefixes, path):
     lines = [MAGIC, ENSEMBLE_KIND] + [f"member {p}" for p in member_prefixes]
-    _write_replacing(path, ("\n".join(lines) + "\n").encode())
+    write_file(path, "\n".join(lines) + "\n")
 
 
 def model_members(path: str) -> list:

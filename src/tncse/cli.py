@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import pipeline as pl
-from .data import save_corpus, save_sts_tsv, synth_corpus
+from .data import save_corpus, save_sts_tsv, synth_corpus, write_file
 from .errors import ConfigError, TncseError
 from .gradsuite import run_gradient_suite
 
@@ -135,7 +135,7 @@ def _cmd_eval(cfg, out_dir):
         raise ConfigError("eval.checkpoint is required")
     model = pl.load_model(cfg["eval.checkpoint"], ws)
     report = pl.run_eval(cfg, ws, model)
-    pl._write_text(os.path.join(out_dir, "report.txt"), report.to_text())
+    write_file(os.path.join(out_dir, "report.txt"), report.to_text())
     pl.write_metadata(os.path.join(out_dir, "report.kv"), report.to_kv())
     return {}, report.to_text()
 
@@ -165,7 +165,7 @@ def _cmd_grad_check(cfg, out_dir):
     results = run_gradient_suite()
     text = "".join(f"{'pass' if r.passed else 'FAIL'} {r.name} "
                    f"worst_rel_err={r.worst_error:.3e} {r.detail}\n" for r in results)
-    pl._write_text(os.path.join(out_dir, "grad_check.txt"), text)
+    write_file(os.path.join(out_dir, "grad_check.txt"), text)
     return {"checks": len(results), "all_passed": all(r.passed for r in results)}, text
 
 

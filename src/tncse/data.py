@@ -9,13 +9,15 @@ and the pretraining-time augmentation that decorrelates the two encoders.
 from __future__ import annotations
 
 import collections
+import contextlib
 import importlib.resources
+import os
 import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 PAD_ID, CLS_ID, SEP_ID, UNK_ID = 0, 1, 2, 3
 _RESERVED = [("[PAD]", PAD_ID), ("[CLS]", CLS_ID), ("[SEP]", SEP_ID), ("[UNK]", UNK_ID)]
@@ -53,8 +55,7 @@ class Vocab:
         return f"{zlib.crc32(blob.encode('utf-8')):08x}"
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write("".join(tok + "\n" for tok in self.token_to_id))
+        write_file(path, "".join(tok + "\n" for tok in self.token_to_id))
 
 
 def build_vocab(corpus):
@@ -236,9 +237,7 @@ def load_corpus(path):
 
 
 def save_corpus(corpus, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for line in corpus:
-            f.write(line + "\n")
+    write_file(path, "".join(line + "\n" for line in corpus))
 
 
 def load_sts_tsv(path):
@@ -260,6 +259,19 @@ def load_sts_tsv(path):
 
 
 def save_sts_tsv(pairs, path):
-    with open(path, "w", encoding="utf-8") as f:
-        for p in pairs:
-            f.write(f"{p.sentence_a}\t{p.sentence_b}\t{p.gold_score}\n")
+    write_file(path, "".join(f"{p.sentence_a}\t{p.sentence_b}\t{p.gold_score}\n"
+                             for p in pairs))
+
+
+def write_file(path, content):
+    """Write ``content`` (text as UTF-8, or bytes) to ``path`` through a temp
+    file; a path that cannot be written is a ConfigError naming it."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(content.encode("utf-8") if isinstance(content, str) else content)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise ConfigError(f"output file {path}: {exc.strerror or exc}") from None

@@ -10,9 +10,9 @@ LayerNorms can be stripped from the end of the stack for the norm probe.
 A batch is a (batch, max_seq_len) id array.  ``encode`` drops its trailing
 all-PAD columns down to a multiple of 4, the key widths at which OpenBLAS
 0.3.31 rounds ``q @ kᵀ`` (dk=32) alike, so every eval-mode output equals the
-untrimmed one.  ``encode(ids, views=n)`` runs n equal row blocks (dropout
-views) as one batch; block k draws its masks from stream ``{name}/pass{k}``,
-so its rows equal a lone pass of the block when all blocks share one width.
+untrimmed one.  Train mode draws every dropout mask from one stream per
+encoder, so the trainers run a step's dropout views as one batch, stacked
+on the leading axis, and cut the outputs apart with ``EncoderOutput.split``.
 """
 
 from __future__ import annotations
@@ -64,6 +64,8 @@ class EncoderOutput:
 
     def split(self, views):
         """One output per view of a stacked ``encode`` call (see module doc)."""
+        if views < 1 or len(self.pooler.data) % views:
+            raise ValueError(f"{len(self.pooler.data)} rows do not split into {views} views")
         n = len(self.pooler.data) // views
         return [EncoderOutput(*(ad.getitem(t, slice(k * n, (k + 1) * n))
                                 for t in (self.last_hidden, self.pooler)))
@@ -123,12 +125,10 @@ class Encoder:
 
     # -- forward -----------------------------------------------------------
 
-    def encode(self, ids, train_mode: bool = False, views: int = 1,
+    def encode(self, ids, train_mode: bool = False,
                layernorms_stripped: int = 0) -> EncoderOutput:
         """Pooled outputs; the last ``layernorms_stripped`` LayerNorms are skipped."""
         c = self.config
-        if views < 1 or len(ids) % views:
-            raise ValueError(f"{len(ids)} rows do not split into {views} views")
         if not 0 <= layernorms_stripped <= 2 * c.num_layers:
             raise ValueError(f"layernorms_stripped must be in [0, {2 * c.num_layers}], "
                              f"got {layernorms_stripped}")
@@ -145,12 +145,13 @@ class Encoder:
         # drop trailing all-PAD columns down to a multiple of 4 (see module doc)
         W = min(L, 4 * (int(cols[-1]) // 4 + 1)) if cols.size else L
         ids, mask = ids[:, :W], filled[:, :W].astype(dtype)
-        rngs = tuple(self.streams.get(f"{self.name}/pass{k}") for k in range(views))
+        # "pass0", the stream one-view passes drew from, keeps their masks as recorded
+        rng = self.streams.get(f"{self.name}/pass0")
         drop_p = c.dropout_p if train_mode else 0.0
         H, d, dk = c.num_heads, c.hidden_dim, c.hidden_dim // c.num_heads
 
         x = ad.dropout(ad.add(ad.embedding(p["tok_emb"], ids),
-                              ad.getitem(p["pos_emb"], slice(0, W))), drop_p, rngs)
+                              ad.getitem(p["pos_emb"], slice(0, W))), drop_p, rng)
         attn_bias = ((mask - 1.0) * _MASK_NEG)[:, None, None, :]
         ln_kept = 2 * c.num_layers - layernorms_stripped
 
@@ -162,7 +163,7 @@ class Encoder:
 
         def add_norm(x, out, name, ln_index):
             """Residual add of dropped-out ``out``, then LayerNorm ``name`` if kept."""
-            x = ad.add(x, ad.dropout(out, drop_p, rngs))
+            x = ad.add(x, ad.dropout(out, drop_p, rng))
             if ln_index >= ln_kept:
                 return x
             return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"])
@@ -175,7 +176,7 @@ class Encoder:
             k, v = (heads(proj(x, f"layer{i}.{n}")) for n in ("k", "v"))
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                               1.0 / math.sqrt(dk))
-            attn = ad.dropout(ad.softmax(scores, additive_mask=attn_bias), drop_p, rngs)
+            attn = ad.dropout(ad.softmax(scores, additive_mask=attn_bias), drop_p, rng)
             ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, -1, d))
             x = add_norm(xq, proj(ctx, f"layer{i}.o"), f"layer{i}.ln1", 2 * i)
             h = ad.tanh(proj(x, f"layer{i}.ffn1"))

@@ -53,10 +53,8 @@ def sts_eval(embed_fn, dataset):
     embedding, or collapsed embeddings that give every pair the same cosine,
     are a NumericError.
     """
-    if not dataset:
-        raise DataError("empty STS dataset")
     if len(dataset) < 2:
-        raise DataError("Spearman needs at least 2 pairs")
+        raise DataError(f"Spearman needs at least 2 pairs, got {len(dataset)}")
     gold = np.asarray([p.gold_score for p in dataset], dtype=float)
     if np.all(gold == gold[0]):
         raise DataError("STS gold scores are all equal")

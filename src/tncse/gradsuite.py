@@ -142,11 +142,8 @@ def _primitive_cases():
                     lambda r: [1.0 + r.random((3, 4))]),
         "rowwise_cosine": (lambda a, b: weighted(ad.rowwise_cosine(a, b), (3,)),
                            lambda r: [rnd(r, 3, 4), rnd(r, 3, 4)]),
-        "dropout": (lambda a: ad.sum_(ad.dropout(a, 0.3, (RngStreams(7).get("d"),))),
+        "dropout": (lambda a: ad.sum_(ad.dropout(a, 0.3, RngStreams(7).get("d"))),
                     lambda r: [rnd(r, 4, 5)]),
-        "dropout_two_streams": (
-            lambda a: ad.sum_(ad.dropout(a, 0.3, tuple(map(RngStreams(7).get, "de")))),
-            lambda r: [rnd(r, 4, 5)]),
     }
 
 

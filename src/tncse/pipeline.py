@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from .data import build_vocab, load_corpus, load_sts_tsv, load_synonyms
+from .data import build_vocab, load_corpus, load_sts_tsv, load_synonyms, write_file
 from .encoder import Encoder, EncoderConfig, _check_same_vocab
 from .ensemble import EnsembleModel, distill
 from .errors import ConfigError, TncseError
@@ -97,24 +97,19 @@ def resolve_config(file_kv=None, overrides=None, seed=None):
     return cfg
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(text)
-
-
 def _write_table(path, header, rows):
     """A ``label,value`` CSV with values to six decimals."""
-    _write_text(path, header + "\n" + "".join(f"{k},{v:.6f}\n" for k, v in rows))
+    write_file(path, header + "\n" + "".join(f"{k},{v:.6f}\n" for k, v in rows))
 
 
 def write_metadata(path, kv):
     """Flat key-value run metadata file."""
-    _write_text(path, "".join(f"{k} {v}\n" for k, v in kv.items()))
+    write_file(path, "".join(f"{k} {v}\n" for k, v in kv.items()))
 
 
 def write_resolved_config(cfg, out_dir):
-    _write_text(os.path.join(out_dir, "resolved-config.txt"),
-                "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg)))
+    write_file(os.path.join(out_dir, "resolved-config.txt"),
+               "".join(f"{key} = {cfg[key]}\n" for key in sorted(cfg)))
 
 
 @dataclass
@@ -193,7 +188,7 @@ def run_pretrain_pair(cfg, ws, out_dir):
                               augment_table=ws.synonyms)
         prefix = os.path.join(out_dir, f"encoder_{name}")
         ckpt.save_encoder(enc, prefix)
-        _write_text(prefix + ".trainlog.csv", log.to_csv())
+        write_file(prefix + ".trainlog.csv", log.to_csv())
         return prefix
 
     return _map_runs("pretrain", one_encoder, [("I", (1, "I")), ("II", (2, "II"))])
@@ -209,7 +204,7 @@ def run_tncse(cfg, ws, prefix_i, prefix_ii, out_dir):
         ckpt.save_encoder(enc, os.path.join(out_dir, name))
     ckpt.save_ensemble_manifest(["encoder_I", "encoder_II"],
                                 os.path.join(out_dir, "ensemble.manifest"))
-    _write_text(os.path.join(out_dir, "trainlog.csv"), log.to_csv())
+    write_file(os.path.join(out_dir, "trainlog.csv"), log.to_csv())
     return (enc_i, enc_ii), log
 
 
@@ -297,7 +292,7 @@ def run_distill(cfg, ws, out_dir):
     student = new_encoder(cfg, ws, cfg["seed"], 3, "D")
     log = distill(teacher, student, ws.corpus, ws.sts_dev, ws.vocab, dcfg)
     ckpt.save_encoder(student, os.path.join(out_dir, "student"))
-    _write_text(os.path.join(out_dir, "trainlog.csv"), log.train_log.to_csv())
+    write_file(os.path.join(out_dir, "trainlog.csv"), log.train_log.to_csv())
     return student, log
 
 
@@ -308,7 +303,7 @@ def run_single_tn(cfg, ws, out_dir):
                           train_config(cfg, "pretrain", cfg["seed"]),
                           augment_table=ws.synonyms)
     ckpt.save_encoder(enc, os.path.join(out_dir, "encoder_S"))
-    _write_text(os.path.join(out_dir, "trainlog.csv"), log.to_csv())
+    write_file(os.path.join(out_dir, "trainlog.csv"), log.to_csv())
     return enc, log
 
 
@@ -318,5 +313,5 @@ def run_norm_probe(cfg, ws, out_dir):
     enc = load_encoder_checked(cfg["probe.checkpoint"], ws)
     sents = list(dict.fromkeys(ws.corpus))[:PROBE_SENTENCES]
     rows = norm_probe(enc, sents, range(2 * enc.config.num_layers + 1), ws.vocab)
-    _write_text(os.path.join(out_dir, "norm_probe.csv"), probe_csv(rows))
+    write_file(os.path.join(out_dir, "norm_probe.csv"), probe_csv(rows))
     return rows

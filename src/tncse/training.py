@@ -201,8 +201,8 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
 
 def _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table, view_loss):
     """Train one encoder on two dropout views per batch, stacked into one
-    ``encode`` call, the second view optionally synonym-augmented (one token
-    per token); ``view_loss(out, out_plus)`` returns the step's loss terms."""
+    ``encode`` call, the second view optionally synonym-augmented;
+    ``view_loss(out, out_plus)`` returns the step's loss terms."""
     aug_rng = encoder.streams.get(f"{encoder.name}/augment") if augment_table else None
     max_len = encoder.config.max_seq_len
 
@@ -212,7 +212,7 @@ def _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table, view_lo
             view2 = [synonym_substitute(s, augment_table, aug_rng, p=AUGMENT_P)
                      for s in sentences]
         ids = make_batch(vocab, sentences + view2, max_len)
-        return view_loss(*encoder.encode(ids, train_mode=True, views=2).split(2))
+        return view_loss(*encoder.encode(ids, train_mode=True).split(2))
 
     return _train([encoder], corpus, sts_dev, vocab, cfg, step_fn)
 
@@ -240,7 +240,7 @@ def train_tncse(enc_i: Encoder, enc_ii: Encoder, corpus, sts_dev, vocab,
     def step_fn(sentences):
         ids = np.tile(make_batch(vocab, sentences, max_len), (2, 1))
         views = [v for enc in (enc_i, enc_ii)
-                 for v in enc.encode(ids, train_mode=True, views=2).split(2)]
+                 for v in enc.encode(ids, train_mode=True).split(2)]
         return L.total_loss(views, cfg.loss)
 
     return _train([enc_i, enc_ii], corpus, sts_dev, vocab, cfg, step_fn)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from tncse.checkpoint import (FORMAT_VERSION, checkpoint_hash, load_encoder,
                               model_members, save_encoder, save_ensemble_manifest)
 from tncse.encoder import Encoder, EncoderConfig
-from tncse.errors import CheckpointError
+from tncse.errors import CheckpointError, ConfigError
 
 
 def test_roundtrip_preserves_everything(small_encoder, tmp_path):
@@ -201,10 +201,11 @@ def test_interrupted_save_never_loads_stale_weights(tmp_path, monkeypatch):
         os.rename(src, dst)
 
     monkeypatch.setattr(os, "replace", replace_then_die)
-    with pytest.raises(OSError, match="killed"):
+    with pytest.raises(ConfigError, match="killed"):
         save_encoder(Encoder(TINY, seed=4, name="I"), prefix)
     monkeypatch.undo()
     assert replaced == [prefix + ".bin"]
+    assert not list(tmp_path.glob("*.tmp"))
     with pytest.raises(CheckpointError, match="blob-sha256"):
         load_encoder(prefix)
 
@@ -289,7 +290,7 @@ def test_interrupted_ensemble_manifest_save_keeps_the_old_one(tmp_path, monkeypa
         raise OSError("killed")
 
     monkeypatch.setattr(os, "replace", die)
-    with pytest.raises(OSError, match="killed"):
+    with pytest.raises(ConfigError, match="killed"):
         save_ensemble_manifest(["other_I", "other_II", "other_III"], path)
     monkeypatch.undo()
     assert Path(path).read_bytes() == before

@@ -587,6 +587,31 @@ def test_cli_eval_on_a_checkpoint_file_that_is_a_directory_exits_4_with_one_line
     assert str(path) in err[0]
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("gen-data", "corpus.txt"),
+    ("eval", "report.txt"),
+    ("gen-data", "resolved-config.txt"),
+    ("eval", "resolved-config.txt"),
+    ("pretrain", "encoder_I.bin"),
+])
+def test_cli_output_file_that_is_a_directory_exits_2_with_one_line(
+        data_dir, pair_dir, tmp_path, capsys, command, blocked):
+    """Like an output directory that cannot be created; a failed checkpoint
+    write leaves no temp file behind."""
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    argv = [command, "--out", str(out), "--force"] + data_args(data_dir)
+    argv += {"eval": ["--set", f"eval.checkpoint={pair_dir}/ensemble.manifest"],
+             "pretrain": ["--set", "pretrain.steps=2", "--set", "pretrain.eval_interval=1"],
+             }.get(command, [])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: "), err
+    assert f"output file {out / blocked}: Is a directory" in err[0]
+    assert not list(out.glob("*.tmp"))
+
+
 def test_cli_eval_on_mixed_hidden_dims_exits_3_with_one_line(data_dir, pair_dir,
                                                              tmp_path, capsys):
     cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",

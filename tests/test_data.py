@@ -174,24 +174,6 @@ def test_shipped_synonym_table_is_bidirectional_and_lowercase():
         assert table.get(syn) == word, f"{word}->{syn} has no reverse entry"
 
 
-def test_shipped_synonyms_keep_an_augmented_batch_at_its_width(small_corpus,
-                                                               small_vocab, rng):
-    """Every entry maps one token to one token, so a substituted sentence
-    keeps its token count and an augmented view's batch fills exactly the
-    columns of its source batch: a pretraining step stacks both views into
-    one ``encode`` call, which stays equal to two lone passes only while
-    the views share their padded width."""
-    table = load_synonyms()
-    for word, syn in table.items():
-        assert len(word.split()) == 1 and len(syn.split()) == 1, (word, syn)
-    sentences = small_corpus[:64]
-    augmented = [synonym_substitute(s, table, rng, p=1.0) for s in sentences]
-    assert augmented != sentences
-    for max_len in (16, 32):
-        source, view = (make_batch(small_vocab, s, max_len) for s in (sentences, augmented))
-        np.testing.assert_array_equal(source != PAD_ID, view != PAD_ID)
-
-
 def test_synonym_substitute_p_zero_is_identity(rng):
     table = load_synonyms()
     s = "the quick dog runs across the park"

@@ -1,4 +1,5 @@
-"""The demo scripts: their tncse imports resolve, and the quick ones run."""
+"""The demo scripts: their tncse imports resolve, and the quick ones (and
+demo 03 at two steps a stage) run."""
 
 import ast
 import importlib
@@ -34,11 +35,16 @@ def test_demo_tncse_imports_resolve(demo):
             importlib.import_module(f"{module}.{name}")
 
 
-@pytest.mark.parametrize("demo", ["01_autodiff_basics.py", "02_loss_landscape.py"])
+QUICK_ARGS = {"01_autodiff_basics.py": [], "02_loss_landscape.py": [],
+              "03_train_and_evaluate.py": ["--pretrain-steps", "2", "--train-steps", "2"]}
+
+
+@pytest.mark.parametrize("demo", list(QUICK_ARGS))
 def test_quick_demo_runs(demo, tmp_path):
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC),
                                                        os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, str(DEMOS / demo)], cwd=tmp_path, env=env,
-                          capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, str(DEMOS / demo), *QUICK_ARGS[demo]],
+                          cwd=tmp_path, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr

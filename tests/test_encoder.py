@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from tncse.data import CLS_ID, PAD_ID, SEP_ID, make_batch, synonym_substitute
+from tncse.data import CLS_ID, PAD_ID, SEP_ID, make_batch
 from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import ConfigError, DataError
 from test_training import DEFAULT_SHAPE, SMALL_SHAPE, WIDE_SHAPE
@@ -75,19 +75,11 @@ def test_identical_seeds_give_identical_parameters(small_vocab):
 
 # -- dropout views ---------------------------------------------------------
 
-def lone_view(enc, ids, k):
-    """View ``k`` of a stacked train-mode call, run alone: a one-view pass of
-    a copy of ``enc`` whose ``pass0`` stream is a fresh ``pass{k}`` stream."""
-    solo = Encoder(enc.config, enc.seed, enc.name, params=enc.params)
-    solo.streams._gens[f"{enc.name}/pass0"] = solo.streams.get(f"{enc.name}/pass{k}")
-    return solo.encode(ids, train_mode=True)
-
-
 def test_train_mode_views_differ(small_vocab):
     enc = enc_of(small_vocab)
     batch = make_batch(small_vocab, ["the quick dog runs"] * 2, 16)
     h0, h1 = (v.last_hidden.data for v in
-              enc.encode(batch, train_mode=True, views=2).split(2))
+              enc.encode(batch, train_mode=True).split(2))
     assert not np.array_equal(h0, h1)
 
 
@@ -106,38 +98,19 @@ def test_dual_step_views_are_four_distinct_views(small_vocab):
                      vocab_hash=small_vocab.content_hash())
     batch = make_batch(small_vocab, ["the quick dog runs", "a cat"] * 2, 16)
     views = [v.last_hidden.data for enc in (enc_i, enc_ii)
-             for v in enc.encode(batch, train_mode=True, views=2).split(2)]
+             for v in enc.encode(batch, train_mode=True).split(2)]
     for i in range(4):
         for j in range(i + 1, 4):
             assert not np.array_equal(views[i], views[j])
 
 
-def test_stacked_views_equal_lone_views_on_augmented_batches(small_corpus,
-                                                             small_vocab, synonyms):
-    """A pretraining step's stacked call, its second view synonym-augmented,
-    gives each view's outputs bit for bit as that view run alone."""
-    rng = np.random.default_rng(3)
-    for start in range(0, 96, 32):
-        enc = enc_of(small_vocab, max_seq_len=32, hidden_dim=64, ffn_dim=256)
-        sentences = small_corpus[start:start + 32]
-        augmented = [synonym_substitute(s, synonyms, rng, p=0.5) for s in sentences]
-        ids = make_batch(small_vocab, sentences + augmented, 32)
-        stacked = enc.encode(ids, train_mode=True, views=2).split(2)
-        for k, view in enumerate(stacked):
-            lone = lone_view(enc, ids[32 * k:32 * k + 32], k)
-            for got, want in ((view.last_hidden, lone.last_hidden),
-                              (view.pooler, lone.pooler)):
-                np.testing.assert_array_equal(got.data, want.data)
-
-
-@pytest.mark.parametrize("train_mode", [False, True])
-def test_encode_rejects_rows_that_do_not_split_into_views(small_vocab, train_mode):
-    enc = enc_of(small_vocab)
+def test_split_rejects_rows_that_do_not_split_into_views(small_vocab):
     batch = make_batch(small_vocab, ["a cat", "the dog", "a bird"], 16)
+    out = enc_of(small_vocab).encode(batch)
     with pytest.raises(ValueError, match="3 rows do not split into 2 views"):
-        enc.encode(batch, train_mode=train_mode, views=2)
+        out.split(2)
     with pytest.raises(ValueError, match="into 0 views"):
-        enc.encode(batch, train_mode=train_mode, views=0)
+        out.split(0)
 
 
 # -- input validation ------------------------------------------------------
@@ -210,20 +183,20 @@ def test_last_layernorm_is_stripped_first(small_vocab):
 
 # -- golden outputs --------------------------------------------------------
 
-# SHA-256 of last_hidden and pooler for the fixed encoder below.  The eval
-# digests were recorded when the last layer still ran every row, the train
-# pass digests since dropout draws its masks at the shape they apply to, as
-# separate one-view passes; "pass0" and "pass1" are the two halves of one
-# 2-view call on the batch stacked on itself, which equal those passes.  The
+# SHA-256 of last_hidden and pooler for the fixed encoder below, each mode
+# on a fresh copy.  The eval digests were recorded when the last layer still
+# ran every row, the train digests since dropout draws its masks at the
+# shape they apply to; "stacked" is one train-mode call on the batch stacked
+# on itself, which draws both blocks' masks from the one stream.  The
 # digests hold for one numpy/OpenBLAS build and CPU (numpy 2.4.6, OpenBLAS
 # 0.3.31, x86-64); another build may round a GEMM differently.
 GOLDEN_DIGESTS = {
     "eval": ("15cfe0f4327ef9cbf3cc5e4fa44faaf5addf1cbb1cf3f80c494a224305b085fa",
              "6f3a4e5b3f9a16800f819af0a1d2d358e4e103cb0e119b903cedee552235da2e"),
-    "pass0": ("1d35b02942e19a753f83e62660a8c26d203ced4742f75b66e11768eb67efbae1",
+    "train": ("1d35b02942e19a753f83e62660a8c26d203ced4742f75b66e11768eb67efbae1",
               "fafe1eed46af9c6ad073af14752426ecc4a53628e9de3cd346fc38b07ae05d5d"),
-    "pass1": ("d0d63907ba648536c3a6157dfd995c8437af28b1cea30e999a5a5ce71bd95250",
-              "606e11a86d03d950e2aa0cb7a8bb6338cc89920c4ed311bd85f5dc04da1c728d"),
+    "stacked": ("ac219635c475ad77ea241410a4d6283ceb7486ff17fd636efa7417b626ace4d2",
+                "39c0ae87e15eb9de2d66ac95dc41c07a13d1125091904c40ca9ecd845d90600d"),
 }
 
 
@@ -240,26 +213,15 @@ def golden_encoder_and_batch():
 
 
 def test_encode_outputs_match_golden_digests():
-    enc, ids = golden_encoder_and_batch()
-    outs = {"eval": enc.encode(ids)}
-    stacked = enc.encode(np.concatenate([ids, ids]), train_mode=True, views=2)
-    outs["pass0"], outs["pass1"] = stacked.split(2)
-    for mode, out in outs.items():
+    calls = {"eval": lambda enc, ids: enc.encode(ids),
+             "train": lambda enc, ids: enc.encode(ids, train_mode=True),
+             "stacked": lambda enc, ids: enc.encode(np.concatenate([ids, ids]),
+                                                    train_mode=True)}
+    for mode, call in calls.items():
+        out = call(*golden_encoder_and_batch())
         got = tuple(hashlib.sha256(t.data.tobytes()).hexdigest()
                     for t in (out.last_hidden, out.pooler))
         assert got == GOLDEN_DIGESTS[mode], mode
-
-
-def test_two_views_of_one_sentence_equal_lone_views():
-    """At B=1 a 2-view call runs 2 rows, under ``linear``'s 16-row floor,
-    and each view still equals its lone pass bit for bit."""
-    enc, ids = golden_encoder_and_batch()
-    row = ids[:1]
-    stacked = enc.encode(np.concatenate([row, row]), train_mode=True, views=2)
-    for k, view in enumerate(stacked.split(2)):
-        lone = lone_view(enc, row, k)
-        np.testing.assert_array_equal(view.last_hidden.data, lone.last_hidden.data)
-        np.testing.assert_array_equal(view.pooler.data, lone.pooler.data)
 
 
 # -- padding trim ----------------------------------------------------------

@@ -454,7 +454,7 @@ ids = make_batch(vocab, corpus[:32] * 2, config.max_seq_len)
 
 def step():
     views = [v for enc in encoders
-             for v in enc.encode(ids, train_mode=True, views=2).split(2)]
+             for v in enc.encode(ids, train_mode=True).split(2)]
     total_loss(views, LossConfig())["total"].backward()
     opt.step()
 
