@@ -219,13 +219,18 @@ class TestDropout:
             with pytest.raises(ValueError):
                 ad.dropout(Tensor([1.0]), p, np.random.default_rng(0))
 
-    def test_draws_one_uniform_per_element(self):
-        """The stream draws one uniform per element of ``x``: dropout leaves
-        it where ``rng.random(x.shape)`` leaves it."""
-        x = Tensor(np.ones((6, 2, 7)))
+    @pytest.mark.parametrize("n_blocks", [1, 2, 3])
+    def test_draws_one_uniform_per_element(self, n_blocks):
+        """A stack of ``n_blocks`` row blocks draws one uniform per element
+        of ``x`` from its one stream: dropout leaves it where
+        ``rng.random(x.shape)`` leaves it, and the first block is masked as a
+        lone call on that block is."""
+        x = Tensor(np.ones((2 * n_blocks, 2, 7)))
         rng, ref = RngStreams(11).get("d"), RngStreams(11).get("d")
-        ad.dropout(x, 0.3, rng)
-        ref.random((6, 2, 7))
+        out = ad.dropout(x, 0.3, rng)
+        lone = ad.dropout(Tensor(np.ones((2, 2, 7))), 0.3, RngStreams(11).get("d"))
+        np.testing.assert_array_equal(out.data[:2], lone.data)
+        ref.random(x.shape)
         assert rng.random() == ref.random()
 
 

@@ -104,9 +104,22 @@ def test_dual_step_views_are_four_distinct_views(small_vocab):
             assert not np.array_equal(views[i], views[j])
 
 
-def test_split_rejects_rows_that_do_not_split_into_views(small_vocab):
+def test_stacked_eval_batch_splits_into_the_lone_batch(small_vocab):
+    """In eval mode a batch stacked on itself is an ordinary batch: each
+    block of its split equals the lone batch's output bit for bit."""
+    enc = enc_of(small_vocab)
+    batch = make_batch(small_vocab, ["the quick dog runs", "a cat", "a bird sleeps"], 16)
+    lone = enc.encode(batch)
+    for view in enc.encode(np.concatenate([batch, batch])).split(2):
+        for got, want in ((view.last_hidden, lone.last_hidden),
+                          (view.pooler, lone.pooler)):
+            np.testing.assert_array_equal(got.data, want.data)
+
+
+@pytest.mark.parametrize("train_mode", [False, True])
+def test_split_rejects_rows_that_do_not_split_into_views(small_vocab, train_mode):
     batch = make_batch(small_vocab, ["a cat", "the dog", "a bird"], 16)
-    out = enc_of(small_vocab).encode(batch)
+    out = enc_of(small_vocab).encode(batch, train_mode=train_mode)
     with pytest.raises(ValueError, match="3 rows do not split into 2 views"):
         out.split(2)
     with pytest.raises(ValueError, match="into 0 views"):
