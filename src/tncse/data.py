@@ -76,8 +76,17 @@ def tokenize(vocab, sentence, max_seq_len):
 
 
 def make_batch(vocab, sentences, max_seq_len):
-    """A (batch, max_seq_len) int64 id array."""
-    return np.stack([tokenize(vocab, s, max_seq_len) for s in sentences])
+    """A (batch, max_seq_len) int64 id array whose rows are ``tokenize``'s,
+    built from one flat list."""
+    n = max_seq_len - 2
+    ids = []
+    for s in sentences:
+        toks = s.lower().split()[:n]
+        ids.append(CLS_ID)
+        ids += map(vocab.get, toks)
+        ids.append(SEP_ID)
+        ids += [PAD_ID] * (n - len(toks))
+    return np.array(ids, dtype=np.int64).reshape(len(sentences), max_seq_len)
 
 
 def _check_batchable(corpus):

@@ -120,6 +120,14 @@ class Encoder:
                   for k, v in self.params.items()}
         return Encoder(self.config, self.seed, self.name, self.vocab_hash, params)
 
+    def frozen(self):
+        """This encoder over the same arrays with no parameter requiring grad,
+        so its ``encode`` records no tape (``autodiff._node``) and frees each
+        intermediate array once no name holds it.  For eval only: it shares
+        the arrays, so it sees in-place updates but not rebound ones."""
+        params = {k: Tensor(v.data) for k, v in self.params.items()}
+        return Encoder(self.config, self.seed, self.name, self.vocab_hash, params)
+
     def parameters(self):
         return list(self.params.values())
 
@@ -168,19 +176,26 @@ class Encoder:
                 return x
             return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"])
 
-        for i in range(c.num_layers):
-            # only row 0 of the last layer is read; 2 query rows round as W rows do
-            last = i == c.num_layers - 1
-            xq = ad.getitem(x, (slice(None), slice(0, 2))) if last else x
+        # attention and FFN keep their intermediates local, so a frozen
+        # encode (no tape) frees them before the next block allocates its own
+        def attention(x, xq, i):
             q = heads(proj(xq, f"layer{i}.q"))
             k, v = (heads(proj(x, f"layer{i}.{n}")) for n in ("k", "v"))
             scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))),
                               1.0 / math.sqrt(dk))
             attn = ad.dropout(ad.softmax(scores, additive_mask=attn_bias), drop_p, rng)
             ctx = ad.reshape(ad.transpose(ad.matmul(attn, v), (0, 2, 1, 3)), (B, -1, d))
-            x = add_norm(xq, proj(ctx, f"layer{i}.o"), f"layer{i}.ln1", 2 * i)
-            h = ad.tanh(proj(x, f"layer{i}.ffn1"))
-            x = add_norm(x, proj(h, f"layer{i}.ffn2"), f"layer{i}.ln2", 2 * i + 1)
+            return proj(ctx, f"layer{i}.o")
+
+        def ffn(x, i):
+            return proj(ad.tanh(proj(x, f"layer{i}.ffn1")), f"layer{i}.ffn2")
+
+        for i in range(c.num_layers):
+            # only row 0 of the last layer is read; 2 query rows round as W rows do
+            last = i == c.num_layers - 1
+            xq = ad.getitem(x, (slice(None), slice(0, 2))) if last else x
+            x = add_norm(xq, attention(x, xq, i), f"layer{i}.ln1", 2 * i)
+            x = add_norm(x, ffn(x, i), f"layer{i}.ln2", 2 * i + 1)
 
         hL = ad.getitem(x, (slice(None), 0))
         hP = ad.tanh(proj(hL, "pooler"))

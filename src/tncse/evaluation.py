@@ -21,7 +21,7 @@ UNIFORMITY_T = 2
 # distinct sentences the norm probe measures
 PROBE_SENTENCES = 100
 # sentences per encode call when embedding in eval mode
-EMBED_BATCH = 64
+EMBED_BATCH = 128
 
 
 def spearman(pred, gold):
@@ -116,6 +116,7 @@ def norm_probe(encoder, sentences, strip_counts, vocab):
     """
     if len(set(sentences)) < PROBE_SENTENCES:
         raise DataError(f"norm probe needs at least {PROBE_SENTENCES} distinct sentences")
+    encoder = encoder.frozen()
     batches = [make_batch(vocab, sentences[i:i + EMBED_BATCH], encoder.config.max_seq_len)
                for i in range(0, len(sentences), EMBED_BATCH)]
     rows = []

@@ -106,6 +106,17 @@ def test_make_batch_shapes():
                               [CLS_ID, 5, SEP_ID, PAD_ID, PAD_ID, PAD_ID]]
 
 
+@pytest.mark.parametrize("max_seq_len", [2, 3, 8, 16, 32])
+def test_make_batch_equals_stacked_tokenize_rows(max_seq_len, small_corpus, small_vocab):
+    sentences = small_corpus + ["", "   ", "THE Dog", "the\tdog\nruns", "[PAD] [CLS] [UNK]",
+                                "zebra qux", " ".join(small_corpus[:4])]
+    want = np.stack([tokenize(small_vocab, s, max_seq_len) for s in sentences])
+    got = make_batch(small_vocab, sentences, max_seq_len)
+    assert max_seq_len == 2 or (want == UNK_ID).any()
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
 # any text, the reserved spellings among it
 _WORDS = st.one_of(st.sampled_from(["[PAD]", "[pad]", "[CLS]", "[SEP]", "[UNK]"]),
                    st.text(max_size=6))

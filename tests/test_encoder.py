@@ -237,6 +237,18 @@ def test_encode_outputs_match_golden_digests():
         assert got == GOLDEN_DIGESTS[mode], mode
 
 
+def test_frozen_shares_the_arrays_and_encodes_the_same_without_a_tape():
+    enc, ids = golden_encoder_and_batch()
+    frozen = enc.frozen()
+    assert frozen.params.keys() == enc.params.keys()
+    for k, p in frozen.params.items():
+        assert p.data is enc.params[k].data and not p.requires_grad
+    live, out = enc.encode(ids), frozen.encode(ids)
+    for got, want in ((out.last_hidden, live.last_hidden), (out.pooler, live.pooler)):
+        np.testing.assert_array_equal(got.data, want.data)
+    assert live.last_hidden._parents and not out.last_hidden._parents
+
+
 # -- padding trim ----------------------------------------------------------
 
 TRIM_SHAPES = {"small": SMALL_SHAPE, "default": DEFAULT_SHAPE, "wide": WIDE_SHAPE}

@@ -14,6 +14,7 @@ from tncse.autodiff import Tensor
 from tncse.data import build_vocab, make_batch, synth_corpus
 from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import ConfigError, DataError, NumericError
+from tncse.evaluation import EMBED_BATCH
 from tncse.losses import LossConfig
 from tncse.training import (Adam, TrainConfig, TrainLog, _member_sums,
                             ensemble_embed_fn, pretrain_single, train_single_tn,
@@ -150,15 +151,16 @@ def pair_of_shape(vocab, shape):
 
 @pytest.fixture(scope="module")
 def pair_rows(small_corpus, small_vocab):
-    """Per shape: a pair, 100 distinct sentences, the rows of the first 64
-    from one 64-row encode per member, and each row encoded alone."""
-    sentences = list(dict.fromkeys(small_corpus))[:100]
-    assert len(sentences) == 100
+    """Per shape: a pair, EMBED_BATCH + 36 distinct sentences, the rows of
+    the first EMBED_BATCH from one EMBED_BATCH-row encode per member, and each
+    row encoded alone."""
+    sentences = list(dict.fromkeys(small_corpus))[:EMBED_BATCH + 36]
+    assert len(sentences) == EMBED_BATCH + 36
     out = {}
     for name, shape in (("small", SMALL_SHAPE), ("default", DEFAULT_SHAPE),
                         ("wide", WIDE_SHAPE)):
         members = pair_of_shape(small_vocab, shape)
-        batches = [make_batch(small_vocab, sentences[:64], shape["max_seq_len"])]
+        batches = [make_batch(small_vocab, sentences[:EMBED_BATCH], shape["max_seq_len"])]
         batches += [make_batch(small_vocab, [s], shape["max_seq_len"]) for s in sentences]
         sums = _member_sums(members, batches)
         out[name] = members, sentences, sums[0], np.concatenate(sums[1:])
@@ -166,23 +168,23 @@ def pair_rows(small_corpus, small_vocab):
 
 
 @EXACT_SHAPES
-@pytest.mark.parametrize("n", range(1, 65))
+@pytest.mark.parametrize("n", range(1, EMBED_BATCH + 1))
 def test_ensemble_embed_fn_row_does_not_depend_on_its_batch(n, shape, small_vocab,
                                                             pair_rows):
     """A sentence's row is the same bit for bit in a batch of any size from 1
-    to 64 and at any position in it, so a memo may serve it from an earlier
-    call.  A fresh embedder starts with an empty memo, so it
+    to EMBED_BATCH and at any position in it, so a memo may serve it from an
+    earlier call.  A fresh embedder starts with an empty memo, so it
     encodes the n sentences as one batch."""
     members, sentences, reference, _ = pair_rows[shape]
-    rows = ensemble_embed_fn(members, small_vocab)(sentences[64 - n:64])
-    np.testing.assert_array_equal(rows, reference[64 - n:])
+    rows = ensemble_embed_fn(members, small_vocab)(sentences[EMBED_BATCH - n:EMBED_BATCH])
+    np.testing.assert_array_equal(rows, reference[EMBED_BATCH - n:])
 
 
 @EXACT_SHAPES
 def test_ensemble_embed_fn_rows_past_the_first_batch_equal_rows_alone(
         shape, small_vocab, pair_rows):
-    """100 new sentences in one call are encoded as batches of 64 and 36;
-    every row equals the sentence encoded alone."""
+    """EMBED_BATCH + 36 new sentences in one call are encoded as batches of
+    EMBED_BATCH and 36; every row equals the sentence encoded alone."""
     members, sentences, _, alone = pair_rows[shape]
     rows = ensemble_embed_fn(members, small_vocab)(sentences)
     np.testing.assert_array_equal(rows, alone)
@@ -202,6 +204,31 @@ def test_ensemble_embed_fn_with_a_repeat_equals_one_64_row_encode(shape):
     batch = make_batch(vocab, sentences, shape["max_seq_len"])
     expected = sum(enc.encode(batch).last_hidden.data for enc in members)
     np.testing.assert_array_equal(ensemble_embed_fn(members, vocab)(sentences), expected)
+
+
+@pytest.mark.parametrize("n", [1, EMBED_BATCH - 1, EMBED_BATCH, EMBED_BATCH + 1, 255])
+def test_ensemble_embed_fn_encodes_new_sentences_in_full_batches(
+        n, small_corpus, small_vocab, small_config, monkeypatch, eval_rows):
+    """n new sentences run as ceil(n / EMBED_BATCH) encodes per member, each
+    of at most EMBED_BATCH rows, in first-seen order."""
+    sizes = {"I": [], "II": []}
+    encode = Encoder.encode
+
+    def sizing_encode(self, ids, *args, **kwargs):
+        sizes[self.name].append(len(ids))
+        return encode(self, ids, *args, **kwargs)
+
+    monkeypatch.setattr(Encoder, "encode", sizing_encode)
+    sentences = list(dict.fromkeys(small_corpus))[:n]
+    assert len(sentences) == n
+    members = [Encoder(small_config, seed=1, name="I"),
+               Encoder(small_config, seed=2, name="II")]
+    ensemble_embed_fn(members, small_vocab)(sentences + sentences[::-1])
+    want = [min(EMBED_BATCH, n - i) for i in range(0, n, EMBED_BATCH)]
+    assert sizes == {"I": want, "II": want}
+    rows = list(map(tuple, make_batch(small_vocab, sentences,
+                                      small_config.max_seq_len).tolist()))
+    assert eval_rows == {"I": rows, "II": rows}
 
 
 def test_ensemble_embed_fn_memo_embeds_each_sentence_once(small_corpus, small_vocab,
