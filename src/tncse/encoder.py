@@ -10,9 +10,11 @@ LayerNorms can be stripped from the end of the stack for the norm probe.
 A batch is a (batch, max_seq_len) id array.  ``encode`` drops its trailing
 all-PAD columns down to a multiple of 4, the key widths at which OpenBLAS
 0.3.31 rounds ``q @ kᵀ`` (dk=32) alike, so every eval-mode output equals the
-untrimmed one.  Train mode draws every dropout mask from one stream per
-encoder, so the trainers run a step's dropout views as one batch, stacked
-on the leading axis, and cut the outputs apart with ``EncoderOutput.split``.
+untrimmed one.  Eval mode reads the bare parameter arrays, so it records no
+tape (``autodiff._node``) and frees each intermediate once no name holds it.
+Train mode draws every dropout mask from one stream per encoder, so the
+trainers run a step's dropout views as one batch, stacked on the leading
+axis, and cut the outputs apart with ``EncoderOutput.split``.
 """
 
 from __future__ import annotations
@@ -120,14 +122,6 @@ class Encoder:
                   for k, v in self.params.items()}
         return Encoder(self.config, self.seed, self.name, self.vocab_hash, params)
 
-    def frozen(self):
-        """This encoder over the same arrays with no parameter requiring grad,
-        so its ``encode`` records no tape (``autodiff._node``) and frees each
-        intermediate array once no name holds it.  For eval only: it shares
-        the arrays, so it sees in-place updates but not rebound ones."""
-        params = {k: Tensor(v.data) for k, v in self.params.items()}
-        return Encoder(self.config, self.seed, self.name, self.vocab_hash, params)
-
     def parameters(self):
         return list(self.params.values())
 
@@ -135,7 +129,8 @@ class Encoder:
 
     def encode(self, ids, train_mode: bool = False,
                layernorms_stripped: int = 0) -> EncoderOutput:
-        """Pooled outputs; the last ``layernorms_stripped`` LayerNorms are skipped."""
+        """Pooled outputs; the last ``layernorms_stripped`` LayerNorms are
+        skipped.  Eval mode records no tape (see module doc)."""
         c = self.config
         if not 0 <= layernorms_stripped <= 2 * c.num_layers:
             raise ValueError(f"layernorms_stripped must be in [0, {2 * c.num_layers}], "
@@ -145,7 +140,7 @@ class Encoder:
         if ids.max() >= c.vocab_size:
             raise DataError(f"token id {int(ids.max())} out of vocabulary "
                             f"(size {c.vocab_size})")
-        p = self.params
+        p = self.params if train_mode else {k: v.data for k, v in self.params.items()}
         dtype = p["tok_emb"].dtype
         B, L = ids.shape
         filled = ids != PAD_ID
@@ -176,7 +171,7 @@ class Encoder:
                 return x
             return ad.layer_norm(x, p[f"{name}_g"], p[f"{name}_b"])
 
-        # attention and FFN keep their intermediates local, so a frozen
+        # attention and FFN keep their intermediates local, so an eval-mode
         # encode (no tape) frees them before the next block allocates its own
         def attention(x, xq, i):
             q = heads(proj(xq, f"layer{i}.q"))

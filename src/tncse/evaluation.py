@@ -116,7 +116,6 @@ def norm_probe(encoder, sentences, strip_counts, vocab):
     """
     if len(set(sentences)) < PROBE_SENTENCES:
         raise DataError(f"norm probe needs at least {PROBE_SENTENCES} distinct sentences")
-    encoder = encoder.frozen()
     batches = [make_batch(vocab, sentences[i:i + EMBED_BATCH], encoder.config.max_seq_len)
                for i in range(0, len(sentences), EMBED_BATCH)]
     rows = []

@@ -172,9 +172,9 @@ def _loss_cases():
 
 def _attention_composite_case(trial, num_layers=1, dropout_p=0.0):
     """FD-check the full encoder forward (attention composite included)
-    against a handful of its parameters.  With dropout on it runs in train
-    mode, each forward on a fresh stream, so every evaluation draws the same
-    masks."""
+    against a handful of its parameters.  It runs in train mode, the one that
+    records a tape, each forward on a fresh stream, so every evaluation draws
+    the same masks; at ``dropout_p=0`` it draws none and equals eval mode."""
     rng = np.random.default_rng(5000 + trial)
     config = EncoderConfig(vocab_size=12, max_seq_len=6, hidden_dim=8,
                            num_layers=num_layers, num_heads=2, ffn_dim=12,
@@ -201,7 +201,7 @@ def _attention_composite_case(trial, num_layers=1, dropout_p=0.0):
         enc.params[name] = p
         try:
             enc.streams = RngStreams(enc.seed)
-            out = enc.encode(ids, train_mode=dropout_p > 0)
+            out = enc.encode(ids, train_mode=True)
             return ad.sum_(ad.mul(ad.add(out.last_hidden, out.pooler),
                                   Tensor(weights)))
         finally:

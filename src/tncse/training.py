@@ -101,10 +101,8 @@ class TrainLog:
 
 
 def _member_sums(encoders, batches):
-    # Through ensemble_embed_fn the members are frozen, so a 128-row batch
-    # holds no tape: its arrays peak at 3.9 MiB (tracemalloc, default shape)
-    # against 5.9 MiB for a 64-row batch with its tape.  Eval-mode encodes
-    # take 210 ms of an ensemble-eval call (traced, seed 46, 1 BLAS thread).
+    # An eval-mode encode records no tape, so a 128-row batch's arrays peak
+    # at 3.9 MiB (tracemalloc, default shape, two members).
     out = []
     for batch in batches:
         total = None
@@ -119,11 +117,10 @@ def ensemble_embed_fn(encoders, vocab):
     """Sum of member last-hidden CLS states in eval mode, pooler bypassed.
     The returned function memoizes for its lifetime, at about 4*d + 145 bytes
     per distinct sentence, and encodes only the distinct sentences a call has
-    not seen, in EMBED_BATCH batches, through frozen members that record no
-    tape; build it only while the weights are fixed.  Exact, as an eval-mode
-    row depends neither on its batch's padded width nor on its size
+    not seen, in EMBED_BATCH batches, in eval mode, which records no tape;
+    build it only while the weights are fixed.  Exact, as an eval-mode row
+    depends neither on its batch's padded width nor on its size
     (``autodiff.linear``)."""
-    encoders = [enc.frozen() for enc in encoders]
     max_len = encoders[0].config.max_seq_len
     memo = {}
 

@@ -145,6 +145,9 @@ def test_gradient_oracle_over_primitives_and_losses():
     with criterion(3, "finite-difference gradient oracle", budget_s=120):
         results = run_gradient_suite(n_trials=20, rtol=1e-6)
         assert len(results) >= 20
+        encoder_cases = {f"encoder_attention_composite{s}"
+                         for s in ("", "_2layer", "_2layer_dropout")}
+        assert encoder_cases <= {r.name for r in results}
         failed = [r for r in results if not r.passed]
         assert not failed, "; ".join(f"{r.name}: {r.detail}" for r in failed)
 

@@ -2,10 +2,12 @@
 pooling, LayerNorm stripping and the padding trim."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tncse import autodiff as ad
 from tncse.data import CLS_ID, PAD_ID, SEP_ID, make_batch
 from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import ConfigError, DataError
@@ -237,16 +239,19 @@ def test_encode_outputs_match_golden_digests():
         assert got == GOLDEN_DIGESTS[mode], mode
 
 
-def test_frozen_shares_the_arrays_and_encodes_the_same_without_a_tape():
+def test_eval_mode_records_no_tape_and_matches_train_mode_without_dropout():
+    """Eval mode reads the bare parameter arrays: no output keeps a parent
+    and no parameter gains a gradient.  With dropout off, train mode (which
+    the gradient suite checks) computes the same forward bit for bit."""
     enc, ids = golden_encoder_and_batch()
-    frozen = enc.frozen()
-    assert frozen.params.keys() == enc.params.keys()
-    for k, p in frozen.params.items():
-        assert p.data is enc.params[k].data and not p.requires_grad
-    live, out = enc.encode(ids), frozen.encode(ids)
-    for got, want in ((out.last_hidden, live.last_hidden), (out.pooler, live.pooler)):
+    enc = Encoder(replace(enc.config, dropout_p=0.0), enc.seed, enc.name)
+    assert all(p.requires_grad for p in enc.parameters())
+    evl, train = enc.encode(ids), enc.encode(ids, train_mode=True)
+    for got, want in ((evl.last_hidden, train.last_hidden), (evl.pooler, train.pooler)):
+        assert not got._parents and want._parents
         np.testing.assert_array_equal(got.data, want.data)
-    assert live.last_hidden._parents and not out.last_hidden._parents
+    ad.sum_(ad.add(evl.last_hidden, evl.pooler)).backward()
+    assert all(p.grad is None for p in enc.parameters())
 
 
 # -- padding trim ----------------------------------------------------------
