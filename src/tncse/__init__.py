@@ -17,19 +17,23 @@ def _keep_heap_resident():
     """Keep the memory a step frees in the process, unless the caller tuned
     malloc: by default glibc gives the freed heap top, and every array of
     128 KiB or more, back to the kernel, and the next step faults it in again
-    (about 3k minor faults per wide pretraining step).  No result depends on
-    it.  Returns whether glibc's ``mallopt`` took the thresholds."""
-    if any(v in os.environ for v in ("MALLOC_TRIM_THRESHOLD_",
-                                     "MALLOC_MMAP_THRESHOLD_", "MALLOC_TOP_PAD_")):
+    (about 3k minor faults per wide pretraining step).  It also keeps one
+    arena for all threads: without the cap each eval worker thread
+    (``evaluation._map_threads``) grows and keeps an arena of its own.  No
+    result depends on it.  Returns whether glibc's ``mallopt`` took all
+    three settings."""
+    if any(v in os.environ for v in ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_",
+                                     "MALLOC_TOP_PAD_", "MALLOC_ARENA_MAX")):
         return False
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+    M_TRIM_THRESHOLD, M_MMAP_THRESHOLD, M_ARENA_MAX = -1, -3, -8
     return bool(mallopt(M_TRIM_THRESHOLD, 64 << 20)
-                and mallopt(M_MMAP_THRESHOLD, 32 << 20))
+                and mallopt(M_MMAP_THRESHOLD, 32 << 20)
+                and mallopt(M_ARENA_MAX, 1))
 
 
 _heap_resident = _keep_heap_resident()

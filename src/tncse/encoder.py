@@ -11,10 +11,11 @@ A batch is a (batch, max_seq_len) id array.  ``encode`` drops its trailing
 all-PAD columns down to a multiple of 4, the key widths at which OpenBLAS
 0.3.31 rounds ``q @ kᵀ`` (dk=32) alike, so every eval-mode output equals the
 untrimmed one.  Eval mode reads the bare parameter arrays, so it records no
-tape (``autodiff._node``) and frees each intermediate once no name holds it.
-Train mode draws every dropout mask from one stream per encoder, so the
-trainers run a step's dropout views as one batch, stacked on the leading
-axis, and cut the outputs apart with ``EncoderOutput.split``.
+tape (``autodiff._node``), frees each intermediate once no name holds it and
+changes no encoder state, so threads may run it side by side.  Train mode
+draws every dropout mask from one stream per encoder, so the trainers run a
+step's dropout views as one batch, stacked on the leading axis, and cut the
+outputs apart with ``EncoderOutput.split``.
 """
 
 from __future__ import annotations
@@ -148,8 +149,9 @@ class Encoder:
         # drop trailing all-PAD columns down to a multiple of 4 (see module doc)
         W = min(L, 4 * (int(cols[-1]) // 4 + 1)) if cols.size else L
         ids, mask = ids[:, :W], filled[:, :W].astype(dtype)
-        # "pass0", the stream one-view passes drew from, keeps their masks as recorded
-        rng = self.streams.get(f"{self.name}/pass0")
+        # "pass0", the stream one-view passes drew from, keeps their masks as
+        # recorded; eval mode draws nothing, so it does not create the stream
+        rng = self.streams.get(f"{self.name}/pass0") if train_mode else None
         drop_p = c.dropout_p if train_mode else 0.0
         H, d, dk = c.num_heads, c.hidden_dim, c.hidden_dim // c.num_heads
 

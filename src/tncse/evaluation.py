@@ -7,6 +7,9 @@ alpha = 2 and t = 2; embeddings are L2-normalized internally.
 
 from __future__ import annotations
 
+import contextvars
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
@@ -22,6 +25,21 @@ UNIFORMITY_T = 2
 PROBE_SENTENCES = 100
 # sentences per encode call when embedding in eval mode
 EMBED_BATCH = 128
+
+
+def _map_threads(fn, items):
+    """``[fn(x) for x in items]`` on up to one thread per CPU, which overlap
+    as numpy releases the GIL in GEMMs and ufunc loops.  Each job runs in a
+    copy of the caller's context (``np.errstate``); the first failing item's
+    exception is raised.  One item, one CPU, or OpenBLAS not at one thread
+    (two BLAS threads per worker were slower) stay on the calling thread."""
+    items = list(items)
+    workers = min(len(items), os.cpu_count() or 1)
+    if workers < 2 or os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return [fn(x) for x in items]
+    contexts = [contextvars.copy_context() for _ in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(contextvars.Context.run, contexts, [fn] * len(items), items))
 
 
 def spearman(pred, gold):
@@ -118,15 +136,18 @@ def norm_probe(encoder, sentences, strip_counts, vocab):
         raise DataError(f"norm probe needs at least {PROBE_SENTENCES} distinct sentences")
     batches = [make_batch(vocab, sentences[i:i + EMBED_BATCH], encoder.config.max_seq_len)
                for i in range(0, len(sentences), EMBED_BATCH)]
+    jobs = [(int(n), ids) for n in strip_counts for ids in batches]
+
+    def norms(job):
+        out = encoder.encode(job[1], layernorms_stripped=job[0])
+        return [np.linalg.norm(t.data, axis=1) for t in (out.last_hidden, out.pooler)]
+
+    per_job = _map_threads(norms, jobs)
     rows = []
-    for n in strip_counts:
-        hl_norms, hp_norms = [], []
-        for ids in batches:
-            out = encoder.encode(ids, layernorms_stripped=n)
-            hl_norms.append(np.linalg.norm(out.last_hidden.data, axis=1))
-            hp_norms.append(np.linalg.norm(out.pooler.data, axis=1))
+    for k in range(0, len(jobs), len(batches)):
+        hl_norms, hp_norms = zip(*per_job[k:k + len(batches)])
         stats = [(x.mean(), x.std()) for x in map(np.concatenate, (hl_norms, hp_norms))]
-        rows.append(ProbeRow(int(n), *(float(v) for m, s in stats for v in (m, s, s / m))))
+        rows.append(ProbeRow(jobs[k][0], *(float(v) for m, s in stats for v in (m, s, s / m))))
     return rows
 
 

@@ -19,7 +19,7 @@ from . import losses as L
 from .data import _check_batchable, batch_iter, make_batch, synonym_substitute
 from .encoder import Encoder, _check_compatible
 from .errors import ConfigError, NumericError
-from .evaluation import EMBED_BATCH, sts_eval
+from .evaluation import EMBED_BATCH, _map_threads, sts_eval
 
 AUGMENT_P = 0.5  # synonym-substitution probability of the second pretraining view
 # weight of the norm-constraint term in the single-encoder variant;
@@ -102,15 +102,16 @@ class TrainLog:
 
 def _member_sums(encoders, batches):
     # An eval-mode encode records no tape, so a 128-row batch's arrays peak
-    # at 3.9 MiB (tracemalloc, default shape, two members).
-    out = []
-    for batch in batches:
+    # at 3.9 MiB (tracemalloc, default shape, two members).  Batches run side
+    # by side; each sums its members in member order, so rows are exact.
+    def member_sum(batch):
         total = None
         for enc in encoders:
             h = enc.encode(batch, train_mode=False).last_hidden.data
             total = h.copy() if total is None else total + h
-        out.append(total)
-    return out
+        return total
+
+    return _map_threads(member_sum, batches)
 
 
 def ensemble_embed_fn(encoders, vocab):

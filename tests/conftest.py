@@ -2,6 +2,8 @@
 configs sized for fast unit tests."""
 
 import collections
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -52,17 +54,34 @@ def small_encoder(small_config, small_vocab):
 @pytest.fixture
 def eval_rows(monkeypatch):
     """Token-id rows (as tuples) that each encoder, keyed by name, encodes in
-    eval mode, in call order.  Every other argument passes through as given."""
+    eval mode.  Eval batches may run on several threads, so the order of the
+    batches is not fixed; compare sorted rows.  Every other argument passes
+    through as given."""
     rows = collections.defaultdict(list)
+    lock = threading.Lock()
     encode = Encoder.encode
 
     def recording_encode(self, ids, train_mode=False, **kwargs):
         if not train_mode:
-            rows[self.name] += map(tuple, ids.tolist())
+            with lock:
+                rows[self.name] += map(tuple, ids.tolist())
         return encode(self, ids, train_mode, **kwargs)
 
     monkeypatch.setattr(Encoder, "encode", recording_encode)
     return rows
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Call with n to make eval batches see n CPUs and one BLAS thread, the
+    setting under which they run on up to n threads; n = 1 runs them in the
+    calling thread, the sequential reference."""
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "cpu_count", lambda: n)
+
+    return set_cpus
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from tncse.data import make_batch
 from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import DataError, NumericError
-from tncse.evaluation import (EvalReport, alignment, cosine_matrix_rows,
+from tncse.evaluation import (EMBED_BATCH, EvalReport, alignment, cosine_matrix_rows,
                               norm_probe, probe_csv, spearman, sts_eval,
                               uniformity)
 
@@ -214,6 +214,29 @@ def test_norm_probe_rows_and_csv(small_encoder, small_vocab, small_corpus):
     csv = probe_csv(rows)
     assert csv.splitlines()[0] == "stripped,mean_hl,std_hl,cv_hl,mean_hp,std_hp,cv_hp"
     assert len(csv.splitlines()) == 3
+
+
+def test_norm_probe_on_threads_equals_one_thread_and_the_loop(
+        small_encoder, small_vocab, small_corpus, cpus):
+    """Two batches at five strip counts run as ten jobs on threads; the rows
+    equal those of the calling thread alone and of a plain loop over strip
+    counts and batches, bit for bit."""
+    sentences = list(dict.fromkeys(small_corpus))[:EMBED_BATCH + 20]
+    assert len(sentences) == EMBED_BATCH + 20
+    strip_counts = range(5)
+    cpus(1)
+    expected = norm_probe(small_encoder, sentences, strip_counts, small_vocab)
+    cpus(2)
+    assert norm_probe(small_encoder, sentences, strip_counts, small_vocab) == expected
+    batches = [make_batch(small_vocab, sentences[i:i + EMBED_BATCH],
+                          small_encoder.config.max_seq_len)
+               for i in (0, EMBED_BATCH)]
+    for n, row in zip(strip_counts, expected):
+        outs = [small_encoder.encode(ids, layernorms_stripped=n) for ids in batches]
+        hl = np.concatenate([np.linalg.norm(o.last_hidden.data, axis=1) for o in outs])
+        hp = np.concatenate([np.linalg.norm(o.pooler.data, axis=1) for o in outs])
+        assert (row.mean_hl, row.std_hl, row.mean_hp, row.std_hp) == \
+            (hl.mean(), hl.std(), hp.mean(), hp.std())
 
 
 # -- report ----------------------------------------------------------------

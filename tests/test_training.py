@@ -4,6 +4,8 @@ restoration and loss-term reduction identities."""
 import os
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -210,7 +212,8 @@ def test_ensemble_embed_fn_with_a_repeat_equals_one_64_row_encode(shape):
 def test_ensemble_embed_fn_encodes_new_sentences_in_full_batches(
         n, small_corpus, small_vocab, small_config, monkeypatch, eval_rows):
     """n new sentences run as ceil(n / EMBED_BATCH) encodes per member, each
-    of at most EMBED_BATCH rows, in first-seen order."""
+    of at most EMBED_BATCH rows.  Batches may run on several threads, so the
+    sizes and rows are compared in sorted order."""
     sizes = {"I": [], "II": []}
     encode = Encoder.encode
 
@@ -224,11 +227,94 @@ def test_ensemble_embed_fn_encodes_new_sentences_in_full_batches(
     members = [Encoder(small_config, seed=1, name="I"),
                Encoder(small_config, seed=2, name="II")]
     ensemble_embed_fn(members, small_vocab)(sentences + sentences[::-1])
-    want = [min(EMBED_BATCH, n - i) for i in range(0, n, EMBED_BATCH)]
-    assert sizes == {"I": want, "II": want}
-    rows = list(map(tuple, make_batch(small_vocab, sentences,
-                                      small_config.max_seq_len).tolist()))
-    assert eval_rows == {"I": rows, "II": rows}
+    want = sorted(min(EMBED_BATCH, n - i) for i in range(0, n, EMBED_BATCH))
+    assert {name: sorted(s) for name, s in sizes.items()} == {"I": want, "II": want}
+    rows = sorted(map(tuple, make_batch(small_vocab, sentences,
+                                        small_config.max_seq_len).tolist()))
+    assert {name: sorted(r) for name, r in eval_rows.items()} == {"I": rows, "II": rows}
+
+
+@pytest.fixture(scope="module")
+def three_batches():
+    """A vocabulary and 2 * EMBED_BATCH + 5 distinct sentences: three batches."""
+    corpus = synth_corpus(seed=1, n_sentences=1024, n_pairs=32)[0]
+    sentences = list(dict.fromkeys(corpus))[:2 * EMBED_BATCH + 5]
+    assert len(sentences) == 2 * EMBED_BATCH + 5
+    return build_vocab(corpus), sentences
+
+
+@pytest.mark.parametrize("shape", [SMALL_SHAPE, DEFAULT_SHAPE], ids=["small", "default"])
+def test_ensemble_embed_fn_on_threads_equals_one_thread(shape, three_batches, cpus):
+    """Three batches on more worker threads than the host has CPUs, switching
+    threads often, give the rows of the calling thread alone bit for bit."""
+    vocab, sentences = three_batches
+    members = pair_of_shape(vocab, shape)
+    cpus(1)
+    expected = ensemble_embed_fn(members, vocab)(sentences)
+    cpus(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        rows = ensemble_embed_fn(members, vocab)(sentences)
+    finally:
+        sys.setswitchinterval(interval)
+    np.testing.assert_array_equal(rows, expected)
+
+
+@pytest.mark.parametrize("n_cpus, blas_threads, n_sentences, on_caller", [
+    (2, "1", 2 * EMBED_BATCH, False),
+    (2, "1", EMBED_BATCH, True),
+    (1, "1", 2 * EMBED_BATCH, True),
+    (2, "2", 2 * EMBED_BATCH, True),
+], ids=["threads", "one_batch", "one_cpu", "two_blas_threads"])
+def test_eval_encodes_run_on_the_calling_thread_unless_threads_can_help(
+        n_cpus, blas_threads, n_sentences, on_caller, three_batches, cpus, monkeypatch):
+    """Worker threads run eval batches only when there are two or more
+    batches, two or more CPUs and one BLAS thread."""
+    vocab, sentences = three_batches
+    cpus(n_cpus)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
+    threads = []
+    encode = Encoder.encode
+
+    def thread_recording_encode(self, *args, **kwargs):
+        threads.append(threading.get_ident())
+        return encode(self, *args, **kwargs)
+
+    monkeypatch.setattr(Encoder, "encode", thread_recording_encode)
+    members = pair_of_shape(vocab, SMALL_SHAPE)
+    ensemble_embed_fn(members, vocab)(sentences[:n_sentences])
+    assert len(threads) == 2 * (n_sentences // EMBED_BATCH)
+    caller = threading.get_ident()
+    assert [t == caller for t in threads] == [on_caller] * len(threads)
+
+
+def test_an_error_in_a_worker_thread_keeps_its_class(small_vocab, small_config, cpus):
+    """The first failing batch's DataError reaches the caller as a DataError,
+    so the CLI's exit code for it holds."""
+    cpus(2)
+    members = [Encoder(small_config, seed=1, name="I")]
+    good = make_batch(small_vocab, ["a cat sleeps"], small_config.max_seq_len)
+    bad = good.copy()
+    bad[0, 1] = small_config.vocab_size
+    with pytest.raises(DataError, match="out of vocabulary"):
+        _member_sums(members, [good, bad, good])
+
+
+def test_eval_worker_threads_keep_the_callers_errstate(three_batches, cpus):
+    """Weights scaled by 1e30 overflow in every batch; the caller's
+    ``np.errstate(all="ignore")`` holds in the worker threads too, so no
+    RuntimeWarning is raised."""
+    vocab, sentences = three_batches
+    members = pair_of_shape(vocab, SMALL_SHAPE)
+    for enc in members:
+        for p in enc.parameters():
+            p.data *= np.float32(1e30)
+    cpus(2)
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = ensemble_embed_fn(members, vocab)(sentences)
+    assert not np.isfinite(rows).all()
 
 
 def test_ensemble_embed_fn_memo_embeds_each_sentence_once(small_corpus, small_vocab,
@@ -495,7 +581,7 @@ print(tncse._heap_resident, resource.getrusage(resource.RUSAGE_SELF).ru_minflt -
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or not tncse._heap_resident,
-                    reason="needs Linux and glibc's mallopt, not overridden by MALLOC_*_")
+                    reason="needs Linux and glibc's mallopt, not overridden by MALLOC_*")
 def test_warm_dual_steps_run_without_page_faults():
     """Once warm, a default-shape dual step reuses the heap its predecessor
     freed; glibc, left to trim and unmap freed memory, faults 1-4k pages
