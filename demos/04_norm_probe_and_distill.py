@@ -38,9 +38,7 @@ train_tncse(*encoders, corpus, dev, vocab,
                         learning_rate=1e-4))
 
 print("norm probe (CV = std/mean of embedding norms over 100 sentences):")
-sentences = list(dict.fromkeys(corpus))[:100]
-strip_counts = list(range(0, 2 * ec.num_layers + 1))
-for row in norm_probe(encoders[0], sentences, strip_counts, vocab):
+for row in norm_probe(encoders[0], corpus, vocab):
     print(f"  stripped={row.stripped}  cv|h_L|={row.cv_hl:.5f}  "
           f"cv|h_P|={row.cv_hp:.5f}")
 print("LayerNorm pins |h_L|; the pooler output is where norms can vary.\n")

@@ -38,6 +38,8 @@ _HEADER_FIELDS = {"format-version": str, "seed": int, "name": str, "vocab-hash":
 
 def save_encoder(enc: Encoder, prefix: str):
     """Write ``<prefix>.bin``, then ``<prefix>.manifest``."""
+    if enc.name.split() != [enc.name]:  # the manifest's name line holds one word
+        raise CheckpointError(f"encoder name {enc.name!r} is not one word without whitespace")
     os.makedirs(os.path.dirname(os.path.abspath(prefix)), exist_ok=True)
     tensor_lines, blobs, offset = [], [], 0
     for name in sorted(enc.params):

@@ -21,20 +21,22 @@ from .errors import DataError, NumericError
 
 ALIGNMENT_ALPHA = 2
 UNIFORMITY_T = 2
-# distinct sentences the norm probe measures
+# distinct sentences the norm probe measures, at most one EMBED_BATCH
 PROBE_SENTENCES = 100
 # sentences per encode call when embedding in eval mode
 EMBED_BATCH = 128
 
 
 def _map_threads(fn, items):
-    """``[fn(x) for x in items]`` on up to one thread per CPU, which overlap
+    """``[fn(x) for x in items]`` on up to one thread per usable CPU, which overlap
     as numpy releases the GIL in GEMMs and ufunc loops.  Each job runs in a
     copy of the caller's context (``np.errstate``); the first failing item's
-    exception is raised.  One item, one CPU, or OpenBLAS not at one thread
-    (two BLAS threads per worker were slower) stay on the calling thread."""
+    exception is raised.  One item, one usable CPU, or OpenBLAS not at one
+    thread (two BLAS threads per worker were slower) stay on the calling thread."""
     items = list(items)
-    workers = min(len(items), os.cpu_count() or 1)
+    usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+              else os.cpu_count())
+    workers = min(len(items), usable or 1)
     if workers < 2 or os.environ.get("OPENBLAS_NUM_THREADS") != "1":
         return [fn(x) for x in items]
     contexts = [contextvars.copy_context() for _ in items]
@@ -125,30 +127,25 @@ class ProbeRow:
     cv_hp: float
 
 
-def norm_probe(encoder, sentences, strip_counts, vocab):
+def norm_probe(encoder, corpus, vocab):
     """Norm statistics of h^L and h^P under LayerNorm stripping.
 
-    For each requested strip count the last n LayerNorms are replaced by
-    identity and mean/std/CV of the embedding norms over the sentences are
-    reported.
+    For each strip count 0 .. 2·num_layers the last n LayerNorms are replaced
+    by identity and mean/std/CV of the embedding norms over the first
+    PROBE_SENTENCES distinct corpus sentences are reported.
     """
-    if len(set(sentences)) < PROBE_SENTENCES:
+    sentences = list(dict.fromkeys(corpus))[:PROBE_SENTENCES]
+    if len(sentences) < PROBE_SENTENCES:
         raise DataError(f"norm probe needs at least {PROBE_SENTENCES} distinct sentences")
-    batches = [make_batch(vocab, sentences[i:i + EMBED_BATCH], encoder.config.max_seq_len)
-               for i in range(0, len(sentences), EMBED_BATCH)]
-    jobs = [(int(n), ids) for n in strip_counts for ids in batches]
+    ids = make_batch(vocab, sentences, encoder.config.max_seq_len)
 
-    def norms(job):
-        out = encoder.encode(job[1], layernorms_stripped=job[0])
-        return [np.linalg.norm(t.data, axis=1) for t in (out.last_hidden, out.pooler)]
+    def row(n):
+        out = encoder.encode(ids, layernorms_stripped=n)
+        stats = [(x.mean(), x.std()) for x in (np.linalg.norm(t.data, axis=1)
+                                               for t in (out.last_hidden, out.pooler))]
+        return ProbeRow(n, *(float(v) for m, s in stats for v in (m, s, s / m)))
 
-    per_job = _map_threads(norms, jobs)
-    rows = []
-    for k in range(0, len(jobs), len(batches)):
-        hl_norms, hp_norms = zip(*per_job[k:k + len(batches)])
-        stats = [(x.mean(), x.std()) for x in map(np.concatenate, (hl_norms, hp_norms))]
-        rows.append(ProbeRow(jobs[k][0], *(float(v) for m, s in stats for v in (m, s, s / m))))
-    return rows
+    return _map_threads(row, range(2 * encoder.config.num_layers + 1))
 
 
 @dataclass

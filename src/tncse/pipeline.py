@@ -17,8 +17,7 @@ from .data import build_vocab, load_corpus, load_sts_tsv, load_synonyms, write_f
 from .encoder import Encoder, EncoderConfig, _check_same_vocab
 from .ensemble import EnsembleModel, distill
 from .errors import ConfigError, TncseError
-from .evaluation import (PROBE_SENTENCES, EvalReport, alignment, norm_probe,
-                         probe_csv, sts_eval, uniformity)
+from .evaluation import EvalReport, alignment, norm_probe, probe_csv, sts_eval, uniformity
 from .losses import LossConfig, ablation_grid
 from .training import (TrainConfig, ensemble_embed_fn, pretrain_single,
                        train_single_tn, train_tncse)
@@ -311,7 +310,6 @@ def run_norm_probe(cfg, ws, out_dir):
     if not cfg["probe.checkpoint"]:
         raise ConfigError("probe.checkpoint is required")
     enc = load_encoder_checked(cfg["probe.checkpoint"], ws)
-    sents = list(dict.fromkeys(ws.corpus))[:PROBE_SENTENCES]
-    rows = norm_probe(enc, sents, range(2 * enc.config.num_layers + 1), ws.vocab)
+    rows = norm_probe(enc, ws.corpus, ws.vocab)
     write_file(os.path.join(out_dir, "norm_probe.csv"), probe_csv(rows))
     return rows

@@ -200,12 +200,14 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
     return log
 
 
-def _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table, view_loss):
-    """Train one encoder on two dropout views per batch, stacked into one
-    ``encode`` call, the second view optionally synonym-augmented;
-    ``view_loss(out, out_plus)`` returns the step's loss terms."""
-    aug_rng = encoder.streams.get(f"{encoder.name}/augment") if augment_table else None
-    max_len = encoder.config.max_seq_len
+def _train_on_views(encoders, corpus, sts_dev, vocab, cfg, augment_table, view_loss):
+    """Train ``encoders`` on two dropout views per batch, the batch stacked on
+    its second view (optionally synonym-augmented), one ``encode`` call per
+    encoder; ``view_loss`` gets each encoder's two views in turn, (I, I+, II,
+    II+) for two, and returns the step's loss terms."""
+    first = encoders[0]
+    aug_rng = first.streams.get(f"{first.name}/augment") if augment_table else None
+    max_len = first.config.max_seq_len
 
     def step_fn(sentences):
         view2 = sentences
@@ -213,9 +215,10 @@ def _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table, view_lo
             view2 = [synonym_substitute(s, augment_table, aug_rng, p=AUGMENT_P)
                      for s in sentences]
         ids = make_batch(vocab, sentences + view2, max_len)
-        return view_loss(*encoder.encode(ids, train_mode=True).split(2))
+        return view_loss(*[v for enc in encoders
+                           for v in enc.encode(ids, train_mode=True).split(2)])
 
-    return _train([encoder], corpus, sts_dev, vocab, cfg, step_fn)
+    return _train(encoders, corpus, sts_dev, vocab, cfg, step_fn)
 
 
 def pretrain_single(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
@@ -227,7 +230,7 @@ def pretrain_single(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
         loss = L.info_nce(out.last_hidden, out_plus.last_hidden, cfg.loss.tau)
         return {"nce_i": loss, "total": loss}
 
-    return _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table,
+    return _train_on_views([encoder], corpus, sts_dev, vocab, cfg, augment_table,
                            view_loss)
 
 
@@ -236,15 +239,8 @@ def train_tncse(enc_i: Encoder, enc_ii: Encoder, corpus, sts_dev, vocab,
     """Joint dual-encoder training on the combined objective; validation and
     checkpointing use the sum-ensemble embedding."""
     _check_compatible((enc_i, enc_ii), "encoders I and II")
-    max_len = enc_i.config.max_seq_len
-
-    def step_fn(sentences):
-        ids = np.tile(make_batch(vocab, sentences, max_len), (2, 1))
-        views = [v for enc in (enc_i, enc_ii)
-                 for v in enc.encode(ids, train_mode=True).split(2)]
-        return L.total_loss(views, cfg.loss)
-
-    return _train([enc_i, enc_ii], corpus, sts_dev, vocab, cfg, step_fn)
+    return _train_on_views([enc_i, enc_ii], corpus, sts_dev, vocab, cfg, None,
+                           lambda *views: L.total_loss(views, cfg.loss))
 
 
 def train_single_tn(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
@@ -260,6 +256,6 @@ def train_single_tn(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
         return {"nce_i": nce, "ictn": tn,
                 "total": nce + ad.scale(tn, SINGLE_TN_WEIGHT)}
 
-    return _train_on_views(encoder, corpus, sts_dev, vocab, cfg, augment_table,
+    return _train_on_views([encoder], corpus, sts_dev, vocab, cfg, augment_table,
                            view_loss)
 

@@ -73,13 +73,16 @@ def eval_rows(monkeypatch):
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """Call with n to make eval batches see n CPUs and one BLAS thread, the
-    setting under which they run on up to n threads; n = 1 runs them in the
-    calling thread, the sequential reference."""
+    """Call with n to make eval batches see n CPUs, all usable, and one BLAS
+    thread, the setting under which they run on up to n threads; n = 1 runs
+    them in the calling thread, the sequential reference.  ``usable`` sets
+    how many of the n the process may run on (its CPU affinity)."""
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
 
-    def set_cpus(n):
+    def set_cpus(n, usable=None):
         monkeypatch.setattr(os, "cpu_count", lambda: n)
+        affinity = set(range(n if usable is None else usable))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
 
     return set_cpus
 

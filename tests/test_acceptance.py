@@ -214,10 +214,8 @@ def test_layernorm_concentrates_last_hidden_norms(cfg_ws, ablation):
     _, out, _ = ablation
     with criterion(7, "norm-concentration probe", budget_s=60):
         enc = load_encoder(os.path.join(out, "pretrained", "encoder_I"))
-        sentences = list(dict.fromkeys(ws.corpus))[:100]
-        n_total = 2 * enc.config.num_layers
-        rows = norm_probe(enc, sentences, [0, n_total], ws.vocab)
-        intact, stripped = rows
+        rows = norm_probe(enc, ws.corpus, ws.vocab)
+        intact, stripped = rows[0], rows[-1]  # no LayerNorm stripped, all stripped
         assert intact.cv_hl < stripped.cv_hl, (intact.cv_hl, stripped.cv_hl)
         assert intact.cv_hp > intact.cv_hl, (intact.cv_hp, intact.cv_hl)
 

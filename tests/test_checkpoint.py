@@ -31,6 +31,18 @@ def test_roundtrip_preserves_everything(small_encoder, tmp_path):
                                       small_encoder.params[k].data)
 
 
+@pytest.mark.parametrize("name", ["my enc", "", "a\u2028b"])
+def test_a_name_the_manifest_cannot_hold_is_refused_before_writing(small_config, name,
+                                                                   tmp_path):
+    """The manifest's name line holds one whitespace-free word; any other
+    name would save a checkpoint that does not load."""
+    enc = Encoder(small_config, 1, name=name)
+    with pytest.raises(CheckpointError, match="not one word") as exc:
+        save_encoder(enc, str(tmp_path / "sub" / "enc"))
+    assert "\n" not in str(exc.value)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_manifest_is_text_with_magic_header(small_encoder, tmp_path):
     prefix = str(tmp_path / "enc")
     save_encoder(small_encoder, prefix)

@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 from tncse.data import make_batch
 from tncse.encoder import Encoder, EncoderConfig
 from tncse.errors import DataError, NumericError
-from tncse.evaluation import (EMBED_BATCH, EvalReport, alignment, cosine_matrix_rows,
-                              norm_probe, probe_csv, spearman, sts_eval,
-                              uniformity)
+from tncse.evaluation import (EvalReport, alignment, cosine_matrix_rows, norm_probe,
+                              probe_csv, spearman, sts_eval, uniformity)
 
 
 def rank_formula_spearman(pred, gold):
@@ -202,39 +201,39 @@ def test_alignment_uniformity_reject_degenerate_inputs():
 
 def test_norm_probe_requires_100_distinct_sentences(small_encoder, small_vocab):
     with pytest.raises(DataError, match="100"):
-        norm_probe(small_encoder, ["a cat"] * 120, [0], small_vocab)
+        norm_probe(small_encoder, ["a cat"] * 120, small_vocab)
 
 
 def test_norm_probe_rows_and_csv(small_encoder, small_vocab, small_corpus):
-    sentences = list(dict.fromkeys(small_corpus))[:100]
-    rows = norm_probe(small_encoder, sentences, [0, 4], small_vocab)
-    assert [r.stripped for r in rows] == [0, 4]
+    """One row per strip count 0 .. 2·num_layers, over the first 100
+    distinct corpus sentences, whatever follows them."""
+    rows = norm_probe(small_encoder, small_corpus, small_vocab)
+    assert [r.stripped for r in rows] == [0, 1, 2, 3, 4]
+    assert rows == norm_probe(small_encoder, list(dict.fromkeys(small_corpus))[:100],
+                              small_vocab)
     for r in rows:
         assert r.mean_hl > 0 and r.cv_hl == pytest.approx(r.std_hl / r.mean_hl)
     csv = probe_csv(rows)
     assert csv.splitlines()[0] == "stripped,mean_hl,std_hl,cv_hl,mean_hp,std_hp,cv_hp"
-    assert len(csv.splitlines()) == 3
+    assert len(csv.splitlines()) == 6
 
 
 def test_norm_probe_on_threads_equals_one_thread_and_the_loop(
         small_encoder, small_vocab, small_corpus, cpus):
-    """Two batches at five strip counts run as ten jobs on threads; the rows
+    """One batch at five strip counts runs as five jobs on threads; the rows
     equal those of the calling thread alone and of a plain loop over strip
-    counts and batches, bit for bit."""
-    sentences = list(dict.fromkeys(small_corpus))[:EMBED_BATCH + 20]
-    assert len(sentences) == EMBED_BATCH + 20
-    strip_counts = range(5)
+    counts, bit for bit."""
     cpus(1)
-    expected = norm_probe(small_encoder, sentences, strip_counts, small_vocab)
+    expected = norm_probe(small_encoder, small_corpus, small_vocab)
     cpus(2)
-    assert norm_probe(small_encoder, sentences, strip_counts, small_vocab) == expected
-    batches = [make_batch(small_vocab, sentences[i:i + EMBED_BATCH],
-                          small_encoder.config.max_seq_len)
-               for i in (0, EMBED_BATCH)]
-    for n, row in zip(strip_counts, expected):
-        outs = [small_encoder.encode(ids, layernorms_stripped=n) for ids in batches]
-        hl = np.concatenate([np.linalg.norm(o.last_hidden.data, axis=1) for o in outs])
-        hp = np.concatenate([np.linalg.norm(o.pooler.data, axis=1) for o in outs])
+    assert norm_probe(small_encoder, small_corpus, small_vocab) == expected
+    ids = make_batch(small_vocab, list(dict.fromkeys(small_corpus))[:100],
+                     small_encoder.config.max_seq_len)
+    assert len(expected) == 5
+    for n, row in enumerate(expected):
+        out = small_encoder.encode(ids, layernorms_stripped=n)
+        hl = np.linalg.norm(out.last_hidden.data, axis=1)
+        hp = np.linalg.norm(out.pooler.data, axis=1)
         assert (row.mean_hl, row.std_hl, row.mean_hp, row.std_hp) == \
             (hl.mean(), hl.std(), hp.mean(), hp.std())
 

@@ -261,18 +261,20 @@ def test_ensemble_embed_fn_on_threads_equals_one_thread(shape, three_batches, cp
     np.testing.assert_array_equal(rows, expected)
 
 
-@pytest.mark.parametrize("n_cpus, blas_threads, n_sentences, on_caller", [
-    (2, "1", 2 * EMBED_BATCH, False),
-    (2, "1", EMBED_BATCH, True),
-    (1, "1", 2 * EMBED_BATCH, True),
-    (2, "2", 2 * EMBED_BATCH, True),
-], ids=["threads", "one_batch", "one_cpu", "two_blas_threads"])
+@pytest.mark.parametrize("n_cpus, usable, blas_threads, n_sentences, on_caller", [
+    (2, 2, "1", 2 * EMBED_BATCH, False),
+    (2, 2, "1", EMBED_BATCH, True),
+    (1, 1, "1", 2 * EMBED_BATCH, True),
+    (2, 1, "1", 2 * EMBED_BATCH, True),
+    (2, 2, "2", 2 * EMBED_BATCH, True),
+], ids=["threads", "one_batch", "one_cpu", "one_usable_cpu", "two_blas_threads"])
 def test_eval_encodes_run_on_the_calling_thread_unless_threads_can_help(
-        n_cpus, blas_threads, n_sentences, on_caller, three_batches, cpus, monkeypatch):
+        n_cpus, usable, blas_threads, n_sentences, on_caller, three_batches, cpus,
+        monkeypatch):
     """Worker threads run eval batches only when there are two or more
-    batches, two or more CPUs and one BLAS thread."""
+    batches, two or more usable CPUs and one BLAS thread."""
     vocab, sentences = three_batches
-    cpus(n_cpus)
+    cpus(n_cpus, usable)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", blas_threads)
     threads = []
     encode = Encoder.encode
@@ -452,8 +454,8 @@ def rising_validation(monkeypatch):
 def test_dual_nce_only_reduces_to_independent_pretraining(
         small_corpus, small_dev, small_vocab, small_config, rising_validation):
     """With only the per-encoder contrastive term enabled, joint training
-    must update each encoder exactly as its solo pretraining run would
-    (shared data order, no cross-encoder gradient flow)."""
+    must update each encoder bit for bit as its solo pretraining run would
+    (shared data order and two-view step, no cross-encoder gradient flow)."""
     cfg = cfg_small(steps=4, eval_interval=4,
                     loss=LossConfig(enabled_terms=frozenset({"NCE"})))
 
@@ -468,8 +470,7 @@ def test_dual_nce_only_reduces_to_independent_pretraining(
 
     for joint, solo in ((enc_i, solo_i), (enc_ii, solo_ii)):
         for k in joint.params:
-            np.testing.assert_allclose(joint.params[k].data, solo.params[k].data,
-                                       atol=1e-7)
+            assert np.array_equal(joint.params[k].data, solo.params[k].data), k
 
 
 def test_dual_training_with_cross_terms_diverges_from_solo(
