@@ -2,15 +2,17 @@
 
 import ctypes
 import os
+import sys
 
-# One BLAS thread unless the caller chose a count; this has to run before
-# numpy loads OpenBLAS.  A desk-scale GEMM takes tens of microseconds, and
-# OpenBLAS splits each one above 2**18 multiply-adds (every fused projection
-# of a batch) over all CPUs, where it waits for its slowest thread: that
-# gains nothing at the default shapes, and on a shared 2-CPU host any other
-# busy process stalls every such GEMM (a distill step took 60-73 ms instead
-# of 24).  The thread count does not change any result.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# One BLAS thread unless the caller chose a count or numpy has already loaded
+# OpenBLAS, which fixes its count then.  A desk-scale GEMM takes tens of
+# microseconds, and OpenBLAS splits each one above 2**18 multiply-adds (every
+# fused projection of a batch) over all CPUs, where it waits for its slowest
+# thread: that gains nothing at the default shapes, and on a shared 2-CPU
+# host any other busy process stalls every such GEMM (a distill step took
+# 60-73 ms instead of 24).  The thread count does not change any result.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def _keep_heap_resident():

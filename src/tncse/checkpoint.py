@@ -5,11 +5,12 @@ with the magic string "TNCSE1", followed by format-version, the blob's
 SHA-256, config fields, and a tensor directory (name, shape, byte offset),
 plus a binary blob (``<prefix>.bin``) of little-endian float32 values,
 row-major, in manifest order.  Saving writes the blob first and the manifest
-last, each through a temp file, so the manifest commits the checkpoint.
-Ensemble manifests list member checkpoint prefixes.  Either kind is named
-by its prefix or by ``<prefix>.manifest``.  Loading checks every line, the
-tensor set and shapes against the config, the exact blob length and the
-blob's SHA-256; any mismatch is a CheckpointError.
+last, each through ``data.write_file``, so the manifest commits the
+checkpoint.  Ensemble manifests list member checkpoint prefixes.  Either
+kind is named by its prefix or by ``<prefix>.manifest``.  Loading reads
+through ``data.read_file`` and checks every line, the tensor set and shapes
+against the config, the exact blob length and the blob's SHA-256; an
+unreadable file or any mismatch is a CheckpointError.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import typing
 import numpy as np
 
 from .autodiff import Tensor
-from .data import write_file
+from .data import read_file, write_file
 from .encoder import Encoder, EncoderConfig, _param_shapes
 from .errors import CheckpointError
 
@@ -40,7 +41,6 @@ def save_encoder(enc: Encoder, prefix: str):
     """Write ``<prefix>.bin``, then ``<prefix>.manifest``."""
     if enc.name.split() != [enc.name]:  # the manifest's name line holds one word
         raise CheckpointError(f"encoder name {enc.name!r} is not one word without whitespace")
-    os.makedirs(os.path.dirname(os.path.abspath(prefix)), exist_ok=True)
     tensor_lines, blobs, offset = [], [], 0
     for name in sorted(enc.params):
         arr = np.ascontiguousarray(enc.params[name].data, dtype="<f4")
@@ -57,26 +57,11 @@ def save_encoder(enc: Encoder, prefix: str):
     write_file(prefix + ".manifest", "\n".join(lines + tensor_lines) + "\n")
 
 
-def _read_bytes(path, what):
-    """The bytes of ``path``; a missing or unreadable file is a CheckpointError."""
-    if not os.path.exists(path):
-        raise CheckpointError(f"no {what} at {path}")
-    try:
-        with open(path, "rb") as f:
-            return f.read()
-    except OSError as exc:
-        raise CheckpointError(f"cannot read {what} {path}: {exc.strerror}") from None
-
-
 def _read_manifest(name):
     """``(prefix, path, lines)`` of the manifest a prefix or ``.manifest`` path names."""
     prefix = name.removesuffix(".manifest")
     path = prefix + ".manifest"
-    raw = _read_bytes(path, "manifest")
-    try:
-        lines = raw.decode("utf-8").splitlines()
-    except UnicodeDecodeError:
-        raise CheckpointError(f"{path}: not UTF-8 text") from None
+    lines = read_file(path, CheckpointError).splitlines()
     if not lines or lines[0] != MAGIC:
         raise CheckpointError(f"{path}: bad magic "
                               f"(expected {MAGIC!r}, got {lines[0] if lines else ''!r})")
@@ -132,7 +117,7 @@ def load_encoder(path: str) -> Encoder:
         raise CheckpointError(f"{manifest_path}: tensor {bad[0]} does not match the config")
 
     blob_path = prefix + ".bin"
-    raw = _read_bytes(blob_path, "weight blob")
+    raw = read_file(blob_path, CheckpointError, binary=True)
     blob = np.frombuffer(raw, dtype="<f4", count=len(raw) // 4)
     params, start = {}, 0
     for name, (shape, offset) in tensors.items():
@@ -163,8 +148,8 @@ def checkpoint_hash(prefix: str) -> str:
     this hash."""
     prefix = prefix.removesuffix(".manifest")
     h = hashlib.sha256()
-    for suffix, what in ((".manifest", "manifest"), (".bin", "weight blob")):
-        h.update(_read_bytes(prefix + suffix, what))
+    for suffix in (".manifest", ".bin"):
+        h.update(read_file(prefix + suffix, CheckpointError, binary=True))
     return h.hexdigest()
 
 

@@ -28,10 +28,16 @@ EXIT_CODES = {"success": 0, "config-error": 2, "data-error": 3,
 OUT_ROOT_ENV = "TNCSE_OUT_ROOT"
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A bad argument is a one-line ConfigError; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _parse_args(argv):
-    parser = argparse.ArgumentParser(prog="tncse",
-                                     description="Norm-constrained contrastive "
-                                                 "sentence embeddings, desk scale")
+    parser = _ArgumentParser(prog="tncse", description="Norm-constrained contrastive "
+                                                       "sentence embeddings, desk scale")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -185,8 +191,8 @@ _COMMANDS = {
 
 def main(argv=None):
     """Run one command, write its run records and print its text."""
-    args = _parse_args(argv)
     try:
+        args = _parse_args(argv)
         # the loss and validation checks name a non-finite value themselves
         with np.errstate(all="ignore"):
             cfg = _resolve(args)

@@ -230,16 +230,9 @@ def synth_corpus(seed, n_sentences=2048, n_pairs=128):
 
 # -- file formats ----------------------------------------------------------
 
-def _read_lines(path):
-    try:
-        with open(path, encoding="utf-8") as f:
-            return f.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-
-
 def load_corpus(path):
-    corpus = [line.strip() for line in _read_lines(path) if line.strip()]
+    corpus = [line.strip() for line in read_file(path, DataError).split("\n")
+              if line.strip()]
     if not corpus:
         raise DataError(f"corpus file {path} contains no sentences")
     return corpus
@@ -251,7 +244,7 @@ def save_corpus(corpus, path):
 
 def load_sts_tsv(path):
     pairs = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
+    for lineno, line in enumerate(read_file(path, DataError).split("\n"), start=1):
         if not line.strip():
             continue
         cols = line.split("\t")
@@ -272,11 +265,25 @@ def save_sts_tsv(pairs, path):
                              for p in pairs))
 
 
+def read_file(path, error, binary=False):
+    """The bytes of ``path``, or its UTF-8 text with universal newlines; a
+    file that cannot be read or decoded is an ``error`` naming it."""
+    try:
+        with open(path, "rb" if binary else "r", encoding=None if binary else "utf-8") as f:
+            return f.read()
+    except OSError as exc:
+        raise error(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise error(f"cannot read {path}: not UTF-8 text") from None
+
+
 def write_file(path, content):
     """Write ``content`` (text as UTF-8, or bytes) to ``path`` through a temp
-    file; a path that cannot be written is a ConfigError naming it."""
+    file, making its directory first; a path that cannot be written is a
+    ConfigError naming it."""
     tmp = f"{path}.tmp"
     try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(tmp, "wb") as f:
             f.write(content.encode("utf-8") if isinstance(content, str) else content)
         os.replace(tmp, path)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from .data import build_vocab, load_corpus, load_sts_tsv, load_synonyms, write_file
+from .data import (build_vocab, load_corpus, load_sts_tsv, load_synonyms, read_file,
+                   write_file)
 from .encoder import Encoder, EncoderConfig, _check_same_vocab
 from .ensemble import EnsembleModel, distill
 from .errors import ConfigError, TncseError
@@ -58,12 +59,7 @@ DEFAULTS = {
 def parse_config_file(path):
     """Flat ``section.key = value`` lines; '#' starts a comment."""
     kv = {}
-    try:
-        with open(path, encoding="utf-8") as f:
-            lines = f.readlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_file(path, ConfigError).split("\n"), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -242,14 +238,11 @@ def run_ablation(cfg, ws, out_dir):
     """Table rows: untrained dual baseline plus the 7 loss subsets.  The
     baseline is the step-0 validation of the first subset's run, which scores
     the two pretrained checkpoints before any update."""
-    pre_dir = os.path.join(out_dir, "pretrained")
-    os.makedirs(pre_dir, exist_ok=True)
-    prefix_i, prefix_ii = run_pretrain_pair(cfg, ws, pre_dir)
+    prefix_i, prefix_ii = run_pretrain_pair(cfg, ws, os.path.join(out_dir, "pretrained"))
     labels = ["+".join(sorted(subset)) for subset in ablation_grid()]
 
     def one_subset(label):
         run_dir = os.path.join(out_dir, f"subset_{label.replace('+', '_')}")
-        os.makedirs(run_dir, exist_ok=True)
         return run_tncse({**cfg, "loss.terms": label}, ws, prefix_i, prefix_ii,
                          run_dir)[1]
 
@@ -266,7 +259,6 @@ def run_significance(cfg, ws, out_dir):
 
     def one_seed(seed):
         run_dir = os.path.join(out_dir, f"seed_{seed}")
-        os.makedirs(run_dir, exist_ok=True)
         seed_cfg = {**cfg, "seed": seed}
         prefix_i, prefix_ii = run_pretrain_pair(seed_cfg, ws, run_dir)
         _, log = run_tncse(seed_cfg, ws, prefix_i, prefix_ii, run_dir)

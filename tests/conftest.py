@@ -5,6 +5,11 @@ import collections
 import os
 import threading
 
+# tncse before numpy, so the suite runs at the BLAS thread count that the CLI
+# and the benchmark run at: tncse's one-thread default applies only before
+# numpy loads OpenBLAS
+import tncse  # noqa: F401  isort: skip
+
 import numpy as np
 import pytest
 

@@ -612,6 +612,41 @@ def test_cli_output_file_that_is_a_directory_exits_2_with_one_line(
     assert not list(out.glob("*.tmp"))
 
 
+def test_cli_ablate_into_a_blocked_run_directory_exits_2_with_one_line(
+        data_dir, tmp_path, capsys):
+    """A file where a loss subset's run directory goes is a blocked output
+    file, not a failed run."""
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "subset_NCE").write_text("x")
+    argv = ["ablate", "--out", str(out), "--force"] + data_args(data_dir)
+    for s in SMALL_BUDGETS:
+        argv += ["--set", s]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"config-error: ablation run NCE failed: output file "
+                   f"{out / 'subset_NCE' / 'encoder_I.bin'}: File exists"], err
+
+
+@pytest.mark.parametrize("argv", [["gen-data", "--seed", "x"], ["gen-data", "--bogus"], []],
+                         ids=["bad-value", "unknown-flag", "no-command"])
+def test_cli_argument_errors_exit_2_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config-error: "), err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_cli_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
+
+
 def test_cli_eval_on_mixed_hidden_dims_exits_3_with_one_line(data_dir, pair_dir,
                                                              tmp_path, capsys):
     cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",
@@ -700,25 +735,32 @@ def test_cli_default_out_dir_env_root(data_dir, tmp_path, monkeypatch):
     assert len(runs) == 1 and runs[0].startswith("gen-data-")
 
 
-@pytest.mark.parametrize("preset", [None, "2"])
-def test_importing_tncse_defaults_blas_to_one_thread(preset):
+@pytest.mark.parametrize("preset, first", [(None, "tncse"), ("2", "tncse"), (None, "numpy")],
+                         ids=["None", "2", "numpy-first"])
+def test_importing_tncse_defaults_blas_to_one_thread(preset, first):
     """A fresh process that imports tncse before numpy runs its GEMMs on one
-    BLAS thread, unless OPENBLAS_NUM_THREADS was set."""
+    BLAS thread, unless OPENBLAS_NUM_THREADS was set.  Imported after numpy,
+    whose OpenBLAS has fixed its thread count by then, tncse leaves the
+    variable unset."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
-    script = ("import os, tncse, numpy as np\n"
+    second = "numpy" if first == "tncse" else "tncse"
+    script = (f"import os, {first}, {second}\n"
+              "import numpy as np\n"
               "a = np.ones((512, 512), np.float32)\n"
               "a @ a\n"
               "t = '/proc/self/task'\n"
               "tasks = len(os.listdir(t)) if os.path.isdir(t) else 1\n"
-              "print(os.environ['OPENBLAS_NUM_THREADS'], tasks)\n")
+              "print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)\n")
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     value, tasks = proc.stdout.split()
-    if preset is None:
+    if first == "numpy":
+        assert value == "None"
+    elif preset is None:
         assert (value, tasks) == ("1", "1")
     else:
         assert value == preset

@@ -1,6 +1,8 @@
 """Tokenization, vocab, batching, synonym augmentation, corpus generation,
 and the on-disk text formats."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,9 +10,10 @@ from hypothesis import strategies as st
 
 from tncse.data import (CLS_ID, PAD_ID, SEP_ID, UNK_ID, StsPair, Vocab,
                         batch_iter, build_vocab, load_corpus, load_sts_tsv,
-                        load_synonyms, make_batch, save_corpus, save_sts_tsv,
-                        synonym_substitute, synth_corpus, tokenize)
-from tncse.errors import DataError
+                        load_synonyms, make_batch, read_file, save_corpus,
+                        save_sts_tsv, synonym_substitute, synth_corpus, tokenize,
+                        write_file)
+from tncse.errors import CheckpointError, ConfigError, DataError
 
 
 # -- StsPair ---------------------------------------------------------------
@@ -288,3 +291,37 @@ def test_load_sts_tsv_rejects_empty(tmp_path):
     path.write_text("")
     with pytest.raises(DataError):
         load_sts_tsv(path)
+
+
+def test_read_file_reads_text_with_universal_newlines_or_bytes(tmp_path):
+    path = tmp_path / "f.txt"
+    path.write_bytes(b"a\r\nb\rc\n")
+    assert read_file(path, DataError) == "a\nb\nc\n"
+    assert read_file(path, DataError, binary=True) == b"a\r\nb\rc\n"
+
+
+@pytest.mark.parametrize("error", [DataError, ConfigError, CheckpointError])
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file or directory"),
+                                          ("directory", "Is a directory"),
+                                          ("latin-1", "not UTF-8 text")])
+def test_read_file_failure_is_one_line_of_the_callers_class(tmp_path, error, kind, reason):
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "latin-1":
+        path.write_bytes(b"caf\xe9\n")
+    with pytest.raises(error) as exc:
+        read_file(path, error)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"cannot read {path}: {reason}"
+
+
+def test_write_file_makes_its_directory_unless_a_file_blocks_it(tmp_path):
+    path = tmp_path / "a" / "b" / "f.txt"
+    write_file(str(path), "x\n")
+    assert path.read_bytes() == b"x\n"
+    blocked = tmp_path / "a" / "b" / "f.txt" / "sub" / "g.txt"
+    with pytest.raises(ConfigError,
+                       match=f"^output file {re.escape(str(blocked))}: Not a directory$"):
+        write_file(str(blocked), "x\n")
+    assert [p.name for p in path.parent.iterdir()] == ["f.txt"]
