@@ -277,13 +277,22 @@ def read_file(path, error, binary=False):
         raise error(f"cannot read {path}: not UTF-8 text") from None
 
 
+def make_output_dir(path):
+    """Make the directory the output file ``path`` goes into; one that cannot
+    be made is the ConfigError ``write_file`` raises for ``path``."""
+    try:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output file {path}: {exc.strerror or exc}") from None
+
+
 def write_file(path, content):
     """Write ``content`` (text as UTF-8, or bytes) to ``path`` through a temp
     file, making its directory first; a path that cannot be written is a
     ConfigError naming it."""
+    make_output_dir(path)
     tmp = f"{path}.tmp"
     try:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(tmp, "wb") as f:
             f.write(content.encode("utf-8") if isinstance(content, str) else content)
         os.replace(tmp, path)

@@ -13,8 +13,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
-from scipy.spatial.distance import pdist
-from scipy.stats import spearmanr
 
 from .data import make_batch
 from .errors import DataError, NumericError
@@ -44,17 +42,34 @@ def _map_threads(fn, items):
         return list(pool.map(contextvars.Context.run, contexts, [fn] * len(items), items))
 
 
+def _average_ranks(x):
+    """1-based ranks of ``x``; tied values share the mean of their positions,
+    an exact half-integer."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def spearman(pred, gold):
-    """Spearman rank correlation with average ranks for ties."""
+    """Spearman rank correlation with average ranks for ties: the Pearson
+    correlation of the rank vectors, computed as ``scipy.stats.spearmanr``
+    computes it, so the value is the same to the bit."""
     pred = np.asarray(pred, dtype=float)
     gold = np.asarray(gold, dtype=float)
     if pred.shape != gold.shape or pred.ndim != 1:
         raise DataError("spearman needs two equal-length 1-d sequences")
     if pred.size < 2:
         raise DataError("spearman undefined for fewer than 2 points")
+    if not (np.isfinite(pred).all() and np.isfinite(gold).all()):
+        raise DataError("spearman undefined for a non-finite value")
     if np.all(pred == pred[0]) or np.all(gold == gold[0]):
         raise DataError("spearman undefined for a constant sequence")
-    return float(spearmanr(pred, gold).statistic)
+    ranks = np.column_stack((_average_ranks(pred), _average_ranks(gold)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
 
 
 def cosine_matrix_rows(A, B):
@@ -108,12 +123,22 @@ def alignment(X, X_plus):
 
 
 def uniformity(X):
-    """log mean over distinct pairs of exp(-t ||f(x) - f(y)||^2) (normalized)."""
+    """log mean over distinct pairs of exp(-t ||f(x) - f(y)||^2) (normalized).
+    The exponents come from the Gram matrix, in place, so one n x n float64
+    array is the only large transient."""
     X = np.atleast_2d(X)
-    if X.shape[0] < 2:
+    n = X.shape[0]
+    if n < 2:
         raise DataError("uniformity needs at least 2 embeddings")
-    d2 = pdist(_normalize_rows(X), metric="sqeuclidean")
-    return float(np.log(np.mean(np.exp(-UNIFORMITY_T * d2))))
+    Xn = _normalize_rows(X)
+    E = Xn @ Xn.T                  # unit rows: ||x - y||^2 = 2 - 2 x.y
+    E *= 2.0 * UNIFORMITY_T
+    E -= 2.0 * UNIFORMITY_T
+    np.minimum(E, 0.0, out=E)      # rounding can take a distance below 0
+    np.exp(E, out=E)
+    np.fill_diagonal(E, 0.0)
+    # E is symmetric, so its mean over i != j is the mean over i < j
+    return float(np.log(E.sum() / (n * (n - 1))))
 
 
 @dataclass

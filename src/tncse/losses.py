@@ -41,10 +41,14 @@ class LossConfig:
             raise ConfigError(f"unknown loss terms {sorted(bad)}")
 
 
+class ZeroNormError(ValueError):
+    """A loss input with a zero-norm row, which has no direction to compare."""
+
+
 def _check_nonzero_rows(t, what):
     norms = np.linalg.norm(np.atleast_2d(t.data), axis=-1)
     if np.any(norms == 0.0):
-        raise ValueError(f"{what} has a zero-norm row")
+        raise ZeroNormError(f"{what} has a zero-norm row")
 
 
 def l_tn(h, h_plus):

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import checkpoint as ckpt
-from .data import (build_vocab, load_corpus, load_sts_tsv, load_synonyms, read_file,
-                   write_file)
+from .data import (build_vocab, load_corpus, load_sts_tsv, load_synonyms,
+                   make_output_dir, read_file, write_file)
 from .encoder import Encoder, EncoderConfig, _check_same_vocab
 from .ensemble import EnsembleModel, distill
 from .errors import ConfigError, TncseError
@@ -172,6 +172,14 @@ def _map_runs(kind, fn, jobs):
     return results
 
 
+def _make_run_dirs(kind, run_dirs):
+    """Make every ``(label, directory)`` run directory before any run trains,
+    so a blocked one fails first, with the error its first checkpoint,
+    ``encoder_I``, would raise."""
+    _map_runs(kind, make_output_dir,
+              [(label, (os.path.join(d, "encoder_I.bin"),)) for label, d in run_dirs])
+
+
 def run_pretrain_pair(cfg, ws, out_dir):
     """Pretrain encoders I and II independently and checkpoint them."""
     seed = cfg["seed"]
@@ -238,13 +246,16 @@ def run_ablation(cfg, ws, out_dir):
     """Table rows: untrained dual baseline plus the 7 loss subsets.  The
     baseline is the step-0 validation of the first subset's run, which scores
     the two pretrained checkpoints before any update."""
-    prefix_i, prefix_ii = run_pretrain_pair(cfg, ws, os.path.join(out_dir, "pretrained"))
     labels = ["+".join(sorted(subset)) for subset in ablation_grid()]
+    run_dirs = {"pretrained": os.path.join(out_dir, "pretrained")}
+    run_dirs.update((label, os.path.join(out_dir, f"subset_{label.replace('+', '_')}"))
+                    for label in labels)
+    _make_run_dirs("ablation", run_dirs.items())
+    prefix_i, prefix_ii = run_pretrain_pair(cfg, ws, run_dirs["pretrained"])
 
     def one_subset(label):
-        run_dir = os.path.join(out_dir, f"subset_{label.replace('+', '_')}")
         return run_tncse({**cfg, "loss.terms": label}, ws, prefix_i, prefix_ii,
-                         run_dir)[1]
+                         run_dirs[label])[1]
 
     logs = _map_runs("ablation", one_subset, [(label, (label,)) for label in labels])
     rows = [("none", logs[0].evals[0][1])]
@@ -256,16 +267,17 @@ def run_ablation(cfg, ws, out_dir):
 def run_significance(cfg, ws, out_dir):
     """Full pipeline for each of seeds 1-5; ``(seed, rho)`` rows plus a
     mean/std/min/max summary."""
+    seeds = range(1, 6)
+    jobs = [(f"seed {s}", (s, os.path.join(out_dir, f"seed_{s}"))) for s in seeds]
+    _make_run_dirs("significance", [(label, run_dir) for label, (_, run_dir) in jobs])
 
-    def one_seed(seed):
-        run_dir = os.path.join(out_dir, f"seed_{seed}")
+    def one_seed(seed, run_dir):
         seed_cfg = {**cfg, "seed": seed}
         prefix_i, prefix_ii = run_pretrain_pair(seed_cfg, ws, run_dir)
         _, log = run_tncse(seed_cfg, ws, prefix_i, prefix_ii, run_dir)
         return float(log.best_spearman)
 
-    seeds = range(1, 6)
-    rhos = _map_runs("significance", one_seed, [(f"seed {s}", (s,)) for s in seeds])
+    rhos = _map_runs("significance", one_seed, jobs)
     rows = list(zip(seeds, rhos))
     values = np.array(rhos)
     summary = {"mean": float(values.mean()), "std": float(values.std()),

@@ -152,7 +152,8 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
     as scalar tensors keyed by trainlog column (``TrainLog.COLUMNS``), only
     the terms its trainer has, plus the loss to minimize under ``"total"``.
     This loop alone differentiates ``"total"``, records every term as a
-    float and raises NumericError on the first non-finite one.
+    float and raises NumericError on the first non-finite one, and on a
+    zero-norm row in a loss input, naming the step.
 
     Validation runs at step 0, every ``cfg.eval_interval`` steps and at the
     last step; the best-validated weights, step 0 included, are restored on
@@ -181,7 +182,10 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
     while step < cfg.steps:
         for sentences in batch_iter(corpus, cfg.batch_size, cfg.seed, epoch):
             step += 1
-            record = _backward(step_fn, sentences)
+            try:
+                record = _backward(step_fn, sentences)
+            except L.ZeroNormError as exc:
+                raise NumericError(f"{exc} at step {step}") from None
             bad = [k for k, v in record.items() if not np.isfinite(v)]
             if bad:
                 raise NumericError(f"non-finite loss term {bad[0]} at step {step}")

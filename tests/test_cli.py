@@ -257,6 +257,17 @@ def test_run_significance_rows_summary_and_csv(fake_dual_runs, tmp_path):
         "5,0.500000\nmean,0.300000\nstd,0.141421\nmin,0.100000\nmax,0.500000\n")
 
 
+def test_run_significance_finds_a_blocked_run_directory_before_any_run(
+        fake_dual_runs, monkeypatch, tmp_path):
+    (tmp_path / "seed_4").write_text("x")
+    monkeypatch.setattr(pl, "run_pretrain_pair",
+                        lambda cfg, ws, out_dir: pytest.fail("a run started"))
+    with pytest.raises(ConfigError) as info:
+        pl.run_significance(pl.resolve_config(), None, str(tmp_path))
+    assert str(info.value) == (f"significance run seed 4 failed: output file "
+                               f"{tmp_path / 'seed_4' / 'encoder_I.bin'}: File exists")
+
+
 # a TncseError keeps its class, and so its CLI exit status; any other
 # exception becomes a TncseError
 RUN_FAILURES = [(ValueError, TncseError), (DataError, DataError)]
@@ -515,6 +526,24 @@ def test_cli_non_finite_loss_exits_5_with_one_line(data_dir, tmp_path, capsys):
     assert "use --force" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, first", [("pretrain", "pretrain run I failed: "),
+                                            ("train-single-tn", "")])
+def test_cli_zero_norm_training_row_exits_5_with_one_line(data_dir, tmp_path, capsys,
+                                                          command, first):
+    """At dropout 0.99 a training view loses every unit of some row, which
+    has no direction for a loss to compare: a numeric error naming the step."""
+    argv = ([command, "--out", str(tmp_path / "out")] + data_args(data_dir)
+            + ["--set", "encoder.dropout_p=0.99"])
+    for s in SMALL_BUDGETS:
+        argv += ["--set", s]
+    capsys.readouterr()
+    assert main(argv) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1, err
+    assert err[0].startswith(f"numeric-error: {first}"), err
+    assert err[0].endswith("has a zero-norm row at step 1"), err
+
+
 def test_cli_missing_checkpoint_exits_4(data_dir, tmp_path, capsys):
     rc = main(["eval", "--out", str(tmp_path / "ev")] + data_args(data_dir)
               + ["--set", f"eval.checkpoint={tmp_path}/nothing"])
@@ -627,6 +656,8 @@ def test_cli_ablate_into_a_blocked_run_directory_exits_2_with_one_line(
     err = capsys.readouterr().err.splitlines()
     assert err == [f"config-error: ablation run NCE failed: output file "
                    f"{out / 'subset_NCE' / 'encoder_I.bin'}: File exists"], err
+    # found before the pretrained pair trains
+    assert not list(out.rglob("*.bin")) and not list(out.rglob("*.manifest"))
 
 
 @pytest.mark.parametrize("argv", [["gen-data", "--seed", "x"], ["gen-data", "--bogus"], []],
@@ -764,6 +795,20 @@ def test_importing_tncse_defaults_blas_to_one_thread(preset, first):
         assert (value, tasks) == ("1", "1")
     else:
         assert value == preset
+
+
+def test_importing_tncse_loads_no_scipy():
+    """Only the tests and the benchmark need scipy; where it is installed, a
+    fresh process that imports the package and its CLI loads none of it."""
+    pytest.importorskip("scipy")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    script = ("import sys, tncse, tncse.cli, tncse.pipeline\n"
+              "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_short_training_pipeline_end_to_end(data_dir, tmp_path, capsys):

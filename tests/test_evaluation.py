@@ -1,6 +1,6 @@
 """Evaluation metrics against independent oracles: Spearman via the
-rank-difference formula, alignment/uniformity closed forms, and the
-LayerNorm norm probe."""
+rank-difference formula and scipy's ``spearmanr``, alignment/uniformity
+closed forms and scipy's ``pdist``, and the LayerNorm norm probe."""
 
 import itertools
 
@@ -81,6 +81,37 @@ def test_spearman_rejects_degenerate_inputs():
         spearman([1, 2], [3, 3])
     with pytest.raises(DataError):
         spearman([1, 2, 3], [1, 2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["pred", "gold"])
+def test_spearman_rejects_a_non_finite_value(side, bad):
+    """Ranks would order a NaN anywhere and give a finite, wrong rho
+    (-0.2 for a NaN first prediction here)."""
+    x, y = [bad, 1.0, 2.0, 3.0], [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(DataError, match="non-finite"):
+        spearman(*((x, y) if side == "pred" else (y, x)))
+
+
+def _spearman_oracle_cases():
+    rng = np.random.default_rng(2104)
+    for n in (2, 3, 17, 500):
+        yield rng.standard_normal(n), rng.standard_normal(n)
+        # STS-style gold scores in 0.2 steps, many tied
+        yield rng.standard_normal(n), np.round(rng.uniform(0, 5, n) * 5) / 5
+        yield rng.integers(0, 3, n).astype(float), rng.integers(0, 4, n).astype(float)
+    yield np.array([1.0, 2.0]), np.array([2.0, 1.0])
+
+
+def test_spearman_is_scipy_spearmanr_to_the_bit():
+    stats = pytest.importorskip("scipy.stats")
+    checked = 0
+    for pred, gold in _spearman_oracle_cases():
+        if np.all(pred == pred[0]) or np.all(gold == gold[0]):
+            continue
+        assert spearman(pred, gold) == stats.spearmanr(pred, gold).statistic
+        checked += 1
+    assert checked >= 12
 
 
 # -- cosine / sts_eval -----------------------------------------------------
@@ -186,6 +217,24 @@ def test_uniformity_orthogonal_triple():
     X = np.eye(3)
     # all three pairs at squared distance 2: log mean exp(-4) = -4
     assert uniformity(X) == pytest.approx(-4.0, abs=1e-12)
+
+
+def _uniformity_by_pdist(X, pdist):
+    Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
+    return float(np.log(np.mean(np.exp(-2 * pdist(Xn, metric="sqeuclidean")))))
+
+
+@pytest.mark.parametrize("collapsed", [False, True], ids=["random", "near-collapsed"])
+@pytest.mark.parametrize("n, d", [(2, 3), (50, 8), (700, 64)])
+def test_uniformity_matches_a_pdist_reference(n, d, collapsed):
+    pdist = pytest.importorskip("scipy.spatial.distance").pdist
+    rng = np.random.default_rng(n * d)
+    X = rng.standard_normal((n, d))
+    if collapsed:
+        X = rng.standard_normal(d) + 1e-3 * X
+        Xn = X / np.linalg.norm(X, axis=1, keepdims=True)
+        assert (Xn @ Xn.T).min() > 0.9999
+    assert uniformity(X) == pytest.approx(_uniformity_by_pdist(X, pdist), rel=0, abs=1e-12)
 
 
 def test_alignment_uniformity_reject_degenerate_inputs():
