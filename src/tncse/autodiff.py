@@ -98,6 +98,14 @@ class Tensor:
         return scale(self, -1.0)
 
 
+def _backward(roots, grads):
+    """Backward pass seeded at several roots: accumulate the gradients of a
+    scalar whose gradient at ``roots[i]`` is ``grads[i]`` (None: none).  A
+    root may be another's ancestor.  It runs as the scalar ``backward`` of a
+    node whose backward hands out ``grads``."""
+    Tensor(np.zeros(()), _parents=tuple(roots), _backward_fn=lambda g: grads).backward()
+
+
 def as_tensor(x):
     if isinstance(x, Tensor):
         return x

@@ -69,23 +69,25 @@ def distill(teacher: EnsembleModel, student: Encoder, corpus, sts_dev, vocab,
                       "distill teacher and student")
     teacher_embed = ensemble_embed_fn(teacher.encoders, vocab)
 
-    def batch_loss(sentences, train_mode):
+    def batch(sentences):
+        # the teacher embeds before the student's graph exists, so their
+        # arrays do not peak together; loss_fn reads its memo
+        teacher_embed(sentences)
+        return make_batch(vocab, sentences, student.config.max_seq_len)
+
+    def loss_fn(sentences, outs):
         t_emb = teacher_embed(sentences).astype(np.float64)
-        h = student.encode(make_batch(vocab, sentences, student.config.max_seq_len),
-                           train_mode=train_mode).last_hidden
-        return _similarity_loss(h, t_emb)
+        return {"total": _similarity_loss(outs[0].last_hidden, t_emb)}
 
     # fixed probe batch for noise-free before/after loss comparison
     probe_sentences = next(batch_iter(corpus, cfg.batch_size, cfg.seed, 999_983))
 
     def probe_loss():
-        return float(batch_loss(probe_sentences, train_mode=False).item())
-
-    def step_fn(sentences):
-        return {"total": batch_loss(sentences, train_mode=True)}
+        out = student.encode(batch(probe_sentences), train_mode=False)
+        return float(loss_fn(probe_sentences, [out])["total"].item())
 
     probe_loss_step0 = probe_loss()
-    tl = _train([student], corpus, sts_dev, vocab, cfg, step_fn)
+    tl = _train([student], corpus, sts_dev, vocab, cfg, batch, loss_fn)
     # eval mode draws no randomness, so the restored weights give the probe
     # loss of the best step bit for bit
     return DistillLog(train_log=tl, probe_loss_step0=probe_loss_step0,

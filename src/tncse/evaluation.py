@@ -25,17 +25,27 @@ PROBE_SENTENCES = 100
 EMBED_BATCH = 128
 
 
-def _map_threads(fn, items):
-    """``[fn(x) for x in items]`` on up to one thread per usable CPU, which overlap
-    as numpy releases the GIL in GEMMs and ufunc loops.  Each job runs in a
-    copy of the caller's context (``np.errstate``); the first failing item's
-    exception is raised.  One item, one usable CPU, or OpenBLAS not at one
-    thread (two BLAS threads per worker were slower) stay on the calling thread."""
-    items = list(items)
+def _parallel_cpus():
+    """CPUs this process may keep busy at once: those it may run on
+    (``os.sched_getaffinity``, so ``taskset`` counts), or one unless OpenBLAS
+    runs at one thread (two BLAS threads per worker were slower).  The eval
+    threads and the dual-training worker both decide from it."""
+    if os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+        return 1
     usable = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
               else os.cpu_count())
-    workers = min(len(items), usable or 1)
-    if workers < 2 or os.environ.get("OPENBLAS_NUM_THREADS") != "1":
+    return usable or 1
+
+
+def _map_threads(fn, items):
+    """``[fn(x) for x in items]`` on up to ``_parallel_cpus()`` threads, which
+    overlap as numpy releases the GIL in GEMMs and ufunc loops.  Each job runs
+    in a copy of the caller's context (``np.errstate``); the first failing
+    item's exception is raised.  One item or one CPU stays on the calling
+    thread.  The pool's threads have joined when this returns."""
+    items = list(items)
+    workers = min(len(items), _parallel_cpus())
+    if workers < 2:
         return [fn(x) for x in items]
     contexts = [contextvars.copy_context() for _ in items]
     with ThreadPoolExecutor(workers) as pool:

@@ -45,6 +45,18 @@ class ZeroNormError(ValueError):
     """A loss input with a zero-norm row, which has no direction to compare."""
 
 
+def _named_terms(thunks):
+    """Each loss function of ``thunks``, keyed by trainlog column, called in
+    order; a zero-norm row in a term's inputs names its column."""
+    terms = {}
+    for column, thunk in thunks.items():
+        try:
+            terms[column] = thunk()
+        except ZeroNormError as exc:
+            raise ZeroNormError(f"{exc} in {column}") from None
+    return terms
+
+
 def _check_nonzero_rows(t, what):
     norms = np.linalg.norm(np.atleast_2d(t.data), axis=-1)
     if np.any(norms == 0.0):
@@ -126,14 +138,15 @@ def total_loss(views, cfg: LossConfig) -> dict:
     hidden states of the same batch), and the cross-encoder norm
     constraint."""
     hL_I, hL_I_plus, hL_II, hL_II_plus = (o.last_hidden for o in views)
-    terms = {}
+    thunks = {}
     if "NCE" in cfg.enabled_terms:
-        terms["nce_i"] = info_nce(hL_I, hL_I_plus, cfg.tau)
-        terms["nce_ii"] = info_nce(hL_II, hL_II_plus, cfg.tau)
+        thunks["nce_i"] = lambda: info_nce(hL_I, hL_I_plus, cfg.tau)
+        thunks["nce_ii"] = lambda: info_nce(hL_II, hL_II_plus, cfg.tau)
     if "ICNCE" in cfg.enabled_terms:
-        terms["icnce"] = info_nce(hL_I, hL_II, cfg.tau)
+        thunks["icnce"] = lambda: info_nce(hL_I, hL_II, cfg.tau)
     if "ICTN" in cfg.enabled_terms:
-        terms["ictn"] = ictn(views)
+        thunks["ictn"] = lambda: ictn(views)
+    terms = _named_terms(thunks)
     first, *rest = terms.values()
     terms["total"] = sum(rest, first)
     return terms

@@ -9,7 +9,11 @@ validation embedding is the member sum, matching the inference rule.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import mmap
+import signal
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,9 +21,9 @@ import numpy as np
 from . import autodiff as ad
 from . import losses as L
 from .data import _check_batchable, batch_iter, make_batch, synonym_substitute
-from .encoder import Encoder, _check_compatible
-from .errors import ConfigError, NumericError
-from .evaluation import EMBED_BATCH, _map_threads, sts_eval
+from .encoder import Encoder, EncoderOutput, _check_compatible
+from .errors import ConfigError, NumericError, TncseError
+from .evaluation import EMBED_BATCH, _map_threads, _parallel_cpus, sts_eval
 
 AUGMENT_P = 0.5  # synonym-substitution probability of the second pretraining view
 # weight of the norm-constraint term in the single-encoder variant;
@@ -135,25 +139,171 @@ def ensemble_embed_fn(encoders, vocab):
     return f
 
 
-def _backward(step_fn, sentences):
-    """One step's forward and backward passes; returns its terms as floats.
-    The step's graph dies with this frame, before Adam steps."""
-    terms = step_fn(sentences)
+class _Half:
+    """One encoder's share of a step, run here by ``recv``: sent an id array,
+    its train-mode forward pass, which returns its two outputs' arrays; sent
+    their gradients (None for an unused one), its backward pass."""
+
+    def __init__(self, enc):
+        self.enc, self._msg, self._outs = enc, None, ()
+
+    def send(self, msg):
+        self._msg = msg
+
+    def recv(self):
+        return self.run(self._msg)
+
+    def run(self, msg):
+        if isinstance(msg, np.ndarray):
+            out = self.enc.encode(msg, train_mode=True)
+            self._outs = (out.last_hidden, out.pooler)
+            return [t.data for t in self._outs]
+        ad._backward(self._outs, msg)
+        self._outs = ()
+
+    def close(self, ok):
+        pass
+
+
+class _Worker(_Half):
+    """A _Half run by a child process, so that it overlaps the caller's work.
+    The child is forked, not spawned, to inherit the encoder and an anonymous
+    shared mmap that holds the encoder's parameters and gradients: the
+    caller's Adam, validation and snapshots use the parameters in place, and
+    the child writes its gradients there.  Each side closes the other's pipe
+    end, so that it sees EOF if the other dies."""
+
+    def __init__(self, enc):
+        import multiprocessing  # 0.9 MB of modules that only dual training needs
+
+        super().__init__(enc)
+        params = enc.parameters()
+        n = sum(p.data.size for p in params)
+        shared = np.frombuffer(mmap.mmap(-1, 2 * n * params[0].data.itemsize),
+                               params[0].dtype)
+        self._grads, at = [], 0
+        for p in params:
+            shared[at:at + p.data.size] = p.data.ravel()
+            p.data = shared[at:at + p.data.size].reshape(p.shape)
+            self._grads.append(shared[n + at:n + at + p.data.size].reshape(p.shape))
+            at += p.data.size
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        self._proc = ctx.Process(target=self._serve, args=(child_end, np.geterr()),
+                                 daemon=True)
+        self._proc.start()
+        child_end.close()
+
+    def _serve(self, conn, errors):
+        """The child: a reply per message until None, then its streams."""
+        self._conn.close()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's
+        np.seterr(**errors)
+        params = self.enc.parameters()
+        with contextlib.suppress(EOFError):  # the caller died
+            while (msg := conn.recv()) is not None:
+                try:
+                    reply = self.run(msg)
+                    if reply is None:  # the backward pass: which gradients it wrote
+                        reply = [p.grad is not None for p in params]
+                        for p, g in zip(params, self._grads):
+                            if p.grad is not None:
+                                g[...] = p.grad
+                            p.grad = None
+                except Exception as exc:
+                    cls = type(exc) if isinstance(exc, TncseError) else TncseError
+                    reply = cls(f"encoder {self.enc.name} worker failed: "
+                                + " ".join(str(exc).split()))
+                conn.send(reply)
+            conn.send(self.enc.streams)
+
+    def _pipe(self, fn, *args):
+        try:
+            return fn(*args)
+        except (EOFError, OSError):
+            self.close(False)
+            raise TncseError(f"encoder {self.enc.name} worker stopped "
+                             f"(exit code {self._proc.exitcode})") from None
+
+    def send(self, msg):
+        self._msg = msg
+        self._pipe(self._conn.send, msg)
+
+    def recv(self):
+        reply = self._pipe(self._conn.recv)
+        if isinstance(reply, TncseError):
+            raise reply
+        if isinstance(self._msg, list):  # gradients, now in the shared map
+            for p, g, written in zip(self.enc.parameters(), self._grads, reply):
+                p.grad = g if written else None
+        return reply
+
+    def close(self, ok):
+        """Stop the child, which first hands back the encoder's random streams
+        when ``ok``; the parameters move to private arrays."""
+        if ok:
+            self.send(None)
+            self.enc.streams = self.recv()
+        self._proc.kill()
+        self._proc.join()
+        self._conn.close()
+        for p in self.enc.parameters():
+            p.data, p.grad = p.data.copy(), None
+
+
+def _step(halves, sentences, batch_fn, loss_fn, step):
+    """One step's forward and backward passes, each encoder's run by its
+    half; returns the loss terms as floats.  The step's graph dies with this
+    frame, before Adam steps."""
+    ids = batch_fn(sentences)
+    for h in halves:
+        h.send(ids)
+    outs = [EncoderOutput(*(ad.Tensor(a, requires_grad=True) for a in h.recv()))
+            for h in halves]
+    try:
+        terms = loss_fn(sentences, outs)
+    except L.ZeroNormError as exc:
+        raise NumericError(f"{exc} at step {step}") from None
+    record = {k: float(t.item()) for k, t in terms.items()}
+    bad = [k for k, v in record.items() if not np.isfinite(v)]
+    if bad:
+        raise NumericError(f"non-finite loss term {bad[0]} at step {step}")
     terms["total"].backward()
-    return {k: float(t.item()) for k, t in terms.items()}
+    for h, out in zip(halves, outs):
+        h.send([out.last_hidden.grad, out.pooler.grad])
+    for h in halves:
+        h.recv()
+    return record
 
 
-def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
+def _check_gradients(encoders, step):
+    """NumericError naming the first non-finite gradient.  A finite sum of
+    squares, one BLAS dot per parameter, clears a gradient; one that
+    overflowed is rechecked element by element."""
+    for enc in encoders:
+        for name, p in enc.params.items():
+            g = None if p.grad is None else p.grad.ravel()
+            if g is not None and not math.isfinite(g @ g) and not np.isfinite(g).all():
+                raise NumericError(f"non-finite gradient of {enc.name} {name} "
+                                   f"at step {step}")
+
+
+def _train(encoders, corpus, sts_dev, vocab, cfg, batch_fn, loss_fn):
     """The step loop every trainer shares, distillation included: per-batch
     loss, Adam update, periodic validation of the members' sum embedding,
     best-checkpoint tracking.
 
-    ``step_fn(sentences)`` builds the batch's loss graph and returns its terms
-    as scalar tensors keyed by trainlog column (``TrainLog.COLUMNS``), only
-    the terms its trainer has, plus the loss to minimize under ``"total"``.
-    This loop alone differentiates ``"total"``, records every term as a
-    float and raises NumericError on the first non-finite one, and on a
-    zero-norm row in a loss input, naming the step.
+    Each step, every encoder encodes ``batch_fn(sentences)`` in train mode,
+    and ``loss_fn(sentences, outputs)`` gets one EncoderOutput of leaf
+    tensors per encoder and returns the step's loss terms as scalar tensors
+    keyed by trainlog column (``TrainLog.COLUMNS``), only the terms its
+    trainer has, plus the loss to minimize under ``"total"``.  This loop
+    alone differentiates ``"total"``, to those leaves and then through each
+    encoder, records every term as a float and raises NumericError naming
+    the step on the first non-finite term or gradient and on a zero-norm
+    row in a loss input.  With two encoders and a second CPU
+    (``_parallel_cpus``), a worker forked before step-0 validation runs
+    encoder II's passes, with the same results bit for bit.
 
     Validation runs at step 0, every ``cfg.eval_interval`` steps and at the
     last step; the best-validated weights, step 0 included, are restored on
@@ -176,26 +326,31 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, step_fn):
             best_snap = [{k: v.data.copy() for k, v in enc.params.items()}
                          for enc in encoders]
 
-    evaluate(0)
-    step = 0
-    epoch = 0
-    while step < cfg.steps:
-        for sentences in batch_iter(corpus, cfg.batch_size, cfg.seed, epoch):
-            step += 1
-            try:
-                record = _backward(step_fn, sentences)
-            except L.ZeroNormError as exc:
-                raise NumericError(f"{exc} at step {step}") from None
-            bad = [k for k, v in record.items() if not np.isfinite(v)]
-            if bad:
-                raise NumericError(f"non-finite loss term {bad[0]} at step {step}")
-            opt.step()
-            log.step_records.append({"step": step, **record})
-            if step % cfg.eval_interval == 0 or step == cfg.steps:
-                evaluate(step)
-            if step == cfg.steps:
-                break
-        epoch += 1
+    halves = [_Half(enc) for enc in encoders]
+    # fork only while this is the process's one thread: eval pools have joined
+    if len(halves) == 2 and _parallel_cpus() > 1 and threading.active_count() == 1:
+        halves[1] = _Worker(encoders[1])
+    ok = False
+    try:
+        evaluate(0)
+        step = 0
+        epoch = 0
+        while step < cfg.steps:
+            for sentences in batch_iter(corpus, cfg.batch_size, cfg.seed, epoch):
+                step += 1
+                record = _step(halves, sentences, batch_fn, loss_fn, step)
+                _check_gradients(encoders, step)
+                opt.step()
+                log.step_records.append({"step": step, **record})
+                if step % cfg.eval_interval == 0 or step == cfg.steps:
+                    evaluate(step)
+                if step == cfg.steps:
+                    break
+            epoch += 1
+        ok = True
+    finally:
+        for h in halves:
+            h.close(ok)
 
     for enc, snap in zip(encoders, best_snap):
         for k, v in snap.items():
@@ -213,16 +368,15 @@ def _train_on_views(encoders, corpus, sts_dev, vocab, cfg, augment_table, view_l
     aug_rng = first.streams.get(f"{first.name}/augment") if augment_table else None
     max_len = first.config.max_seq_len
 
-    def step_fn(sentences):
+    def batch_fn(sentences):
         view2 = sentences
         if augment_table:
             view2 = [synonym_substitute(s, augment_table, aug_rng, p=AUGMENT_P)
                      for s in sentences]
-        ids = make_batch(vocab, sentences + view2, max_len)
-        return view_loss(*[v for enc in encoders
-                           for v in enc.encode(ids, train_mode=True).split(2)])
+        return make_batch(vocab, sentences + view2, max_len)
 
-    return _train(encoders, corpus, sts_dev, vocab, cfg, step_fn)
+    return _train(encoders, corpus, sts_dev, vocab, cfg, batch_fn,
+                  lambda sentences, outs: view_loss(*[v for o in outs for v in o.split(2)]))
 
 
 def pretrain_single(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
@@ -231,8 +385,9 @@ def pretrain_single(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
     views; the optional synonym augmenter rewrites the second view."""
 
     def view_loss(out, out_plus):
-        loss = L.info_nce(out.last_hidden, out_plus.last_hidden, cfg.loss.tau)
-        return {"nce_i": loss, "total": loss}
+        terms = L._named_terms({"nce_i": lambda: L.info_nce(
+            out.last_hidden, out_plus.last_hidden, cfg.loss.tau)})
+        return {**terms, "total": terms["nce_i"]}
 
     return _train_on_views([encoder], corpus, sts_dev, vocab, cfg, augment_table,
                            view_loss)
@@ -253,12 +408,14 @@ def train_single_tn(encoder: Encoder, corpus, sts_dev, vocab, cfg: TrainConfig,
     norm constraint on the encoder's own pooler-output positive pair."""
 
     def view_loss(out, out_plus):
-        nce = L.info_nce(out.last_hidden, out_plus.last_hidden, cfg.loss.tau)
-        tn = L.l_tn_modulated(out.pooler, out_plus.pooler,
-                              out.last_hidden, out_plus.last_hidden)
         # the own-pair norm term is logged in the ictn column
-        return {"nce_i": nce, "ictn": tn,
-                "total": nce + ad.scale(tn, SINGLE_TN_WEIGHT)}
+        terms = L._named_terms({
+            "nce_i": lambda: L.info_nce(out.last_hidden, out_plus.last_hidden,
+                                        cfg.loss.tau),
+            "ictn": lambda: L.l_tn_modulated(out.pooler, out_plus.pooler,
+                                             out.last_hidden, out_plus.last_hidden)})
+        return {**terms,
+                "total": terms["nce_i"] + ad.scale(terms["ictn"], SINGLE_TN_WEIGHT)}
 
     return _train_on_views([encoder], corpus, sts_dev, vocab, cfg, augment_table,
                            view_loss)

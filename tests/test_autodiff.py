@@ -271,6 +271,32 @@ class TestEngineContracts:
         ad.sum_(ad.mul(h, h)).backward()
         assert np.all(np.isfinite(x.grad))
 
+    def test_backward_seeded_at_two_roots_equals_the_scalar_backward(self):
+        """Roots h and p = tanh(h @ v), h an ancestor of p, seeded with gh and
+        gp, give the gradients of sum(h * gh) + sum(p * gp); a root seeded
+        with None adds nothing."""
+        gh, gp = rand(np.random.default_rng(4), 2, 3, 4)
+
+        def run():
+            rng = np.random.default_rng(5)
+            x = Tensor(rand(rng, 3, 5), requires_grad=True)
+            w, v = (Tensor(rand(rng, *s), requires_grad=True) for s in ((5, 4), (4, 4)))
+            h = ad.tanh(ad.matmul(x, w))
+            return (x, w, v), h, ad.tanh(ad.matmul(h, v))
+
+        leaves, h, p = run()
+        ad._backward([h, p], [gh, gp])
+        ref, rh, rp = run()
+        ad.add(ad.sum_(ad.mul(rh, Tensor(gh))), ad.sum_(ad.mul(rp, Tensor(gp)))).backward()
+        for a, b in zip(leaves, ref):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12)
+        leaves, h, p = run()
+        ad._backward([h, p], [None, gp])
+        ref, rh, rp = run()
+        ad.sum_(ad.mul(rp, Tensor(gp))).backward()
+        for a, b in zip(leaves, ref):
+            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-12)
+
     def test_leaves_fed_one_gradient_array_get_their_own_copies(self):
         # add hands the same g to both parents
         a = Tensor(np.ones((2, 3)), requires_grad=True)

@@ -526,22 +526,50 @@ def test_cli_non_finite_loss_exits_5_with_one_line(data_dir, tmp_path, capsys):
     assert "use --force" in capsys.readouterr().err
 
 
+def test_cli_non_finite_dual_loss_prints_no_worker_warning(data_dir, pair_dir, tmp_path):
+    """Encoder II's passes run in a worker process under the caller's
+    ``np.errstate``, so its overflow prints no warning either."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    env["OPENBLAS_NUM_THREADS"] = "1"
+    argv = (["train", "--out", str(tmp_path / "train")] + data_args(data_dir)
+            + ["--set", f"train.encoder_i={pair_dir}/encoder_I",
+               "--set", f"train.encoder_ii={pair_dir}/encoder_II",
+               "--set", "train.lr=1e30", "--set", "train.steps=4",
+               "--set", "train.eval_interval=2"])
+    proc = subprocess.run([sys.executable, "-m", "tncse.cli"] + argv, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 5
+    assert proc.stderr.splitlines() == [
+        "numeric-error: non-finite loss term nce_i at step 2"]
+
+
 @pytest.mark.parametrize("command, first", [("pretrain", "pretrain run I failed: "),
-                                            ("train-single-tn", "")])
+                                            ("train-single-tn", ""), ("train", "")])
 def test_cli_zero_norm_training_row_exits_5_with_one_line(data_dir, tmp_path, capsys,
                                                           command, first):
     """At dropout 0.99 a training view loses every unit of some row, which
-    has no direction for a loss to compare: a numeric error naming the step."""
-    argv = ([command, "--out", str(tmp_path / "out")] + data_args(data_dir)
-            + ["--set", "encoder.dropout_p=0.99"])
-    for s in SMALL_BUDGETS:
+    has no direction for a loss to compare: a numeric error naming the step
+    and the trainlog column.  ``train`` takes the dropout of its checkpoints."""
+    settings = SMALL_BUDGETS + ["encoder.dropout_p=0.99"]
+    if command == "train":
+        cfg = pl.resolve_config({"data.corpus": f"{data_dir}/corpus.txt",
+                                 "data.sts_dev": f"{data_dir}/sts_dev.tsv",
+                                 "encoder.dropout_p": "0.99"})
+        ws = pl.load_workspace(cfg)
+        for which, name in ((1, "I"), (2, "II")):
+            prefix = str(tmp_path / f"encoder_{name}")
+            ckpt.save_encoder(pl.new_encoder(cfg, ws, 1, which, name), prefix)
+            settings.append(f"train.encoder_{name.lower()}={prefix}")
+    argv = [command, "--out", str(tmp_path / "out")] + data_args(data_dir)
+    for s in settings:
         argv += ["--set", s]
     capsys.readouterr()
     assert main(argv) == 5
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1, err
     assert err[0].startswith(f"numeric-error: {first}"), err
-    assert err[0].endswith("has a zero-norm row at step 1"), err
+    assert err[0].endswith("has a zero-norm row in nce_i at step 1"), err
 
 
 def test_cli_missing_checkpoint_exits_4(data_dir, tmp_path, capsys):

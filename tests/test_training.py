@@ -1,7 +1,9 @@
 """Training loops: optimizer oracle, determinism, best-checkpoint
 restoration and loss-term reduction identities."""
 
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import threading
@@ -11,11 +13,13 @@ import numpy as np
 import pytest
 
 import tncse
+from tncse import autodiff as ad
+from tncse import losses as L
 from tncse import training
 from tncse.autodiff import Tensor
 from tncse.data import build_vocab, make_batch, synth_corpus
 from tncse.encoder import Encoder, EncoderConfig
-from tncse.errors import ConfigError, DataError, NumericError
+from tncse.errors import ConfigError, DataError, NumericError, TncseError
 from tncse.evaluation import EMBED_BATCH
 from tncse.losses import LossConfig
 from tncse.training import (Adam, TrainConfig, TrainLog, _member_sums,
@@ -485,6 +489,190 @@ def test_dual_training_with_cross_terms_diverges_from_solo(
     deltas = [np.abs(enc_i.params[k].data - solo_i.params[k].data).max()
               for k in enc_i.params]
     assert max(deltas) > 1e-6
+
+
+# -- the dual-step worker ----------------------------------------------------
+
+@pytest.fixture
+def worker_pids(monkeypatch):
+    """Each validation records the pids of the live child processes.  A test
+    that blocks for a minute fails instead of hanging the suite."""
+    pids, evaluate = [], training.sts_eval
+
+    def recording_eval(*a):
+        pids.extend(p.pid for p in multiprocessing.active_children())
+        return evaluate(*a)
+
+    def expire(*_):
+        raise TimeoutError("blocked for 60 s")
+
+    monkeypatch.setattr(training, "sts_eval", recording_eval)
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield pids
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child_remains(pids):
+    assert pids, "no worker ran"
+    assert multiprocessing.active_children() == []
+    for pid in set(pids):
+        with pytest.raises(ProcessLookupError):  # a zombie would still take the signal
+            os.kill(pid, 0)
+
+
+def poison_gradient(monkeypatch, weight):
+    """``weight``'s gradient becomes NaN; the loss and every other gradient
+    stay finite."""
+    linear = ad.linear
+
+    def poisoned(x, w, b):
+        out = linear(x, w, b)
+        if w is weight:
+            backward = out._backward_fn  # (dx, dw, db): poison dw alone
+            out._backward_fn = lambda g: [gi * np.nan if i == 1 else gi
+                                          for i, gi in enumerate(backward(g))]
+        return out
+
+    monkeypatch.setattr(ad, "linear", poisoned)
+
+
+@pytest.mark.parametrize("terms", L.ablation_grid(), ids=lambda t: "+".join(sorted(t)))
+def test_dual_step_in_a_worker_equals_the_step_in_process(
+        terms, small_corpus, small_dev, small_vocab, small_config, worker_pids, cpus):
+    """Encoder II's half of every step, run in a forked worker, leaves the same
+    weights, trainlog and dropout stream as the whole step in one process."""
+    cfg = cfg_small(steps=4, eval_interval=2, loss=LossConfig(enabled_terms=terms))
+    runs = []
+    for n_cpus in (2, 1):
+        cpus(n_cpus)
+        del worker_pids[:]
+        encs = (Encoder(small_config, seed=3, name="I"),
+                Encoder(small_config, seed=4, name="II"))
+        log = train_tncse(*encs, small_corpus, small_dev, small_vocab, cfg)
+        assert bool(worker_pids) == (n_cpus == 2)
+        runs.append((encs, log.to_csv()))
+    (worker_encs, worker_log), (local_encs, local_log) = runs
+    assert worker_log == local_log
+    for a, b in zip(worker_encs, local_encs):
+        for k in a.params:
+            assert np.array_equal(a.params[k].data, b.params[k].data), (a.name, k)
+    pass0 = [enc.streams.get("II/pass0").bit_generator.state
+             for enc in (worker_encs[1], local_encs[1])]
+    assert pass0[0] == pass0[1]
+    assert all(isinstance(p.data, np.ndarray) and p.data.base is None
+               for p in worker_encs[1].parameters())  # private, off the shared map
+
+
+def test_dual_worker_leaves_no_child_process(small_corpus, small_dev, small_vocab,
+                                             small_config, worker_pids, cpus):
+    cpus(2)
+    train_tncse(Encoder(small_config, seed=3, name="I"),
+                Encoder(small_config, seed=4, name="II"),
+                small_corpus, small_dev, small_vocab, cfg_small(steps=2, eval_interval=1))
+    assert_no_child_remains(worker_pids)
+
+
+def test_dual_training_forks_no_worker_while_another_thread_runs(
+        small_corpus, small_dev, small_vocab, small_config, worker_pids, cpus):
+    """A fork copies only the calling thread, so with another thread alive
+    encoder II's passes stay in this process."""
+    cpus(2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        train_tncse(Encoder(small_config, seed=3, name="I"),
+                    Encoder(small_config, seed=4, name="II"),
+                    small_corpus, small_dev, small_vocab, cfg_small(steps=2, eval_interval=1))
+    finally:
+        release.set()
+        other.join(timeout=60)
+    assert not other.is_alive()
+    assert worker_pids == []
+
+
+def test_a_parent_side_error_mid_run_leaves_no_child_process(
+        small_corpus, small_dev, small_vocab, small_config, worker_pids, cpus):
+    cpus(2)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NumericError, match="non-finite loss term nce_i at step 2"):
+            train_tncse(Encoder(small_config, seed=3, name="I"),
+                        Encoder(small_config, seed=4, name="II"),
+                        small_corpus, small_dev, small_vocab,
+                        cfg_small(learning_rate=1e30))
+    assert_no_child_remains(worker_pids)
+
+
+@pytest.mark.parametrize("where", ["in process", "worker"])
+def test_a_non_finite_gradient_names_encoder_parameter_and_step(
+        where, small_corpus, small_dev, small_vocab, small_config, worker_pids, cpus,
+        monkeypatch):
+    """A NaN gradient under a finite loss stops the run before Adam writes it
+    into the weights."""
+    cpus(2)
+    enc_i = Encoder(small_config, seed=3, name="I")
+    enc_ii = Encoder(small_config, seed=4, name="II")
+    before = {k: p.data.copy() for k, p in enc_i.params.items()}
+    if where == "worker":
+        poison_gradient(monkeypatch, enc_ii.params["layer1.ffn2_w"])
+        with pytest.raises(NumericError) as err:
+            train_tncse(enc_i, enc_ii, small_corpus, small_dev, small_vocab, cfg_small())
+        assert str(err.value) == "non-finite gradient of II layer1.ffn2_w at step 1"
+        assert_no_child_remains(worker_pids)
+    else:
+        poison_gradient(monkeypatch, enc_i.params["layer1.ffn2_w"])
+        with pytest.raises(NumericError) as err:
+            pretrain_single(enc_i, small_corpus, small_dev, small_vocab, cfg_small())
+        assert str(err.value) == "non-finite gradient of I layer1.ffn2_w at step 1"
+    for k, p in enc_i.params.items():
+        assert np.array_equal(p.data, before[k]), k
+
+
+def test_a_worker_side_error_keeps_its_class_in_one_line(
+        small_corpus, small_dev, small_vocab, small_config, worker_pids, cpus,
+        monkeypatch):
+    cpus(2)
+    encode = Encoder.encode
+
+    def failing_encode(self, ids, train_mode=False, **kwargs):
+        if train_mode and self.name == "II":
+            raise DataError("token id 99 out of vocabulary\n(size 98)")
+        return encode(self, ids, train_mode, **kwargs)
+
+    monkeypatch.setattr(Encoder, "encode", failing_encode)
+    with pytest.raises(DataError) as err:
+        train_tncse(Encoder(small_config, seed=3, name="I"),
+                    Encoder(small_config, seed=4, name="II"),
+                    small_corpus, small_dev, small_vocab, cfg_small())
+    assert str(err.value) == ("encoder II worker failed: "
+                              "token id 99 out of vocabulary (size 98)")
+    assert_no_child_remains(worker_pids)
+
+
+def test_a_killed_worker_is_an_error_not_a_hang(
+        small_corpus, small_dev, small_vocab, small_config, worker_pids, cpus,
+        monkeypatch):
+    cpus(2)
+    evaluate = training.sts_eval  # the recording one
+
+    def killing_eval(*a):
+        rho = evaluate(*a)
+        if len(worker_pids) == 2:  # at step 1's validation
+            for p in multiprocessing.active_children():
+                p.kill()
+                p.join()
+        return rho
+
+    monkeypatch.setattr(training, "sts_eval", killing_eval)
+    with pytest.raises(TncseError) as err:
+        train_tncse(Encoder(small_config, seed=3, name="I"),
+                    Encoder(small_config, seed=4, name="II"),
+                    small_corpus, small_dev, small_vocab, cfg_small(eval_interval=1))
+    assert type(err.value) is TncseError
+    assert str(err.value) == f"encoder II worker stopped (exit code {-signal.SIGKILL})"
+    assert_no_child_remains(worker_pids)
 
 
 def test_train_tncse_checks_vocabularies_before_validation(
