@@ -675,6 +675,20 @@ def test_a_killed_worker_is_an_error_not_a_hang(
     assert_no_child_remains(worker_pids)
 
 
+def test_receive_takes_a_message_sent_after_it_stops_polling_and_sees_eof():
+    ours, theirs = multiprocessing.Pipe()
+    late = threading.Timer(3 * training.SPIN_S, theirs.send, ("late",))
+    late.start()
+    assert training._receive(ours) == "late"
+    late.join()
+    theirs.send("early")
+    assert training._receive(ours) == "early"
+    theirs.close()
+    with pytest.raises(EOFError):
+        training._receive(ours)
+    ours.close()
+
+
 def test_train_tncse_checks_vocabularies_before_validation(
         small_corpus, small_dev, small_vocab, small_config, monkeypatch):
     evals = []
