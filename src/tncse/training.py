@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import mmap
 import signal
 import threading
 import time
@@ -143,7 +142,8 @@ def ensemble_embed_fn(encoders, vocab):
 class _Half:
     """One encoder's share of a step, run here by ``recv``: sent an id array,
     its train-mode forward pass, which returns its two outputs' arrays; sent
-    their gradients (None for an unused one), its backward pass."""
+    the step and those outputs' gradients (None for an unused one), its
+    backward pass, after which it checks the encoder's gradients."""
 
     def __init__(self, enc):
         self.enc, self._msg, self._outs = enc, None, ()
@@ -159,8 +159,13 @@ class _Half:
             out = self.enc.encode(msg, train_mode=True)
             self._outs = (out.last_hidden, out.pooler)
             return [t.data for t in self._outs]
-        ad._backward(self._outs, msg)
+        step, grads = msg
+        ad._backward(self._outs, grads)
         self._outs = ()
+        _check_gradients(self.enc, step)
+
+    def pull(self):  # the caller's weights are current
+        pass
 
     def close(self, ok):
         pass
@@ -168,49 +173,40 @@ class _Half:
 
 class _Worker(_Half):
     """A _Half run by a child process, so that it overlaps the caller's work.
-    The child is forked, not spawned, to inherit the encoder and an anonymous
-    shared mmap that holds the encoder's parameters and gradients: the
-    caller's Adam, validation and snapshots use the parameters in place, and
-    the child writes its gradients there.  Each side closes the other's pipe
-    end, so that it sees EOF if the other dies."""
+    The child is forked, not spawned, to inherit the encoder, and it owns
+    the encoder's training state: after each backward pass it checks the
+    gradients and takes its own Adam step at ``lr`` before it replies, and
+    the caller's copy of the weights is current only after ``pull``.  Each
+    side closes the other's pipe end, so that it sees EOF if the other dies."""
 
-    def __init__(self, enc):
+    def __init__(self, enc, lr):
         import multiprocessing  # 0.9 MB of modules that only dual training needs
 
         super().__init__(enc)
-        params = enc.parameters()
-        n = sum(p.data.size for p in params)
-        shared = np.frombuffer(mmap.mmap(-1, 2 * n * params[0].data.itemsize),
-                               params[0].dtype)
-        self._grads, at = [], 0
-        for p in params:
-            shared[at:at + p.data.size] = p.data.ravel()
-            p.data = shared[at:at + p.data.size].reshape(p.shape)
-            self._grads.append(shared[n + at:n + at + p.data.size].reshape(p.shape))
-            at += p.data.size
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
-        self._proc = ctx.Process(target=self._serve, args=(child_end, np.geterr()),
-                                 daemon=True)
+        self._proc = ctx.Process(target=self._serve,
+                                 args=(child_end, np.geterr(), lr), daemon=True)
         self._proc.start()
         child_end.close()
 
-    def _serve(self, conn, errors):
+    def _serve(self, conn, errors, lr):
         """The child: a reply per message until None, then its streams."""
         self._conn.close()
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's
         np.seterr(**errors)
-        params = self.enc.parameters()
+        opt = Adam(self.enc.parameters(), lr)
         with contextlib.suppress(EOFError):  # the caller died
             while (msg := _receive(conn)) is not None:
                 try:
-                    reply = self.run(msg)
-                    if reply is None:  # the backward pass: which gradients it wrote
-                        reply = [p.grad is not None for p in params]
-                        for p, g in zip(params, self._grads):
-                            if p.grad is not None:
-                                g[...] = p.grad
-                            p.grad = None
+                    if isinstance(msg, str):  # "pull"
+                        reply = [p.data for p in opt.params]
+                    else:
+                        reply = self.run(msg)
+                        if reply is None:  # a backward pass, its gradients checked
+                            opt.step()
+                except NumericError as exc:  # it names the encoder already
+                    reply = exc
                 except Exception as exc:
                     cls = type(exc) if isinstance(exc, TncseError) else TncseError
                     reply = cls(f"encoder {self.enc.name} worker failed: "
@@ -227,29 +223,29 @@ class _Worker(_Half):
                              f"(exit code {self._proc.exitcode})") from None
 
     def send(self, msg):
-        self._msg = msg
         self._pipe(self._conn.send, msg)
 
     def recv(self):
         reply = self._pipe(_receive, self._conn)
         if isinstance(reply, TncseError):
             raise reply
-        if isinstance(self._msg, list):  # gradients, now in the shared map
-            for p, g, written in zip(self.enc.parameters(), self._grads, reply):
-                p.grad = g if written else None
         return reply
+
+    def pull(self):
+        """Take the child's current weights as the encoder's parameters."""
+        self.send("pull")
+        for p, data in zip(self.enc.parameters(), self.recv()):
+            p.data = data
 
     def close(self, ok):
         """Stop the child, which first hands back the encoder's random streams
-        when ``ok``; the parameters move to private arrays."""
+        when ``ok``."""
         if ok:
             self.send(None)
             self.enc.streams = self.recv()
         self._proc.kill()
         self._proc.join()
         self._conn.close()
-        for p in self.enc.parameters():
-            p.data, p.grad = p.data.copy(), None
 
 
 # How long each side of a dual step polls the pipe before it blocks on it.
@@ -271,8 +267,8 @@ def _receive(conn):
 
 def _step(halves, sentences, batch_fn, loss_fn, step):
     """One step's forward and backward passes, each encoder's run by its
-    half; returns the loss terms as floats.  The step's graph dies with this
-    frame, before Adam steps."""
+    half, which then checks that encoder's gradients; returns the loss terms
+    as floats.  The step's graph dies with this frame, before Adam steps."""
     ids = batch_fn(sentences)
     for h in halves:
         h.send(ids)
@@ -288,22 +284,20 @@ def _step(halves, sentences, batch_fn, loss_fn, step):
         raise NumericError(f"non-finite loss term {bad[0]} at step {step}")
     terms["total"].backward()
     for h, out in zip(halves, outs):
-        h.send([out.last_hidden.grad, out.pooler.grad])
+        h.send((step, [out.last_hidden.grad, out.pooler.grad]))
     for h in halves:
         h.recv()
     return record
 
 
-def _check_gradients(encoders, step):
-    """NumericError naming the first non-finite gradient.  A finite sum of
-    squares, one BLAS dot per parameter, clears a gradient; one that
+def _check_gradients(enc, step):
+    """NumericError naming ``enc``'s first non-finite gradient.  A finite sum
+    of squares, one BLAS dot per parameter, clears a gradient; one that
     overflowed is rechecked element by element."""
-    for enc in encoders:
-        for name, p in enc.params.items():
-            g = None if p.grad is None else p.grad.ravel()
-            if g is not None and not math.isfinite(g @ g) and not np.isfinite(g).all():
-                raise NumericError(f"non-finite gradient of {enc.name} {name} "
-                                   f"at step {step}")
+    for name, p in enc.params.items():
+        g = None if p.grad is None else p.grad.ravel()
+        if g is not None and not math.isfinite(g @ g) and not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient of {enc.name} {name} at step {step}")
 
 
 def _train(encoders, corpus, sts_dev, vocab, cfg, batch_fn, loss_fn):
@@ -321,20 +315,21 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, batch_fn, loss_fn):
     the step on the first non-finite term or gradient and on a zero-norm
     row in a loss input.  With two encoders and a second CPU
     (``_parallel_cpus``), a worker forked before step-0 validation runs
-    encoder II's passes, with the same results bit for bit.
+    encoder II's passes and Adam steps, with the same results bit for bit;
+    each validation first pulls II's weights from it.
 
     Validation runs at step 0, every ``cfg.eval_interval`` steps and at the
     last step; the best-validated weights, step 0 included, are restored on
     return.
     """
     _check_batchable(corpus)  # before step-0 validation, which batch_iter follows
-    params = [p for enc in encoders for p in enc.parameters()]
-    opt = Adam(params, lr=cfg.learning_rate)
     log = TrainLog()
     best_snap = None
 
     def evaluate(step):
         nonlocal best_snap
+        for h in halves:
+            h.pull()
         # a fresh memo: Adam has moved the weights since the last validation
         rho = sts_eval(ensemble_embed_fn(encoders, vocab), sts_dev)
         log.evals.append((step, rho))
@@ -347,9 +342,12 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, batch_fn, loss_fn):
     halves = [_Half(enc) for enc in encoders]
     # fork only while this is the process's one thread: eval pools have joined
     if len(halves) == 2 and _parallel_cpus() > 1 and threading.active_count() == 1:
-        halves[1] = _Worker(encoders[1])
+        halves[1] = _Worker(encoders[1], cfg.learning_rate)
     ok = False
     try:
+        # a worker steps its own encoder's Adam
+        opt = Adam([p for h in halves if not isinstance(h, _Worker)
+                    for p in h.enc.parameters()], lr=cfg.learning_rate)
         evaluate(0)
         step = 0
         epoch = 0
@@ -357,7 +355,6 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, batch_fn, loss_fn):
             for sentences in batch_iter(corpus, cfg.batch_size, cfg.seed, epoch):
                 step += 1
                 record = _step(halves, sentences, batch_fn, loss_fn, step)
-                _check_gradients(encoders, step)
                 opt.step()
                 log.step_records.append({"step": step, **record})
                 if step % cfg.eval_interval == 0 or step == cfg.steps:

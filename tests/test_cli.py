@@ -330,7 +330,10 @@ COMMAND_RECORDS = [
 @pytest.mark.parametrize("command, settings, keys", COMMAND_RECORDS,
                          ids=[command for command, _, _ in COMMAND_RECORDS])
 def test_every_command_writes_its_run_records(data_dir, pair_dir, tmp_path, capsys,
-                                              command, settings, keys):
+                                              monkeypatch, command, settings, keys):
+    # only grad-check calls it; criterion 3 of the acceptance gate runs the full suite
+    passed = SimpleNamespace(passed=True, name="stub", worst_error=0.0, detail="")
+    monkeypatch.setattr(cli, "run_gradient_suite", lambda: [passed])
     out = tmp_path / "out"
     argv = [command, "--out", str(out), "--seed", "4"] + data_args(data_dir)
     for s in SMALL_BUDGETS + settings:

@@ -522,14 +522,14 @@ def assert_no_child_remains(pids):
             os.kill(pid, 0)
 
 
-def poison_gradient(monkeypatch, weight):
-    """``weight``'s gradient becomes NaN; the loss and every other gradient
-    stay finite."""
+def poison_gradient(monkeypatch, *weights):
+    """Each of ``weights``' gradients becomes NaN; the loss and every other
+    gradient stay finite."""
     linear = ad.linear
 
     def poisoned(x, w, b):
         out = linear(x, w, b)
-        if w is weight:
+        if any(w is weight for weight in weights):
             backward = out._backward_fn  # (dx, dw, db): poison dw alone
             out._backward_fn = lambda g: [gi * np.nan if i == 1 else gi
                                           for i, gi in enumerate(backward(g))]
@@ -605,12 +605,13 @@ def test_a_parent_side_error_mid_run_leaves_no_child_process(
     assert_no_child_remains(worker_pids)
 
 
-@pytest.mark.parametrize("where", ["in process", "worker"])
+@pytest.mark.parametrize("where", ["in process", "worker", "both"])
 def test_a_non_finite_gradient_names_encoder_parameter_and_step(
         where, small_corpus, small_dev, small_vocab, small_config, worker_pids, cpus,
         monkeypatch):
     """A NaN gradient under a finite loss stops the run before Adam writes it
-    into the weights."""
+    into the weights.  With both encoders' gradients NaN, I's is named, in
+    one process and with the worker alike."""
     cpus(2)
     enc_i = Encoder(small_config, seed=3, name="I")
     enc_ii = Encoder(small_config, seed=4, name="II")
@@ -620,6 +621,18 @@ def test_a_non_finite_gradient_names_encoder_parameter_and_step(
         with pytest.raises(NumericError) as err:
             train_tncse(enc_i, enc_ii, small_corpus, small_dev, small_vocab, cfg_small())
         assert str(err.value) == "non-finite gradient of II layer1.ffn2_w at step 1"
+        assert_no_child_remains(worker_pids)
+    elif where == "both":
+        poison_gradient(monkeypatch, enc_i.params["layer1.ffn2_w"],
+                        enc_ii.params["layer1.ffn2_w"])
+        for n_cpus in (1, 2):
+            cpus(n_cpus)
+            del worker_pids[:]
+            with pytest.raises(NumericError) as err:
+                train_tncse(enc_i, enc_ii, small_corpus, small_dev, small_vocab,
+                            cfg_small())
+            assert str(err.value) == "non-finite gradient of I layer1.ffn2_w at step 1"
+            assert bool(worker_pids) == (n_cpus == 2)
         assert_no_child_remains(worker_pids)
     else:
         poison_gradient(monkeypatch, enc_i.params["layer1.ffn2_w"])
@@ -651,27 +664,41 @@ def test_a_worker_side_error_keeps_its_class_in_one_line(
     assert_no_child_remains(worker_pids)
 
 
+@pytest.mark.parametrize("moment", ["after step 1's validation",
+                                    "before step 1's validation pulls"])
 def test_a_killed_worker_is_an_error_not_a_hang(
-        small_corpus, small_dev, small_vocab, small_config, worker_pids, cpus,
+        moment, small_corpus, small_dev, small_vocab, small_config, worker_pids, cpus,
         monkeypatch):
     cpus(2)
-    evaluate = training.sts_eval  # the recording one
+    parent, evaluate, adam_step = os.getpid(), training.sts_eval, training.Adam.step
+    rhos = []
+    after = moment.startswith("after")
+
+    def kill_children():
+        for p in multiprocessing.active_children():
+            p.kill()
+            p.join()
 
     def killing_eval(*a):
-        rho = evaluate(*a)
-        if len(worker_pids) == 2:  # at step 1's validation
-            for p in multiprocessing.active_children():
-                p.kill()
-                p.join()
-        return rho
+        rhos.append(evaluate(*a))  # the recording one
+        if after and len(rhos) == 2:
+            kill_children()
+        return rhos[-1]
+
+    def killing_step(self):
+        adam_step(self)
+        if not after and os.getpid() == parent and self.t == 1:  # the caller's Adam
+            kill_children()
 
     monkeypatch.setattr(training, "sts_eval", killing_eval)
+    monkeypatch.setattr(training.Adam, "step", killing_step)
     with pytest.raises(TncseError) as err:
         train_tncse(Encoder(small_config, seed=3, name="I"),
                     Encoder(small_config, seed=4, name="II"),
                     small_corpus, small_dev, small_vocab, cfg_small(eval_interval=1))
     assert type(err.value) is TncseError
     assert str(err.value) == f"encoder II worker stopped (exit code {-signal.SIGKILL})"
+    assert len(rhos) == (2 if after else 1)  # step 2's forward, or step 1's pull
     assert_no_child_remains(worker_pids)
 
 
