@@ -50,9 +50,9 @@ class EncoderConfig:
         if self.hidden_dim < 2 or self.ffn_dim < 1:  # LayerNorm needs two features
             raise ConfigError(f"need hidden_dim >= 2 and ffn_dim >= 1, got "
                               f"{self.hidden_dim} and {self.ffn_dim}")
-        if self.max_seq_len < 2:
-            raise ConfigError(f"max_seq_len must be >= 2 to hold [CLS] and [SEP], "
-                              f"got {self.max_seq_len}")
+        if self.max_seq_len < 3:
+            raise ConfigError(f"max_seq_len must be >= 3, so that one token fits "
+                              f"between [CLS] and [SEP], got {self.max_seq_len}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.hidden_dim % self.num_heads != 0:

@@ -140,44 +140,47 @@ def ensemble_embed_fn(encoders, vocab):
 
 
 class _Half:
-    """One encoder's share of a step, run here by ``recv``: sent an id array,
-    its train-mode forward pass, which returns its two outputs' arrays; sent
-    the step and those outputs' gradients (None for an unused one), its
-    backward pass, after which it checks the encoder's gradients."""
+    """One encoder's share of a step, a call at a time: ``send(name, *args)``
+    queues a call of the method ``name``, and ``recv()`` runs it and returns
+    its result.  ``forward(ids)`` returns the train-mode outputs' arrays;
+    ``backward(step, grads)`` runs from their gradients (None for an unused
+    one), then checks the encoder's gradients."""
 
     def __init__(self, enc):
-        self.enc, self._msg, self._outs = enc, None, ()
+        self.enc, self._call, self._outs = enc, None, ()
 
-    def send(self, msg):
-        self._msg = msg
+    def send(self, name, *args):
+        self._call = name, args
 
     def recv(self):
-        return self.run(self._msg)
+        name, args = self._call
+        return getattr(self, name)(*args)
 
-    def run(self, msg):
-        if isinstance(msg, np.ndarray):
-            out = self.enc.encode(msg, train_mode=True)
-            self._outs = (out.last_hidden, out.pooler)
-            return [t.data for t in self._outs]
-        step, grads = msg
+    def forward(self, ids):
+        out = self.enc.encode(ids, train_mode=True)
+        self._outs = (out.last_hidden, out.pooler)
+        return [t.data for t in self._outs]
+
+    def backward(self, step, grads):
         ad._backward(self._outs, grads)
         self._outs = ()
         _check_gradients(self.enc, step)
 
-    def pull(self):  # the caller's weights are current
+    def pull(self):  # the caller's weights and streams are current
         pass
 
-    def close(self, ok):
+    def close(self):
         pass
 
 
 class _Worker(_Half):
-    """A _Half run by a child process, so that it overlaps the caller's work.
-    The child is forked, not spawned, to inherit the encoder, and it owns
-    the encoder's training state: after each backward pass it checks the
-    gradients and takes its own Adam step at ``lr`` before it replies, and
-    the caller's copy of the weights is current only after ``pull``.  Each
-    side closes the other's pipe end, so that it sees EOF if the other dies."""
+    """A _Half run by a forked child process, so that it overlaps the caller's
+    work: ``send`` pipes the call, and the child runs it and replies.  Forked,
+    the child inherits the encoder and the caller's ``np.errstate``.  It owns
+    the encoder's training state: its ``backward`` also takes its own Adam
+    step at ``lr`` before it replies, and the caller's weights and random
+    streams are current only after ``pull``.  Each side closes the other's
+    pipe end, so that it sees EOF if the other dies."""
 
     def __init__(self, enc, lr):
         import multiprocessing  # 0.9 MB of modules that only dual training needs
@@ -185,26 +188,20 @@ class _Worker(_Half):
         super().__init__(enc)
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
-        self._proc = ctx.Process(target=self._serve,
-                                 args=(child_end, np.geterr(), lr), daemon=True)
+        self._proc = ctx.Process(target=self._serve, args=(child_end, lr), daemon=True)
         self._proc.start()
         child_end.close()
 
-    def _serve(self, conn, errors, lr):
-        """The child: a reply per message until None, then its streams."""
+    def _serve(self, conn, lr):
+        """The child: a reply per call until it is killed or the caller dies."""
         self._conn.close()
         signal.signal(signal.SIGINT, signal.SIG_IGN)  # Ctrl-C is the caller's
-        np.seterr(**errors)
-        opt = Adam(self.enc.parameters(), lr)
+        self._opt = Adam(self.enc.parameters(), lr)
         with contextlib.suppress(EOFError):  # the caller died
-            while (msg := _receive(conn)) is not None:
+            while True:
+                name, args = _receive(conn)
                 try:
-                    if isinstance(msg, str):  # "pull"
-                        reply = [p.data for p in opt.params]
-                    else:
-                        reply = self.run(msg)
-                        if reply is None:  # a backward pass, its gradients checked
-                            opt.step()
+                    reply = getattr(self, name)(*args)
                 except NumericError as exc:  # it names the encoder already
                     reply = exc
                 except Exception as exc:
@@ -212,18 +209,24 @@ class _Worker(_Half):
                     reply = cls(f"encoder {self.enc.name} worker failed: "
                                 + " ".join(str(exc).split()))
                 conn.send(reply)
-            conn.send(self.enc.streams)
+
+    def backward(self, step, grads):  # in the child
+        super().backward(step, grads)
+        self._opt.step()
+
+    def state(self):  # in the child
+        return [p.data for p in self._opt.params], self.enc.streams
 
     def _pipe(self, fn, *args):
         try:
             return fn(*args)
         except (EOFError, OSError):
-            self.close(False)
+            self.close()
             raise TncseError(f"encoder {self.enc.name} worker stopped "
                              f"(exit code {self._proc.exitcode})") from None
 
-    def send(self, msg):
-        self._pipe(self._conn.send, msg)
+    def send(self, name, *args):
+        self._pipe(self._conn.send, (name, args))
 
     def recv(self):
         reply = self._pipe(_receive, self._conn)
@@ -232,17 +235,13 @@ class _Worker(_Half):
         return reply
 
     def pull(self):
-        """Take the child's current weights as the encoder's parameters."""
-        self.send("pull")
-        for p, data in zip(self.enc.parameters(), self.recv()):
+        """Take the child's weights and random streams as the encoder's."""
+        self.send("state")
+        weights, self.enc.streams = self.recv()
+        for p, data in zip(self.enc.parameters(), weights):
             p.data = data
 
-    def close(self, ok):
-        """Stop the child, which first hands back the encoder's random streams
-        when ``ok``."""
-        if ok:
-            self.send(None)
-            self.enc.streams = self.recv()
+    def close(self):
         self._proc.kill()
         self._proc.join()
         self._conn.close()
@@ -271,7 +270,7 @@ def _step(halves, sentences, batch_fn, loss_fn, step):
     as floats.  The step's graph dies with this frame, before Adam steps."""
     ids = batch_fn(sentences)
     for h in halves:
-        h.send(ids)
+        h.send("forward", ids)
     outs = [EncoderOutput(*(ad.Tensor(a, requires_grad=True) for a in h.recv()))
             for h in halves]
     try:
@@ -284,7 +283,7 @@ def _step(halves, sentences, batch_fn, loss_fn, step):
         raise NumericError(f"non-finite loss term {bad[0]} at step {step}")
     terms["total"].backward()
     for h, out in zip(halves, outs):
-        h.send((step, [out.last_hidden.grad, out.pooler.grad]))
+        h.send("backward", step, [out.last_hidden.grad, out.pooler.grad])
     for h in halves:
         h.recv()
     return record
@@ -316,11 +315,11 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, batch_fn, loss_fn):
     row in a loss input.  With two encoders and a second CPU
     (``_parallel_cpus``), a worker forked before step-0 validation runs
     encoder II's passes and Adam steps, with the same results bit for bit;
-    each validation first pulls II's weights from it.
+    each validation first pulls II's weights and random streams from it.
 
     Validation runs at step 0, every ``cfg.eval_interval`` steps and at the
-    last step; the best-validated weights, step 0 included, are restored on
-    return.
+    last step, so the last pull leaves II's streams where one process would;
+    the best-validated weights, step 0 included, are restored on return.
     """
     _check_batchable(corpus)  # before step-0 validation, which batch_iter follows
     log = TrainLog()
@@ -343,7 +342,6 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, batch_fn, loss_fn):
     # fork only while this is the process's one thread: eval pools have joined
     if len(halves) == 2 and _parallel_cpus() > 1 and threading.active_count() == 1:
         halves[1] = _Worker(encoders[1], cfg.learning_rate)
-    ok = False
     try:
         # a worker steps its own encoder's Adam
         opt = Adam([p for h in halves if not isinstance(h, _Worker)
@@ -362,10 +360,9 @@ def _train(encoders, corpus, sts_dev, vocab, cfg, batch_fn, loss_fn):
                 if step == cfg.steps:
                     break
             epoch += 1
-        ok = True
     finally:
         for h in halves:
-            h.close(ok)
+            h.close()
 
     for enc, snap in zip(encoders, best_snap):
         for k, v in snap.items():

@@ -167,6 +167,8 @@ def test_single_line_manifest_mutation_fails_cleanly_or_loads(tmp_path, mutation
     ("config num_layers 1", "config num_layers 0", "num_layers"),
     # LayerNorm needs two features
     ("config hidden_dim 8", "config hidden_dim 1", "need hidden_dim >= 2"),
+    # no token fits between [CLS] and [SEP]
+    ("config max_seq_len 6", "config max_seq_len 2", "max_seq_len must be >= 3"),
 ])
 def test_manifest_with_a_bad_config_value_is_a_checkpoint_error(tmp_path, line, bad,
                                                                 match):

@@ -4,18 +4,20 @@ including the exit-code taxonomy."""
 import os
 import subprocess
 import sys
+import tempfile
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tncse import __version__, cli
 from tncse import checkpoint as ckpt
+from tncse import losses as L
 from tncse import pipeline as pl
 from tncse.cli import main
-from tncse.data import make_batch
+from tncse.data import make_batch, save_corpus, save_sts_tsv
 from tncse.encoder import Encoder
 from tncse.ensemble import EnsembleModel
 from tncse.errors import CheckpointError, ConfigError, DataError, TncseError
@@ -457,6 +459,8 @@ def test_cli_refuses_non_empty_out_dir_without_force(tmp_path, capsys):
     ("pretrain", ["encoder.num_heads=1", "encoder.hidden_dim=1"]),
     ("train-single-tn", ["encoder.hidden_dim=1", "encoder.num_heads=1"]),
     ("pretrain", ["encoder.max_seq_len=1"]),
+    # every sentence would be [CLS] [SEP], and every embedding the same
+    ("pretrain", ["encoder.max_seq_len=2"]),
     ("pretrain", ["encoder.dropout_p=1.5"]),
     ("gen-data", ["seed=-1"]),
     ("train", ["train.encoder_i={pair}/encoder_I", "train.encoder_ii={pair}/encoder_II",
@@ -530,8 +534,9 @@ def test_cli_non_finite_loss_exits_5_with_one_line(data_dir, tmp_path, capsys):
 
 
 def test_cli_non_finite_dual_loss_prints_no_worker_warning(data_dir, pair_dir, tmp_path):
-    """Encoder II's passes run in a worker process under the caller's
-    ``np.errstate``, so its overflow prints no warning either."""
+    """Encoder II's passes run in a worker process forked under the caller's
+    ``np.errstate``, which it inherits, so its overflow prints no warning
+    either."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     env["OPENBLAS_NUM_THREADS"] = "1"
@@ -573,6 +578,69 @@ def test_cli_zero_norm_training_row_exits_5_with_one_line(data_dir, tmp_path, ca
     assert len(err) == 1, err
     assert err[0].startswith(f"numeric-error: {first}"), err
     assert err[0].endswith("has a zero-norm row in nce_i at step 1"), err
+
+
+@pytest.fixture(scope="module")
+def small_data_dir(tmp_path_factory, small_data):
+    """The 256-sentence corpus and 32-pair STS sets of ``small_data``."""
+    out = tmp_path_factory.mktemp("small-data")
+    corpus, dev, test = small_data
+    save_corpus(corpus, out / "corpus.txt")
+    save_sts_tsv(dev, out / "sts_dev.tsv")
+    save_sts_tsv(test, out / "sts_test.tsv")
+    return out
+
+
+@st.composite
+def legal_settings(draw):
+    """``--set`` values from the validators' ranges: small shapes, 1-2 steps,
+    every subset of the loss terms (the empty one is a config error)."""
+    heads = draw(st.sampled_from([1, 2, 4]))
+    values = {
+        "encoder.num_heads": heads,
+        "encoder.hidden_dim": heads * draw(st.integers(2 // heads or 1, 32 // heads)),
+        "encoder.num_layers": draw(st.integers(1, 3)),
+        "encoder.ffn_dim": draw(st.integers(1, 32)),
+        "encoder.max_seq_len": draw(st.integers(3, 16)),
+        "encoder.dropout_p": draw(st.floats(0.0, 0.99)),
+        "loss.tau": 10.0 ** draw(st.floats(-3.0, 2.0)),
+        "loss.terms": "+".join(sorted(draw(st.sampled_from([(), *L.ablation_grid()])))),
+    }
+    for section in ("pretrain", "train"):
+        steps = draw(st.integers(1, 2))
+        values.update({f"{section}.steps": steps,
+                       f"{section}.eval_interval": draw(st.integers(1, steps)),
+                       f"{section}.batch_size": draw(st.integers(2, 64)),
+                       f"{section}.lr": 10.0 ** draw(st.floats(-6.0, 30.0))})
+    return values
+
+
+@given(values=legal_settings())
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_every_legal_setting_trains_or_exits_in_its_class_with_one_line(
+        small_data_dir, capfd, values):
+    """``pretrain``, ``train-single-tn`` and ``train`` on that pretrain's
+    checkpoints, through ``cli.main``: each exits 0 or in a documented class
+    (2, 3, 5) and prints at most one line to stderr, the dual-step worker's
+    included (``capfd`` reads the file descriptor the fork shares)."""
+    pairs = [f"{key}={value}" for key, value in values.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        pre = os.path.join(tmp, "pre")
+        runs = [["train-single-tn", "--out", f"{tmp}/stn"], ["pretrain", "--out", pre],
+                ["train", "--out", f"{tmp}/train",
+                 "--set", f"train.encoder_i={pre}/encoder_I",
+                 "--set", f"train.encoder_ii={pre}/encoder_II"]]
+        for argv in runs:
+            if argv[0] == "train" and status != 0:
+                break  # pretrain saved no checkpoints
+            for pair in pairs:
+                argv += ["--set", pair]
+            capfd.readouterr()
+            status = main(argv + data_args(small_data_dir))
+            err = capfd.readouterr().err.splitlines()
+            assert status in (0, 2, 3, 5), (argv[0], status, err)
+            assert len(err) <= 1, (argv[0], err)
 
 
 def test_cli_missing_checkpoint_exits_4(data_dir, tmp_path, capsys):

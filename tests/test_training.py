@@ -562,7 +562,7 @@ def test_dual_step_in_a_worker_equals_the_step_in_process(
              for enc in (worker_encs[1], local_encs[1])]
     assert pass0[0] == pass0[1]
     assert all(isinstance(p.data, np.ndarray) and p.data.base is None
-               for p in worker_encs[1].parameters())  # private, off the shared map
+               for p in worker_encs[1].parameters())  # pulled: arrays of their own
 
 
 def test_dual_worker_leaves_no_child_process(small_corpus, small_dev, small_vocab,
